@@ -1,13 +1,14 @@
 # CI / developer targets. `make ci` is the gate: formatting, vet, the
-# full test suite under the race detector, the zero-allocation guards
+# full test suite under the race detector, the benchmark module's own
+# vet and unit tests (it is outside ./...), the zero-allocation guards
 # (which need a non-race run — the race runtime allocates), and the
 # fault-injection suite repeated twice.
 
 GO ?= go
 
-.PHONY: ci fmt vet test test-matrix race bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
+.PHONY: ci fmt vet test test-matrix race bench-unit bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
 
-ci: fmt vet race test-matrix alloc-guard alloc-check fault fleet-smoke soak-smoke soak-smoke-p4
+ci: fmt vet race bench-unit test-matrix alloc-guard alloc-check fault fleet-smoke soak-smoke soak-smoke-p4
 
 # Fail if any file is not gofmt-clean.
 fmt:
@@ -34,6 +35,15 @@ test-matrix:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module, so ./... never reaches it: vet it and run
+# its unit tests here, or a root-module refactor that renames something
+# it imports (realtime.NewEngineHandler, fleet.NewHandler, ...) breaks
+# the repository benchmark without any gate noticing. Compile-and-unit
+# only (< 1 s); the benchmark itself is `bash bench/run.sh`.
+bench-unit:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # The AllocsPerRun guards must run without -race (the race runtime
 # itself allocates, which would mask — or falsely trip — a hot-path

@@ -1,7 +1,8 @@
 // Command aggregatord is the fleet half of the deployment: it accepts
 // delta syncs pushed by charactld collectors (POST /v1/sync), mirrors
 // their per-device synopses, and serves the merged fleet-wide
-// correlations, rules, and staleness over the /v1 read surface.
+// correlations, rules, and staleness over the same /v1 read surface —
+// routes, parameters, ETags, watch — the collectors themselves serve.
 //
 // The aggregator is built to keep answering through partitions: a
 // collector that goes silent ages from healthy to degraded (its mirror
@@ -108,7 +109,7 @@ func main() {
 	}
 
 	log.Printf("aggregatord: serving fleet view on http://%s (lease %v, fail-after %v)", *listen, *lease, *failAfter)
-	log.Printf("v1 endpoints: /v1/sync  /v1/snapshot  /v1/rules  /v1/devices  /v1/collectors  /v1/watch  /v1/metrics  /v1/healthz  /v1/readyz")
+	log.Printf("v1 endpoints: /v1/sync  /v1/snapshot  /v1/rules  /v1/watch  /v1/devices  /v1/devices/{id}/{snapshot,rules,watch}  /v1/collectors  /v1/metrics  /v1/healthz  /v1/readyz")
 	if store != nil {
 		log.Printf("state: %s every %v (keep %d)", *stateDir, *stateInterval, *stateKeep)
 	}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,5 +72,64 @@ func TestStopTimeoutDrainsWithinDeadline(t *testing.T) {
 	}
 	if _, ok := store.Latest("dev0"); !ok {
 		t.Fatal("no final checkpoint after clean stop")
+	}
+}
+
+// TestStopTimeoutDiscardsBehindParkedRouter forces the ordering
+// TestStopTimeoutForcesDrain can only race: the router is parked inside
+// the process hook — mid-drain, having sampled stopping=false at the
+// top of its loop — while StopTimeout runs to its deadline and forces.
+// Once released, the router must analyze nothing beyond the event it
+// already had in hand: every other queued or reorder-buffered event is
+// counted as dropped, and the final checkpoint is still written.
+func TestStopTimeoutDiscardsBehindParkedRouter(t *testing.T) {
+	store, err := checkpoint.Open(checkpoint.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var analyzed atomic.Int64
+	parked := make(chan struct{})
+	release := make(chan struct{})
+	hook := func(device string, ev blktrace.Event) {
+		if analyzed.Add(1) == 1 {
+			close(parked)
+			<-release
+		}
+	}
+	e := mustEngine(t,
+		WithDevices("dev0"),
+		WithQueueSize(4096),
+		WithCheckpoints(store, time.Hour),
+		WithProcessHook(hook),
+	)
+	const n = 800
+	feedN(t, e, "dev0", n, 0)
+	<-parked
+
+	s, err := e.shard("dev0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forced := make(chan bool, 1)
+	go func() { forced <- e.StopTimeout(time.Millisecond) }()
+	for deadline := time.Now().Add(10 * time.Second); !s.discard.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatal("StopTimeout never forced the parked device")
+		}
+		runtime.Gosched()
+	}
+	close(release)
+
+	if !<-forced {
+		t.Fatal("StopTimeout returned forced=false")
+	}
+	if got := analyzed.Load(); got != 1 {
+		t.Fatalf("router analyzed %d events after the forced stop, want only the 1 in hand", got)
+	}
+	if dropped := metricValue(t, e, MetricDropped, "dev0"); dropped != n-1 {
+		t.Fatalf("dropped = %v, want %d (everything but the in-hand event)", dropped, n-1)
+	}
+	if _, ok := store.Latest("dev0"); !ok {
+		t.Fatal("no final checkpoint after forced stop")
 	}
 }

@@ -394,7 +394,18 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 	var ev blktrace.Event
 	var ts int64
 	var lats []int64
-	emit := func(ev blktrace.Event, ts int64) { s.processEvent(st, ev, ts) }
+	// emit is the one point where the router releases an event, so it is
+	// the one point that honours a forced drain: discard is loaded fresh
+	// per event (never a value sampled before a blocking analysis), and
+	// past a StopTimeout deadline whatever is still queued or
+	// reorder-buffered is counted as dropped instead of analyzed.
+	emit := func(ev blktrace.Event, ts int64) {
+		if s.discard.Load() {
+			s.metrics.dropped.Inc()
+			return
+		}
+		s.processEvent(st, ev, ts)
+	}
 	for {
 		if run != nil && run.isBroken() {
 			return
@@ -408,10 +419,6 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 		drained := 0
 		for s.ring.pop(&ev, &ts) {
 			drained++
-			if stopping && s.discard.Load() {
-				s.metrics.dropped.Inc()
-				continue
-			}
 			st.rb.push(ev, ts, emit)
 		}
 		if drained > 0 && s.policy == Block {
@@ -641,23 +648,15 @@ func (s *shard) finishStop(st *deviceState, run *partRun, emit func(blktrace.Eve
 	var ts int64
 	for !s.ring.empty() {
 		if s.ring.pop(&ev, &ts) {
-			if s.discard.Load() {
-				s.metrics.dropped.Inc()
-				continue
-			}
 			st.rb.push(ev, ts, emit)
 		} else {
 			runtime.Gosched() // a producer claimed the slot; it will publish
 		}
 	}
-	if s.discard.Load() {
-		// Past the drain deadline: events still held in the reorder
-		// buffer are dropped (counted) rather than analyzed, so a slow
-		// analysis path cannot extend the shutdown unboundedly.
-		st.rb.flush(func(blktrace.Event, int64) { s.metrics.dropped.Inc() })
-	} else {
-		st.rb.flush(emit)
-	}
+	// Past the drain deadline emit drops (and counts) instead of
+	// analyzing, so a slow analysis path cannot extend the shutdown
+	// unboundedly.
+	st.rb.flush(emit)
 	s.mirrorReorder(st)
 	if st.parts == 1 {
 		st.pipe.Flush()

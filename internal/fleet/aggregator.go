@@ -162,10 +162,13 @@ type Aggregator struct {
 	mu         sync.Mutex
 	collectors map[string]*collectorMirror
 	closed     bool
-	// version counts mirror mutations; watch streams cursor on it.
-	version uint64
+	// version counts mirror mutations — the epoch half of every view's
+	// cursor; advanced is when it last moved, for the watch fan-out
+	// latency histogram.
+	version  uint64
+	advanced time.Time
 	// notify is closed (and replaced) on every version bump and on
-	// Close, waking WaitVersion blockers.
+	// Close, waking wait blockers.
 	notify chan struct{}
 
 	// idx incrementally maintains the union of every live mirror, one
@@ -173,26 +176,16 @@ type Aggregator struct {
 	// sections land; merged reads materialize it without re-merging
 	// unchanged mirrors and without holding mu — ingest and fan-in
 	// reads only contend for the brief index mutation, never for a
-	// full merge. idxExcluded marks collectors whose sources were
-	// replayed out of the union because they crossed FailAfter; their
-	// next accepted frame folds them back in. idxMu nests inside mu
-	// (mu → idxMu) and is never held across a blocking call.
+	// full merge. The index caches its own export (an unchanged read
+	// returns the previous value; requested supports are suffix cuts of
+	// it), so there is no second cache here to key. idxExcluded marks
+	// collectors whose sources were replayed out of the union because
+	// they crossed FailAfter — a change of the merge without a version
+	// bump; their next accepted frame folds them back in. idxMu nests
+	// inside mu (mu → idxMu) and is never held across a blocking call.
 	idxMu       sync.Mutex
 	idx         *core.MergeIndex
 	idxExcluded map[string]bool
-
-	// Version-gated merge cache, same discipline as the engine's: the
-	// key is read under mu before the materialize, so it can only
-	// under-claim freshness. The failed-set is part of the key because
-	// a collector crossing FailAfter changes the merge without a
-	// version bump. The cache holds the full support-0 merged export;
-	// requested supports are suffix cuts of it, so one entry serves
-	// every support.
-	mergeMu      sync.Mutex
-	mergeCached  core.Snapshot
-	mergeVersion uint64
-	mergeFailed  string
-	mergeValid   bool
 
 	syncsTotal    *obs.Counter
 	bytesTotal    *obs.Counter
@@ -279,7 +272,6 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 		a.collectors[f.Collector] = m
 	}
 	res := SyncResult{Collector: f.Collector, Seq: f.Seq, Acks: make([]Ack, 0, len(f.Sections))}
-	mutated := false
 	if f.Instance != m.instance {
 		m.instance = f.Instance
 		m.lastSeq = 0
@@ -296,6 +288,13 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 		}
 		a.idxMu.Unlock()
 	}
+	// A frame from a failed (or never-seen) collector grows the live
+	// set, which changes the merge even when the frame is a bare
+	// heartbeat. Bumping the version for it is what lets a cursor count
+	// live collectors instead of naming them: at one version the live
+	// set can only shrink.
+	now := a.now()
+	mutated := m.state(now, a.lease, a.failAfter) == Failed
 	retransmit := m.lastSeq != 0 && f.Seq <= m.lastSeq
 	for _, s := range f.Sections {
 		dev := m.devices[s.Device]
@@ -375,7 +374,7 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 			res.Acks = append(res.Acks, Ack{Device: s.Device, Action: AckApplied, Epoch: s.Epoch})
 		}
 	}
-	m.lastSync = a.now()
+	m.lastSync = now
 	if f.Seq > m.lastSeq {
 		m.lastSeq = f.Seq
 	}
@@ -406,34 +405,52 @@ func (a *Aggregator) retransmitAck(dev *deviceMirror, s Section) Ack {
 // bumpLocked advances the version and wakes watchers. Caller holds mu.
 func (a *Aggregator) bumpLocked() {
 	a.version++
+	a.advanced = time.Now()
 	close(a.notify)
 	a.notify = make(chan struct{})
 }
 
-// Version returns the mirror mutation counter — the watch cursor.
-func (a *Aggregator) Version() uint64 {
+// cursor returns a view's cursor: the version, and the number of live
+// (non-failed) collectors feeding the view — every one for the merged
+// view (device ""), those mirroring the device otherwise. The count is
+// what the version alone misses: a collector crossing FailAfter drops
+// out of the merge without a mutation.
+func (a *Aggregator) cursor(device string) (version uint64, live int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.version
+	now := a.now()
+	for _, m := range a.collectors {
+		if m.state(now, a.lease, a.failAfter) == Failed {
+			continue
+		}
+		if device == "" || m.devices[device] != nil {
+			live++
+		}
+	}
+	return a.version, live
 }
 
-// WaitVersion blocks until the version differs from since, the context
-// ends, or the aggregator closes (ErrClosed — the watch streams'
-// terminal signal).
-func (a *Aggregator) WaitVersion(ctx context.Context, since uint64) (uint64, error) {
+// wait blocks until the view's cursor differs from (version, live), the
+// context ends, or the aggregator closes (ErrClosed — the watch
+// streams' terminal signal), and reports when the version last moved.
+// A device view that loses its last live mirror has moved too: its
+// watcher learns the device is gone from the read that follows.
+func (a *Aggregator) wait(ctx context.Context, device string, version uint64, live int) (time.Time, error) {
 	for {
+		// The channel is taken before the cursor is read, so a bump
+		// between the two closes a channel this waiter holds.
 		a.mu.Lock()
-		v, ch, closed := a.version, a.notify, a.closed
+		ch, closed, advanced := a.notify, a.closed, a.advanced
 		a.mu.Unlock()
-		if v != since {
-			return v, nil
+		if v, n := a.cursor(device); v != version || n != live {
+			return advanced, nil
 		}
 		if closed {
-			return v, ErrClosed
+			return time.Time{}, ErrClosed
 		}
 		select {
 		case <-ctx.Done():
-			return v, ctx.Err()
+			return time.Time{}, ctx.Err()
 		case <-ch:
 		}
 	}
@@ -510,35 +527,6 @@ func (a *Aggregator) Devices() []string {
 	return out
 }
 
-// liveSnapshots collects the mirrors that participate in merged reads
-// (devices of non-failed collectors), plus the failed-set cache key.
-func (a *Aggregator) liveSnapshots(device string) (snaps []core.Snapshot, version uint64, failedKey string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.now()
-	ids := make([]string, 0, len(a.collectors))
-	for id := range a.collectors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var failed []byte
-	for _, id := range ids {
-		m := a.collectors[id]
-		if m.state(now, a.lease, a.failAfter) == Failed {
-			failed = append(failed, id...)
-			failed = append(failed, 0)
-			continue
-		}
-		for dev, dm := range m.devices {
-			if device != "" && dev != device {
-				continue
-			}
-			snaps = append(snaps, dm.snap)
-		}
-	}
-	return snaps, a.version, string(failed)
-}
-
 // MergedSnapshot merges every live mirror into the fleet-wide synopsis
 // at minSupport. The result is exactly core.MergeSnapshots over the
 // collectors' exports: an aggregator that has converged answers
@@ -548,57 +536,30 @@ func (a *Aggregator) liveSnapshots(device string) (snaps []core.Snapshot, versio
 // delta re-sorts only that device's changed entries and never holds
 // the ingest mutex across a merge.
 func (a *Aggregator) MergedSnapshot(minSupport uint32) core.Snapshot {
-	a.mergeMu.Lock()
-	defer a.mergeMu.Unlock()
-	return filterSupport(a.refreshMergedLocked(), minSupport)
-}
-
-// refreshMergedLocked returns the up-to-date full (support-0) merged
-// export, re-materializing from the index only when the version or the
-// failed-set moved. Caller holds mergeMu.
-func (a *Aggregator) refreshMergedLocked() core.Snapshot {
-	version, failedKey := a.reconcileIndex()
-	if a.mergeValid && a.mergeVersion == version && a.mergeFailed == failedKey {
-		return a.mergeCached
-	}
+	a.reconcileIndex()
 	a.idxMu.Lock()
-	merged := a.idx.Snapshot()
-	a.idxMu.Unlock()
-	a.mergeCached, a.mergeVersion, a.mergeFailed, a.mergeValid = merged, version, failedKey, true
-	return merged
+	defer a.idxMu.Unlock()
+	return a.idx.Snapshot().FilterSupport(minSupport)
 }
 
 // reconcileIndex replays the sources of collectors that crossed
-// FailAfter out of the union (their re-inclusion happens in Apply, the
-// only way a collector's sync age can shrink) and returns the merge
-// cache key: the mirror version and the failed-set.
-func (a *Aggregator) reconcileIndex() (version uint64, failedKey string) {
+// FailAfter out of the union. Their re-inclusion happens in Apply, the
+// only way a collector's sync age can shrink.
+func (a *Aggregator) reconcileIndex() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	now := a.now()
-	ids := make([]string, 0, len(a.collectors))
-	for id := range a.collectors {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	var failed []byte
-	for _, id := range ids {
-		m := a.collectors[id]
-		if m.state(now, a.lease, a.failAfter) != Failed {
+	for id, m := range a.collectors {
+		if m.state(now, a.lease, a.failAfter) != Failed || a.idxExcluded[id] {
 			continue
 		}
-		failed = append(failed, id...)
-		failed = append(failed, 0)
-		if !a.idxExcluded[id] {
-			a.idxExcluded[id] = true
-			a.idxMu.Lock()
-			for dev := range m.devices {
-				a.idx.Remove(mirrorKey(id, dev))
-			}
-			a.idxMu.Unlock()
+		a.idxExcluded[id] = true
+		a.idxMu.Lock()
+		for dev := range m.devices {
+			a.idx.Remove(mirrorKey(id, dev))
 		}
+		a.idxMu.Unlock()
 	}
-	return a.version, string(failed)
 }
 
 // mirrorKey names one (collector, device) source in the merge index.
@@ -613,53 +574,36 @@ func mirrorKey(collector, device string) string {
 // collector's) at minSupport. ok is false when no live collector
 // mirrors the device.
 func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snapshot, bool) {
-	snaps, _, _ := a.liveSnapshots(device)
+	a.mu.Lock()
+	now := a.now()
+	var snaps []core.Snapshot
+	for _, m := range a.collectors {
+		if dm := m.devices[device]; dm != nil && m.state(now, a.lease, a.failAfter) != Failed {
+			snaps = append(snaps, dm.snap)
+		}
+	}
+	a.mu.Unlock()
 	if len(snaps) == 0 {
 		return core.Snapshot{}, false
 	}
-	return filterSupport(core.MergeSnapshots(snaps...), minSupport), true
+	return core.MergeSnapshots(snaps...).FilterSupport(minSupport), true
 }
 
-// Rules derives fleet-wide directional rules from the merged mirror,
-// as engine.MergedRules does from live tables.
-func (a *Aggregator) Rules(minSupport uint32, minConfidence float64) []core.Rule {
-	return a.TopRules(minSupport, minConfidence, 0)
-}
-
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0); the result is exactly Rules(...)[:limit].
+// TopRules derives fleet-wide directional rules from the merged
+// mirror, as engine.MergedTopRules does from live tables: the limit
+// highest-ranked rules (all of them when limit <= 0).
 // Extraction runs straight off the merge index — antecedent lookups
 // hit its item hash and selection is a bounded heap, so a top-K read
 // allocates O(K) regardless of fleet size.
 func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) []core.Rule {
-	a.mergeMu.Lock()
-	defer a.mergeMu.Unlock()
-	a.refreshMergedLocked() // replay failed collectors out of the index first
+	a.reconcileIndex()
 	a.idxMu.Lock()
 	defer a.idxMu.Unlock()
+	// Materialize first, as a snapshot read would: it is what drains the
+	// index's change list, so a fleet that is only ever asked for rules
+	// does not accumulate one.
+	a.idx.Snapshot()
 	return a.idx.TopRules(minSupport, minConfidence, limit)
-}
-
-// DeviceRules derives one device's rules from its mirror.
-func (a *Aggregator) DeviceRules(device string, minSupport uint32, minConfidence float64) ([]core.Rule, bool) {
-	return a.DeviceTopRules(device, minSupport, minConfidence, 0)
-}
-
-// DeviceTopRules is DeviceRules bounded to the limit highest-ranked
-// rules (all of them when limit <= 0).
-func (a *Aggregator) DeviceTopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, bool) {
-	snap, ok := a.DeviceSnapshot(device, 0)
-	if !ok {
-		return nil, false
-	}
-	return snap.TopRules(minSupport, minConfidence, limit), true
-}
-
-// filterSupport cuts a sorted-descending snapshot at minSupport.
-// Exports and merges are sorted by descending count, so the entries
-// below the threshold are exactly a suffix (core.Snapshot.FilterSupport).
-func filterSupport(s core.Snapshot, minSupport uint32) core.Snapshot {
-	return s.FilterSupport(minSupport)
 }
 
 // FleetStatus is the staleness block stamped into every read response:

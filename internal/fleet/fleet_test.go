@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -312,8 +313,13 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWatchStream: the fleet watch delivers the current state, pushes
-// on version advance, and terminates with an end event on Close.
+// TestWatchStream: the fleet watch speaks the collector's wire form —
+// `event: rules` frames whose `id:` is the cursor the body repeats as
+// "epoch" — with the staleness block stamped into every delivery; it
+// delivers the current state, pushes on version advance, and
+// terminates with an end event on Close. (The delivery loop itself is
+// internal/api's; internal/realtime runs its watch suite against both
+// daemons.)
 func TestWatchStream(t *testing.T) {
 	e := newTestEngine(t, "vol0")
 	defer e.Stop()
@@ -321,11 +327,7 @@ func TestWatchStream(t *testing.T) {
 	feed(t, e, "vol0", 500, 1)
 	tf.syncAll(t)
 
-	req, err := http.NewRequest(http.MethodGet, tf.srv.URL+"/v1/watch?support=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(tf.srv.URL + "/v1/watch?support=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,63 +335,134 @@ func TestWatchStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-
-	events := make(chan string, 16)
-	go func() {
-		defer close(events)
-		buf := make([]byte, 4096)
-		var acc strings.Builder
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				acc.Write(buf[:n])
-				for {
-					s := acc.String()
-					i := strings.Index(s, "\n\n")
-					if i < 0 {
-						break
-					}
-					events <- s[:i]
-					acc.Reset()
-					acc.WriteString(s[i+2:])
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-	waitEvent := func(kind string) string {
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	// nextFrame reads one SSE frame into its fields.
+	nextFrame := func() map[string]string {
 		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for {
-			select {
-			case ev, ok := <-events:
-				if !ok {
-					t.Fatalf("stream closed waiting for %q", kind)
-				}
-				if strings.Contains(ev, "event: "+kind) {
-					return ev
-				}
-			case <-deadline:
-				t.Fatalf("no %q event before deadline", kind)
+		frame := map[string]string{}
+		for sc.Scan() {
+			line := sc.Text()
+			if line == "" && len(frame) > 0 {
+				return frame
+			}
+			if k, v, ok := strings.Cut(line, ": "); ok && k != "" {
+				frame[k] = v
 			}
 		}
+		t.Fatalf("stream closed mid-frame: %v", sc.Err())
+		return nil
+	}
+	nextState := func() (id string, totalPairs float64) {
+		t.Helper()
+		frame := nextFrame()
+		var body map[string]any
+		if err := json.Unmarshal([]byte(frame["data"]), &body); err != nil {
+			t.Fatalf("frame %v: %v", frame, err)
+		}
+		fl, _ := body["fleet"].(map[string]any)
+		if frame["event"] != "rules" || frame["id"] == "" || body["epoch"] != frame["id"] || fl["status"] != "ok" {
+			t.Fatalf("state frame = %v, want event rules with id = body epoch and data.fleet", frame)
+		}
+		totalPairs, _ = body["totalPairs"].(float64)
+		return frame["id"], totalPairs
 	}
 
-	first := waitEvent("state")
-	if !strings.Contains(first, "totalPairs") {
-		t.Fatalf("state event missing body: %q", first)
+	first, pairs := nextState()
+	if pairs == 0 {
+		t.Fatal("initial state served no pairs")
 	}
 	// A new sync bumps the version and pushes a fresh state.
 	feed(t, e, "vol0", 100, 1)
 	tf.syncAll(t)
-	waitEvent("state")
+	if second, _ := nextState(); second == first {
+		t.Fatalf("pushed state repeats cursor %q", first)
+	}
 
 	tf.agg.Close()
-	end := waitEvent("end")
-	if !strings.Contains(end, ErrCodeClosed) {
-		t.Fatalf("end event missing reason: %q", end)
+	if end := nextFrame(); end["event"] != "end" || end["data"] != `{"reason":"`+ErrCodeClosed+`"}` {
+		t.Fatalf("terminal frame = %v", end)
+	}
+}
+
+// TestETagCoversFailedSet: a collector crossing FailAfter changes the
+// merge without a version bump, so the ETag cannot be the version
+// alone — a client revalidating after the failure must get a 200
+// without the failed collector's pairs, not a 304 that keeps it serving
+// them. The same goes for a device whose only mirror was that
+// collector's: it is gone (404), not unchanged.
+func TestETagCoversFailedSet(t *testing.T) {
+	e0, e1 := newTestEngine(t, "vol0"), newTestEngine(t, "vol1")
+	defer e0.Stop()
+	defer e1.Stop()
+	tf := newTestFleet(t, Config{Lease: 10 * time.Second, FailAfter: 60 * time.Second}, e0, e1)
+	feed(t, e0, "vol0", 500, 1)
+	feed(t, e1, "vol1", 500, 2)
+	tf.syncAll(t)
+
+	get := func(path, inm string) (int, string, float64) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, tf.srv.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var env struct {
+			Data struct {
+				TotalPairs float64 `json:"totalPairs"`
+			} `json:"data"`
+		}
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode, resp.Header.Get("ETag"), env.Data.TotalPairs
+	}
+
+	_, fleetTag, both := get("/v1/snapshot?support=1", "")
+	_, devTag, _ := get("/v1/devices/vol1/snapshot?support=1", "")
+	if code, _, _ := get("/v1/snapshot?support=1", fleetTag); code != http.StatusNotModified {
+		t.Fatalf("quiescent revalidation = %d, want 304", code)
+	}
+
+	// c1 goes silent past FailAfter while c0 keeps its lease with a
+	// heartbeat: no mirror mutates, so the version does not move.
+	version, _ := tf.agg.cursor("")
+	tf.clk.Advance(55 * time.Second)
+	if _, err := tf.clients[0].SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tf.clk.Advance(10 * time.Second)
+	if v, _ := tf.agg.cursor(""); v != version {
+		t.Fatal("test premise broken: the version moved")
+	}
+
+	code, tag, remaining := get("/v1/snapshot?support=1", fleetTag)
+	if code != http.StatusOK || tag == fleetTag {
+		t.Fatalf("revalidation after a collector failed = %d (ETag %s), want 200 under a new tag", code, tag)
+	}
+	if remaining == 0 || remaining >= both {
+		t.Fatalf("merged view serves %v pairs after the failure, was %v: the failed collector's pairs must be gone", remaining, both)
+	}
+	if code, _, _ := get("/v1/devices/vol1/snapshot?support=1", devTag); code != http.StatusNotFound {
+		t.Fatalf("failed collector's device revalidated as %d, want 404", code)
+	}
+
+	// The collector returns with nothing new to say: its bare heartbeat
+	// must still move the cursor back, because the merge changed again.
+	if _, err := tf.clients[1].SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, healed := get("/v1/snapshot?support=1", tag); code != http.StatusOK || healed != both {
+		t.Fatalf("revalidation after the collector returned = %d with %v pairs, want 200 with %v", code, healed, both)
 	}
 }
 
@@ -411,18 +484,18 @@ func TestSyncAfterAggregatorClose(t *testing.T) {
 // map-based implementation.
 func TestFilterSupport(t *testing.T) {
 	s := sampleSnapshot()
-	got := filterSupport(s, 4)
+	got := s.FilterSupport(4)
 	if len(got.Pairs) != 1 || got.Pairs[0].Count != 9 {
 		t.Fatalf("pairs: %+v", got.Pairs)
 	}
 	if len(got.Items) != 2 {
 		t.Fatalf("items: %+v", got.Items)
 	}
-	all := filterSupport(s, 1)
+	all := s.FilterSupport(1)
 	if !reflect.DeepEqual(all, s) {
 		t.Fatal("support 1 must keep everything")
 	}
-	none := filterSupport(s, 1000)
+	none := s.FilterSupport(1000)
 	if none.Pairs != nil || none.Items != nil {
 		t.Fatalf("support 1000 must empty (nil) the snapshot: %+v", none)
 	}
@@ -440,12 +513,12 @@ func TestRetransmitAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := a.Version()
+	v, _ := a.cursor("")
 	res2, err := a.Apply(f, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Version() != v {
+	if again, _ := a.cursor(""); again != v {
 		t.Fatal("retransmit mutated the mirrors")
 	}
 	if !reflect.DeepEqual(res1.Acks, res2.Acks) {

@@ -3,427 +3,163 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/core"
-	"daccor/internal/obs"
 )
 
-// Read-route defaults mirror the collector's v1 API so a consumer can
-// point the same client at either.
+// MaxSyncBody bounds one POST /v1/sync body. A full snapshot of a
+// saturated synopsis is a few MB; 64 MB covers a many-device
+// collector with headroom while still refusing unbounded uploads.
+const MaxSyncBody = 64 << 20
+
+// The aggregator's own machine-readable error codes, beside the shared
+// api.ErrCodeBadRequest / ErrCodeUnknownDevice / ErrCodeInternal.
 const (
-	DefaultSupport    = 5
-	DefaultTop        = 100
-	MaxTop            = 10_000
-	DefaultConfidence = 0.5
-
-	// MaxSyncBody bounds one POST /v1/sync body. A full snapshot of a
-	// saturated synopsis is a few MB; 64 MB covers a many-device
-	// collector with headroom while still refusing unbounded uploads.
-	MaxSyncBody = 64 << 20
+	ErrCodeBadFrame = "bad_frame" // undecodable sync frame (HTTP 400)
+	ErrCodeClosed   = "closed"    // aggregator closed (HTTP 503)
 )
 
-// Watch stream pacing, as the collector's watch routes.
-const (
-	watchKeepalive = 25 * time.Second
-	// watchWriteTimeout bounds each SSE write: a consumer that stops
-	// reading trips the deadline and is disconnected instead of
-	// parking a handler goroutine on a dead socket forever.
-	watchWriteTimeout = 10 * time.Second
-)
-
-// Machine-readable error codes in the fleet v1 envelope.
-const (
-	ErrCodeBadRequest    = "bad_request"
-	ErrCodeBadFrame      = "bad_frame"
-	ErrCodeUnknownDevice = "unknown_device"
-	ErrCodeClosed        = "closed"
-	ErrCodeInternal      = "internal"
-)
-
-type apiError struct {
-	status  int
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func (e *apiError) Error() string { return e.Message }
-
-func apiErrorf(status int, code, format string, args ...any) *apiError {
-	return &apiError{status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-type apiHandler func(w http.ResponseWriter, r *http.Request) *apiError
-
-func handle(h apiHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if err := h(w, r); err != nil {
-			writeAPIError(w, err)
-		}
-	}
-}
-
-// envelope matches the collector API's {data, error} shape. Fleet read
-// responses additionally stamp the staleness block into data.fleet:
-// during a partition the aggregator keeps answering 200s from its
-// mirrors, and data.fleet is how the caller learns how stale they are.
-type envelope struct {
-	Data  any       `json:"data"`
-	Error *apiError `json:"error"`
-}
-
-// NewHandler exposes an aggregator over HTTP.
+// NewHandler exposes an aggregator over HTTP. The read surface —
+// devices, per-device and fleet-wide snapshot / rules / watch, metrics
+// — is internal/api's, served from the mirrors through
+// aggregatorSource: the same routes, parameters, ETags, and watch wire
+// forms a collector serves (route table at api.NewMux), so one client
+// reads either daemon. Every object-bodied read and watch delivery
+// additionally carries the staleness block as data.fleet: during a
+// partition the aggregator keeps answering 200s from its mirrors, and
+// data.fleet is how the caller learns how stale they are. The
+// aggregator adds the routes only it can answer:
 //
 //	POST /v1/sync                    collector sync frames (DFLT binary)
-//	GET  /v1/snapshot                fleet-wide merged correlations   ?support=&top=
-//	GET  /v1/rules                   fleet-wide merged rules          ?support=&confidence=&top=
-//	GET  /v1/devices                 mirrored device IDs
-//	GET  /v1/devices/{id}/snapshot   one device's merged mirror       ?support=&top=
-//	GET  /v1/devices/{id}/rules      one device's rules               ?support=&confidence=&top=
 //	GET  /v1/collectors              per-collector sync state
-//	GET  /v1/watch                   SSE push of merged state (cursor: aggregator version)
-//	GET  /v1/metrics                 Prometheus text exposition
 //	GET  /v1/healthz                 fleet status probe (always 200; body carries degraded/failed)
 //	GET  /v1/readyz                  503 only once the aggregator is closed
 func NewHandler(a *Aggregator) http.Handler {
-	mux := http.NewServeMux()
-	reg := a.Metrics()
-	watchers := reg.Gauge("daccor_fleet_watch_watchers", "Currently connected fleet watch streams.")
-	slowDrops := reg.Counter("daccor_fleet_watch_slow_drops_total",
-		"Watch streams disconnected because the consumer stopped reading.")
+	stamp := func(body map[string]any) { body["fleet"] = a.Status() }
+	mux := api.NewMux(aggregatorSource{a}, a.Metrics(), stamp)
 
-	mux.HandleFunc("POST /v1/sync", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
+	mux.HandleFunc("POST /v1/sync", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
 		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSyncBody+1))
 		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "read body: %v", err)
+			return api.Errorf(http.StatusBadRequest, api.ErrCodeBadRequest, "read body: %v", err)
 		}
 		if len(body) > MaxSyncBody {
-			return apiErrorf(http.StatusRequestEntityTooLarge, ErrCodeBadRequest,
+			return api.Errorf(http.StatusRequestEntityTooLarge, api.ErrCodeBadRequest,
 				"sync body exceeds %d bytes", MaxSyncBody)
 		}
 		f, err := DecodeFrame(bytes.NewReader(body))
 		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadFrame, "%v", err)
+			return api.Errorf(http.StatusBadRequest, ErrCodeBadFrame, "%v", err)
 		}
 		res, err := a.Apply(f, len(body))
 		if err != nil {
-			return closedError(err)
+			return api.AsError(typed(err))
 		}
-		writeData(w, res)
+		api.WriteData(w, res)
 		return nil
 	}))
 
-	mux.HandleFunc("GET /v1/snapshot", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, err := snapshotParams(r)
-		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		}
-		if revalidated(w, r, fmt.Sprintf("fleet-%d-s%d-t%d", a.Version(), support, top)) {
-			return nil
-		}
-		snap := a.MergedSnapshot(support)
-		writeData(w, snapshotBody(a, snap, top, map[string]any{"devices": a.Devices()}))
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/rules", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, conf, err := ruleParams(r)
-		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		}
-		if revalidated(w, r, fmt.Sprintf("fleet-%d-s%d-t%d-c%g", a.Version(), support, top, conf)) {
-			return nil
-		}
-		writeData(w, map[string]any{
-			"devices": a.Devices(),
-			"rules":   fleetTopRules(a, support, conf, top),
-			"fleet":   a.Status(),
-		})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		writeData(w, map[string]any{"devices": a.Devices(), "fleet": a.Status()})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices/{id}/snapshot", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, err := snapshotParams(r)
-		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		}
-		id := r.PathValue("id")
-		snap, ok := a.DeviceSnapshot(id, support)
-		if !ok {
-			return apiErrorf(http.StatusNotFound, ErrCodeUnknownDevice, "no live mirror for device %q", id)
-		}
-		writeData(w, snapshotBody(a, snap, top, map[string]any{"device": id}))
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices/{id}/rules", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, conf, err := ruleParams(r)
-		if err != nil {
-			return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-		}
-		id := r.PathValue("id")
-		rules, ok := a.DeviceTopRules(id, support, conf, ruleLimit(top))
-		if !ok {
-			return apiErrorf(http.StatusNotFound, ErrCodeUnknownDevice, "no live mirror for device %q", id)
-		}
-		if top <= 0 {
-			rules = []core.Rule{}
-		}
-		writeData(w, map[string]any{"device": id, "rules": rules, "fleet": a.Status()})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/collectors", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		writeData(w, map[string]any{"fleet": a.Status()})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/watch", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		return serveWatch(a, watchers, slowDrops, w, r)
-	}))
-
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		_ = reg.WritePrometheus(w)
+	mux.HandleFunc("GET /v1/collectors", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteData(w, map[string]any{"fleet": a.Status()})
 	})
 
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Always 200: a degraded fleet is the aggregator doing its job
 		// (serving through a partition), not the aggregator failing.
 		// The body says which collectors are behind.
-		writeJSON(w, http.StatusOK, envelope{Data: map[string]any{"fleet": a.Status()}})
+		api.WriteData(w, map[string]any{"fleet": a.Status()})
 	})
 
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
-		status := http.StatusOK
-		ready := true
 		a.mu.Lock()
 		closed := a.closed
 		a.mu.Unlock()
+		status := http.StatusOK
 		if closed {
-			status, ready = http.StatusServiceUnavailable, false
+			status = http.StatusServiceUnavailable
 		}
-		writeJSON(w, status, envelope{Data: map[string]any{"ready": ready, "fleet": a.Status()}})
+		api.WriteDataStatus(w, status, map[string]any{"ready": !closed, "fleet": a.Status()})
 	})
 
-	return mux
+	return api.WithMetrics(a.Metrics(), mux)
 }
 
-// serveWatch streams merged-state updates keyed on the aggregator
-// version. Each write carries a deadline: a consumer that stops
-// reading (TCP backpressure filling its socket) times out and is
-// dropped rather than wedging the handler.
-func serveWatch(a *Aggregator, watchers *obs.Gauge, slowDrops *obs.Counter, w http.ResponseWriter, r *http.Request) *apiError {
-	support, top, conf, err := ruleParams(r)
-	if err != nil {
-		return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-	}
-	rc := http.NewResponseController(w)
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-store")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	_ = rc.Flush()
-	watchers.Add(1)
-	defer watchers.Add(-1)
-
-	write := func(id, event string, data any) error {
-		_ = rc.SetWriteDeadline(time.Now().Add(watchWriteTimeout))
-		if err := writeSSEEvent(w, id, event, data); err != nil {
-			return err
-		}
-		if err := rc.Flush(); err != nil {
-			return err
-		}
-		return nil
-	}
-
-	cur := a.Version()
-	deliver := true
-	if last := r.Header.Get("Last-Event-ID"); last != "" {
-		if v, err := strconv.ParseUint(last, 10, 64); err == nil && v == cur {
-			deliver = false
-		}
-	}
-	for {
-		if deliver {
-			body := map[string]any{
-				"version": strconv.FormatUint(cur, 10),
-				"devices": a.Devices(),
-				"fleet":   a.Status(),
-			}
-			snap := a.MergedSnapshot(support)
-			body["totalPairs"] = len(snap.Pairs)
-			body["pairs"] = snap.TopPairs(top)
-			body["rules"] = fleetTopRules(a, support, conf, top)
-			if err := write(strconv.FormatUint(cur, 10), "state", body); err != nil {
-				slowDrops.Inc()
-				return nil
-			}
-		}
-		kctx, cancel := context.WithTimeout(r.Context(), watchKeepalive)
-		next, werr := a.WaitVersion(kctx, cur)
-		cancel()
-		switch {
-		case werr == nil:
-			cur = next
-			deliver = true
-		case errors.Is(werr, context.DeadlineExceeded):
-			if err := write("", "", nil); err != nil {
-				slowDrops.Inc()
-				return nil
-			}
-			deliver = false
-		case r.Context().Err() != nil:
-			return nil
-		default: // ErrClosed
-			_ = write("", "end", map[string]any{"reason": ErrCodeClosed})
-			return nil
-		}
-	}
+// aggregatorSource adapts an aggregator to api.Source. Every view's
+// cursor is the mirror version paired with the number of live
+// collectors feeding the view ("41.3" on the wire): a collector
+// crossing FailAfter changes what is served without a version bump,
+// and the count is what moves the cursor — and so invalidates ETags
+// and wakes watchers at their next keepalive — when it does.
+type aggregatorSource struct {
+	a *Aggregator
 }
 
-// writeSSEEvent writes one SSE frame; an empty event writes a
-// keepalive comment.
-func writeSSEEvent(w io.Writer, id, event string, data any) error {
-	if event == "" {
-		_, err := io.WriteString(w, ": keepalive\n\n")
-		return err
+// typed maps ErrClosed onto the envelope's typed error; nil and context
+// errors pass through.
+func typed(err error) error {
+	if errors.Is(err, ErrClosed) {
+		return api.Errorf(http.StatusServiceUnavailable, ErrCodeClosed, "%v", err)
 	}
-	b, err := json.Marshal(data)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if id != "" {
-		fmt.Fprintf(&buf, "id: %s\n", id)
-	}
-	fmt.Fprintf(&buf, "event: %s\ndata: %s\n\n", event, b)
-	_, err = w.Write(buf.Bytes())
 	return err
 }
 
-func closedError(err error) *apiError {
-	if errors.Is(err, ErrClosed) {
-		return apiErrorf(http.StatusServiceUnavailable, ErrCodeClosed, "%v", err)
-	}
-	return apiErrorf(http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+func unknownDevice(device string) error {
+	return api.Errorf(http.StatusNotFound, api.ErrCodeUnknownDevice, "no live mirror for device %q", device)
 }
 
-func snapshotBody(a *Aggregator, snap core.Snapshot, top int, extra map[string]any) map[string]any {
-	body := map[string]any{
-		"totalPairs": len(snap.Pairs),
-		"pairs":      snap.TopPairs(top),
-		"fleet":      a.Status(),
+func (s aggregatorSource) Devices() []string { return s.a.Devices() }
+
+func (s aggregatorSource) DeviceRows() ([]map[string]any, error) {
+	ids := s.a.Devices()
+	rows := make([]map[string]any, len(ids))
+	for i, id := range ids {
+		rows[i] = map[string]any{"id": id}
 	}
-	for k, v := range extra {
-		body[k] = v
-	}
-	return body
+	return rows, nil
 }
 
-// fleetTopRules serves the merged rules bounded to top, pushed into
-// extraction (bounded-heap selection over the merge index) so no more
-// rules are materialized than served. top=0 short-circuits to none —
-// the aggregator API reserves limit<=0 for "all".
-func fleetTopRules(a *Aggregator, support uint32, conf float64, top int) []core.Rule {
-	if top <= 0 {
-		return []core.Rule{}
+func (s aggregatorSource) Cursor(device string) (api.Cursor, error) {
+	version, live := s.a.cursor(device)
+	if device != "" && live == 0 {
+		return api.Cursor{}, unknownDevice(device)
 	}
-	return a.TopRules(support, conf, top)
+	return api.Cursor{Epoch: version, N: live}, nil
 }
 
-// ruleLimit maps the HTTP ?top= parameter onto an extraction limit:
-// top=0 must extract nothing, but limit<=0 means "all", so callers
-// pass 1 and discard (the lookup still reports device existence).
-func ruleLimit(top int) int {
-	if top <= 0 {
-		return 1
+func (s aggregatorSource) Snapshot(device string, minSupport uint32) (core.Snapshot, error) {
+	if device == "" {
+		return s.a.MergedSnapshot(minSupport), nil
 	}
-	return top
+	snap, ok := s.a.DeviceSnapshot(device, minSupport)
+	if !ok {
+		return core.Snapshot{}, unknownDevice(device)
+	}
+	return snap, nil
 }
 
-func revalidated(w http.ResponseWriter, r *http.Request, tag string) bool {
-	etag := `"` + tag + `"`
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return true
+func (s aggregatorSource) TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
+	if device == "" {
+		return s.a.TopRules(minSupport, minConfidence, limit), nil
 	}
-	return false
+	// Rules need the antecedents' item counts, so they are cut from the
+	// device's full export, not a support-filtered one.
+	snap, ok := s.a.DeviceSnapshot(device, 0)
+	if !ok {
+		return nil, unknownDevice(device)
+	}
+	return snap.TopRules(minSupport, minConfidence, limit), nil
 }
 
-func snapshotParams(r *http.Request) (support uint32, top int, err error) {
-	if support, err = supportParam(r); err != nil {
-		return 0, 0, err
-	}
-	if top, err = topParam(r); err != nil {
-		return 0, 0, err
-	}
-	return support, top, nil
+func (s aggregatorSource) Wait(ctx context.Context, device string, since api.Cursor) (time.Time, error) {
+	advanced, err := s.a.wait(ctx, device, since.Epoch, since.N)
+	return advanced, typed(err)
 }
 
-func ruleParams(r *http.Request) (support uint32, top int, conf float64, err error) {
-	if support, top, err = snapshotParams(r); err != nil {
-		return 0, 0, 0, err
-	}
-	conf = DefaultConfidence
-	if v := r.URL.Query().Get("confidence"); v != "" {
-		conf, err = strconv.ParseFloat(v, 64)
-		if err != nil || conf < 0 || conf > 1 {
-			return 0, 0, 0, fmt.Errorf("confidence must be in [0,1], got %q", v)
-		}
-	}
-	return support, top, conf, nil
-}
-
-func supportParam(r *http.Request) (uint32, error) {
-	v := r.URL.Query().Get("support")
-	if v == "" {
-		return DefaultSupport, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("support must be a non-negative integer, got %q", v)
-	}
-	return uint32(n), nil
-}
-
-func topParam(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("top")
-	if v == "" {
-		return DefaultTop, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 || n > MaxTop {
-		return 0, fmt.Errorf("top must be in [1,%d], got %q", MaxTop, v)
-	}
-	return n, nil
-}
-
-func writeData(w http.ResponseWriter, v any) {
-	writeJSON(w, http.StatusOK, envelope{Data: v})
-}
-
-func writeAPIError(w http.ResponseWriter, e *apiError) {
-	writeJSON(w, e.status, envelope{Error: e})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
+// EndReason is the error's code: closed, or unknown_device when the
+// watched device lost its last live mirror.
+func (s aggregatorSource) EndReason(err error) string { return api.AsError(err).Code }

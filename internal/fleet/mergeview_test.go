@@ -160,14 +160,14 @@ func (m *fleetModel) check() {
 				len(want.FilterSupport(minSupport).Pairs), len(want.FilterSupport(minSupport).Items))
 		}
 	}
-	full := m.a.Rules(2, 0.1)
+	full := m.a.TopRules(2, 0.1, 0)
 	top := m.a.TopRules(2, 0.1, 4)
 	wantTop := full
 	if len(wantTop) > 4 {
 		wantTop = wantTop[:4]
 	}
 	if !reflect.DeepEqual(top, wantTop) {
-		m.t.Fatalf("TopRules != Rules[:4] (%d vs %d rules)", len(top), len(wantTop))
+		m.t.Fatalf("TopRules(4) != TopRules(0)[:4] (%d vs %d rules)", len(top), len(wantTop))
 	}
 }
 
@@ -271,13 +271,13 @@ func TestAggregatorIncrementalEqualsScratch(t *testing.T) {
 // support<=1 fast path must not allocate or copy.
 func TestFilterSupportNoCopy(t *testing.T) {
 	s := sampleSnapshot()
-	if got := filterSupport(s, 0); &got.Pairs[0] != &s.Pairs[0] || &got.Items[0] != &s.Items[0] {
-		t.Fatal("filterSupport(0) copied the slices")
+	if got := s.FilterSupport(0); &got.Pairs[0] != &s.Pairs[0] || &got.Items[0] != &s.Items[0] {
+		t.Fatal("FilterSupport(0) copied the slices")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { filterSupport(s, 0) }); allocs > 0 {
-		t.Errorf("filterSupport(0) allocates %.0f times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.FilterSupport(0) }); allocs > 0 {
+		t.Errorf("FilterSupport(0) allocates %.0f times, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { filterSupport(s, 5) }); allocs > 0 {
-		t.Errorf("filterSupport(5) allocates %.0f times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.FilterSupport(5) }); allocs > 0 {
+		t.Errorf("FilterSupport(5) allocates %.0f times, want 0", allocs)
 	}
 }

@@ -1,17 +1,24 @@
 package realtime
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"testing"
+
+	"daccor/internal/core"
+	"daccor/internal/engine"
+	"daccor/internal/fleet"
 )
 
 // FuzzV1QueryParams throws arbitrary support/top/confidence strings at
-// the v1 parameter parsers. The contract under fuzzing: no panics, an
-// accepted value is always in range (support fits uint32, top never
-// exceeds MaxTop, confidence stays in [0,1]), and rejection agrees with
-// the documented grammar rather than depending on parser side effects.
+// GET /v1/rules on both daemons' handlers. The parsers' own contract
+// (accepted values in range, defaults) is fuzzed where they live, in
+// internal/api; the contract here is the one that had drifted between
+// the daemons: no panics and no 5xx, and each handler answers 400
+// exactly when the documented grammar rejects the input — the same
+// input is never a 400 on one daemon and a 200 on the other.
 func FuzzV1QueryParams(f *testing.F) {
 	f.Add("", "", "")
 	f.Add("5", "10", "0.8")
@@ -19,6 +26,17 @@ func FuzzV1QueryParams(f *testing.F) {
 	f.Add("4294967296", "99999999999", "NaN")
 	f.Add("0x10", "+3", "-0")
 	f.Add("٣", "1e2", "Inf")
+
+	e, err := engine.New(engine.WithDevices("vol0"),
+		engine.WithAnalyzer(core.Config{ItemCapacity: 64, PairCapacity: 64}))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(e.Stop)
+	handlers := map[string]http.Handler{
+		"engine":     NewEngineHandler(e),
+		"aggregator": fleet.NewHandler(fleet.NewAggregator(fleet.Config{})),
+	}
 	f.Fuzz(func(t *testing.T, support, top, conf string) {
 		q := url.Values{}
 		if support != "" {
@@ -30,37 +48,20 @@ func FuzzV1QueryParams(f *testing.F) {
 		if conf != "" {
 			q.Set("confidence", conf)
 		}
-		r := httptest.NewRequest("GET", "/v1/rules?"+q.Encode(), nil)
-
-		gotSupport, gotTop, err := snapshotParams(r)
-		wantSupport, supErr := strconv.ParseUint(support, 10, 32)
+		_, supErr := strconv.ParseUint(support, 10, 32)
 		_, topErr := strconv.ParseUint(top, 10, 31)
-		wantErr := (support != "" && supErr != nil) || (top != "" && topErr != nil)
-		if (err != nil) != wantErr {
-			t.Fatalf("snapshotParams(support=%q, top=%q) err = %v, want error %v",
-				support, top, err, wantErr)
+		c, confErr := strconv.ParseFloat(conf, 64)
+		want := http.StatusOK
+		if (support != "" && supErr != nil) || (top != "" && topErr != nil) ||
+			(conf != "" && (confErr != nil || c < 0 || c > 1)) {
+			want = http.StatusBadRequest
 		}
-		if err == nil {
-			if support != "" && gotSupport != uint32(wantSupport) {
-				t.Errorf("support %q parsed as %d, want %d", support, gotSupport, wantSupport)
+		for name, h := range handlers {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/rules?"+q.Encode(), nil))
+			if rec.Code != want {
+				t.Errorf("%s: GET /v1/rules?%s = %d, want %d (body %s)", name, q.Encode(), rec.Code, want, rec.Body)
 			}
-			if support == "" && gotSupport != DefaultSupport {
-				t.Errorf("empty support = %d, want default %d", gotSupport, DefaultSupport)
-			}
-			if gotTop < 0 || gotTop > MaxTop {
-				t.Errorf("top %q parsed as %d, outside [0, %d]", top, gotTop, MaxTop)
-			}
-			if top == "" && gotTop != DefaultTop {
-				t.Errorf("empty top = %d, want default %d", gotTop, DefaultTop)
-			}
-		}
-
-		_, _, gotConf, err := ruleParams(r)
-		if err == nil && (gotConf < 0 || gotConf > 1) {
-			t.Errorf("confidence %q accepted as %v, outside [0,1]", conf, gotConf)
-		}
-		if err == nil && conf == "" && gotConf != DefaultConfidence {
-			t.Errorf("empty confidence = %v, want default %v", gotConf, DefaultConfidence)
 		}
 	})
 }

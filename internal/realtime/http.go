@@ -5,33 +5,20 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/blktrace"
-	"daccor/internal/core"
 	"daccor/internal/engine"
-	"daccor/internal/obs"
 )
 
-// Query parameter defaults and bounds, shared by every route:
-//
-//	support     minimum pair counter; unsigned 32-bit; default DefaultSupport
-//	top         maximum entries returned; default DefaultTop, clamped to MaxTop
-//	confidence  rule confidence threshold in [0,1]; default DefaultConfidence
-//	wait        long-poll hold time on the watch routes; a Go duration
-//	            string > 0, clamped to MaxWatchWait
-//	interval    minimum spacing between SSE watch deliveries; a Go
-//	            duration string >= 0, clamped to MaxWatchInterval
-//
-// Out-of-range values (negative, overflowing 32 bits, confidence
-// outside [0,1], an unparsable wait or interval) are rejected with a
-// bad_request error rather than silently truncated.
+// The read-route defaults and the watch delivery counter, under the
+// names consumers of this package already use; the definitions (and
+// the full parameter grammar) live in internal/api.
 const (
-	DefaultSupport    = 5
-	DefaultTop        = 100
-	MaxTop            = 10_000
-	DefaultConfidence = 0.5
+	DefaultSupport    = api.DefaultSupport
+	DefaultConfidence = api.DefaultConfidence
+	MetricWatchEvents = api.MetricWatchEvents
 )
 
 // MaxIngestBatch bounds the events accepted by one POST to the ingest
@@ -43,80 +30,29 @@ const (
 	maxIngestBody  = 8 << 20
 )
 
-// Machine-readable error codes carried in the v1 envelope.
+// The collector's own machine-readable error codes, beside the shared
+// api.ErrCodeBadRequest / ErrCodeUnknownDevice / ErrCodeInternal.
 const (
-	ErrCodeBadRequest        = "bad_request"        // malformed or out-of-range parameter or body (HTTP 400)
-	ErrCodeUnknownDevice     = "unknown_device"     // no such device id (HTTP 404)
 	ErrCodeStopped           = "stopped"            // engine stopped, no live state (HTTP 503)
 	ErrCodeDeviceUnavailable = "device_unavailable" // device worker failed permanently (HTTP 503)
-	ErrCodeInternal          = "internal"           // unexpected failure (HTTP 500)
 )
-
-// apiError is the one typed error every v1 route produces: the
-// machine-readable error half of the envelope plus the HTTP status it
-// travels under. Handlers return it instead of writing error responses
-// inline, so the envelope shape and status mapping live in exactly one
-// place (handle).
-type apiError struct {
-	status  int    // HTTP status; not serialized
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// Error implements error so an apiError can flow through error-shaped
-// plumbing without losing its status and code.
-func (e *apiError) Error() string { return e.Message }
-
-// apiErrorf builds a typed route error.
-func apiErrorf(status int, code, format string, args ...any) *apiError {
-	return &apiError{status: status, Code: code, Message: fmt.Sprintf(format, args...)}
-}
-
-// badRequest wraps a validation failure as the uniform bad_request
-// error every route answers for malformed parameters or bodies.
-func badRequest(err error) *apiError {
-	return apiErrorf(http.StatusBadRequest, ErrCodeBadRequest, "%v", err)
-}
 
 // engineError maps engine sentinel errors onto the envelope's
 // machine-readable codes.
-func engineError(err error) *apiError {
+func engineError(err error) *api.Error {
 	switch {
 	case errors.Is(err, engine.ErrUnknownDevice):
-		return apiErrorf(http.StatusNotFound, ErrCodeUnknownDevice, "%v", err)
+		return api.Errorf(http.StatusNotFound, api.ErrCodeUnknownDevice, "%v", err)
 	case errors.Is(err, engine.ErrStopped), errors.Is(err, ErrStopped):
-		return apiErrorf(http.StatusServiceUnavailable, ErrCodeStopped, "%v", err)
+		return api.Errorf(http.StatusServiceUnavailable, ErrCodeStopped, "%v", err)
 	case errors.Is(err, engine.ErrDeviceUnavailable):
 		// The device's worker failed permanently; the caller should
 		// retry against a healthy device, not this one. Typed so clients
 		// can tell "device is dead" from "service is restarting".
-		return apiErrorf(http.StatusServiceUnavailable, ErrCodeDeviceUnavailable, "%v", err)
+		return api.Errorf(http.StatusServiceUnavailable, ErrCodeDeviceUnavailable, "%v", err)
 	default:
-		return apiErrorf(http.StatusInternalServerError, ErrCodeInternal, "%v", err)
+		return api.Errorf(http.StatusInternalServerError, api.ErrCodeInternal, "%v", err)
 	}
-}
-
-// apiHandler is a route body: it either writes a success response and
-// returns nil, or returns the typed error for handle to envelope.
-type apiHandler func(w http.ResponseWriter, r *http.Request) *apiError
-
-// handle adapts an apiHandler to net/http, writing the error envelope
-// for every failed route through one code path.
-func handle(h apiHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if err := h(w, r); err != nil {
-			writeAPIError(w, err)
-		}
-	}
-}
-
-// envelope is the uniform v1 response shape: exactly one of Data and
-// Error is non-null. The health routes are the one exception: they
-// answer 503 with Data still populated, because a failing probe's body
-// must explain which devices are down.
-type envelope struct {
-	Data  any       `json:"data"`
-	Error *apiError `json:"error"`
 }
 
 // NewHTTPHandler exposes a single-device collector's live state over
@@ -129,43 +65,24 @@ func NewHTTPHandler(c *Collector) http.Handler {
 // HTTP — the ops surface a self-optimizing storage service consumes.
 //
 // Versioned API (uniform {data, error} envelope, machine-readable
-// error codes; parameter defaults documented above):
+// error codes). The read surface — devices, per-device and fleet-wide
+// snapshot / rules / watch, metrics — is internal/api's, served from
+// the engine through engineSource: the same code, parameters, ETags,
+// and watch wire forms an aggregator serves (route table at
+// api.NewMux, watch protocol in api/watch.go). The collector adds the
+// routes only it can answer:
 //
 //	GET /v1/stats                          per-device + total monitor/analyzer counters, drops, lag
-//	GET /v1/devices                        registered device IDs with health counters
-//	GET /v1/devices/{id}/snapshot          one device's frequent correlations   ?support=&top=
-//	GET /v1/devices/{id}/rules             one device's directional rules       ?support=&confidence=&top=
-//	GET /v1/devices/{id}/watch             push stream of one device's rule state (see below)
-//	GET /v1/snapshot                       fleet-wide merged correlations       ?support=&top=
-//	GET /v1/rules                          fleet-wide merged rules              ?support=&confidence=&top=
-//	GET /v1/watch                          push stream of the fleet's rule state (see below)
-//	GET /v1/metrics                        Prometheus text exposition of the engine's registry
 //	GET /v1/healthz                        per-device supervision health (see below)
 //	GET /v1/readyz                         readiness probe (see below)
 //	POST /v1/devices/{id}/events           batch event ingest (JSON body, see below)
 //	DELETE /v1/devices/{id}                unregister a device (drains, flushes, checkpoints)
 //
-// The watch routes close the loop between detection and consumption:
-// instead of polling the query routes with If-None-Match, a consumer
-// holds one request open and is *pushed* the new rules/snapshot state
-// whenever the synopsis epoch advances (a processed batch, a restart,
-// a stop flush — the same epoch that keys the ETags). By default a
-// watch is a Server-Sent Events stream: each event carries `id:` = the
-// epoch cursor, `event: rules`, and a JSON body {"epoch", "device" or
-// "devices", "totalPairs", "pairs", "rules"} shaped by the usual
-// support/confidence/top parameters. Rapid ingest coalesces — a slow
-// watcher skips intermediate epochs and always receives the newest
-// state. Reconnecting with Last-Event-ID resumes: a stale cursor gets
-// the current state immediately, the current cursor blocks until the
-// next advance, so nothing is delivered twice. When the engine stops
-// (or the device fails or is unregistered) watchers receive a terminal
-// `event: end` whose body carries the reason, then the stream closes.
-//
-// With ?wait= the watch degrades to a long poll for clients without
-// SSE: the state is returned immediately unless If-None-Match matches
-// the current ETag, in which case the request blocks until the epoch
-// advances (200 with the new state) or the wait elapses (304). Both
-// forms are notification-driven; neither polls internally.
+// A watch's cursor is the synopsis epoch (a processed batch, a
+// restart, a stop flush — the same epoch that keys the ETags). When
+// the engine stops (or the device fails or is unregistered) watchers
+// receive the terminal `event: end` with reason stopped or
+// device_unavailable.
 //
 // The health routes are the load-balancer/orchestrator surface.
 // /v1/healthz always carries per-device detail (state, panic/restart
@@ -192,155 +109,42 @@ func NewHTTPHandler(c *Collector) http.Handler {
 // device_unavailable), or 500 (internal), always as {"data": null,
 // "error": {"code", "message"}}.
 //
-// Every route passes through metrics middleware that records per-route
-// request counts by status code and request latency into the engine's
-// registry, so the metrics endpoint also observes the API serving it.
-//
 // The deprecated pre-v1 unversioned aliases (/stats, /snapshot,
 // /rules) have been removed; they now answer 404 like any unknown
 // path. Use the /v1 successors.
 func NewEngineHandler(e *engine.Engine) http.Handler {
-	mux := http.NewServeMux()
-	wm := newWatchMetrics(e.Metrics())
+	mux := api.NewMux(engineSource{e}, e.Metrics(), nil)
 
-	mux.HandleFunc("GET /v1/stats", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
+	mux.HandleFunc("GET /v1/stats", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
 		st, err := e.Stats()
 		if err != nil {
 			return engineError(err)
 		}
-		writeData(w, statsBody(st))
+		api.WriteData(w, statsBody(st))
 		return nil
 	}))
 
-	mux.HandleFunc("GET /v1/devices", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		st, err := e.Stats()
-		if err != nil {
-			return engineError(err)
-		}
-		devices := make([]map[string]any, 0, len(st.Devices))
-		for _, d := range st.Devices {
-			devices = append(devices, map[string]any{
-				"id":      d.Device,
-				"events":  d.Monitor.Events,
-				"dropped": d.Dropped,
-				"lag":     d.Lag,
-			})
-		}
-		writeData(w, devices)
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices/{id}/snapshot", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, err := snapshotParams(r)
-		if err != nil {
-			return badRequest(err)
-		}
-		id := r.PathValue("id")
-		epoch, err := e.Epoch(id)
-		if err != nil {
-			return engineError(err)
-		}
-		if revalidated(w, r, fmt.Sprintf("%s-%d-s%d-t%d", id, epoch, support, top)) {
-			return nil
-		}
-		snap, err := e.Snapshot(id, support)
-		if err != nil {
-			return engineError(err)
-		}
-		writeData(w, snapshotBody(snap, top, map[string]any{"device": id}))
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices/{id}/rules", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, conf, err := ruleParams(r)
-		if err != nil {
-			return badRequest(err)
-		}
-		id := r.PathValue("id")
-		epoch, err := e.Epoch(id)
-		if err != nil {
-			return engineError(err)
-		}
-		if revalidated(w, r, fmt.Sprintf("%s-%d-s%d-t%d-c%g", id, epoch, support, top, conf)) {
-			return nil
-		}
-		rules, err := deviceTopRules(e, id, support, conf, top)
-		if err != nil {
-			return engineError(err)
-		}
-		writeData(w, map[string]any{"device": id, "rules": rules})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/devices/{id}/watch", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		return serveWatch(e, wm, r.PathValue("id"), w, r)
-	}))
-
-	mux.HandleFunc("GET /v1/snapshot", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, err := snapshotParams(r)
-		if err != nil {
-			return badRequest(err)
-		}
-		sum, n := e.MergedEpoch()
-		if revalidated(w, r, fmt.Sprintf("fleet-%d-%d-s%d-t%d", sum, n, support, top)) {
-			return nil
-		}
-		snap, err := e.MergedSnapshot(support)
-		if err != nil {
-			return engineError(err)
-		}
-		writeData(w, snapshotBody(snap, top, map[string]any{"devices": e.Devices()}))
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/rules", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		support, top, conf, err := ruleParams(r)
-		if err != nil {
-			return badRequest(err)
-		}
-		sum, n := e.MergedEpoch()
-		if revalidated(w, r, fmt.Sprintf("fleet-%d-%d-s%d-t%d-c%g", sum, n, support, top, conf)) {
-			return nil
-		}
-		rules, err := mergedOrSingleRules(e, support, conf, top)
-		if err != nil {
-			return engineError(err)
-		}
-		writeData(w, map[string]any{"devices": e.Devices(), "rules": rules})
-		return nil
-	}))
-
-	mux.HandleFunc("GET /v1/watch", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
-		return serveWatch(e, wm, "", w, r)
-	}))
-
-	mux.HandleFunc("POST /v1/devices/{id}/events", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
+	mux.HandleFunc("POST /v1/devices/{id}/events", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
 		evs, err := decodeIngestBody(r)
 		if err != nil {
-			return badRequest(err)
+			return api.BadRequest(err)
 		}
 		id := r.PathValue("id")
 		if err := e.SubmitBatch(id, evs); err != nil {
 			return engineError(err)
 		}
-		writeData(w, map[string]any{"device": id, "accepted": len(evs)})
+		api.WriteData(w, map[string]any{"device": id, "accepted": len(evs)})
 		return nil
 	}))
 
-	mux.HandleFunc("DELETE /v1/devices/{id}", handle(func(w http.ResponseWriter, r *http.Request) *apiError {
+	mux.HandleFunc("DELETE /v1/devices/{id}", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
 		id := r.PathValue("id")
 		if err := e.Unregister(id); err != nil {
 			return engineError(err)
 		}
-		writeData(w, map[string]any{"device": id, "unregistered": true})
+		api.WriteData(w, map[string]any{"device": id, "unregistered": true})
 		return nil
 	}))
-
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.TextContentType)
-		// An encode error means the scraper went away mid-response.
-		_ = e.Metrics().WritePrometheus(w)
-	})
 
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		body, allFailed := healthBody(e)
@@ -348,7 +152,7 @@ func NewEngineHandler(e *engine.Engine) http.Handler {
 		if allFailed {
 			status = http.StatusServiceUnavailable
 		}
-		writeDataStatus(w, status, body)
+		api.WriteDataStatus(w, status, body)
 	})
 
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -359,54 +163,11 @@ func NewEngineHandler(e *engine.Engine) http.Handler {
 		if !ready {
 			status = http.StatusServiceUnavailable
 		}
-		writeDataStatus(w, status, body)
+		api.WriteDataStatus(w, status, body)
 	})
 
-	return withHTTPMetrics(e.Metrics(), mux)
+	return api.WithMetrics(e.Metrics(), mux)
 }
-
-// HTTP server metric families recorded by the middleware.
-const (
-	MetricHTTPRequests = "daccor_http_requests_total"
-	MetricHTTPLatency  = "daccor_http_request_seconds"
-)
-
-// withHTTPMetrics wraps the API mux with per-route observability: a
-// request counter labeled {route, code} and a latency histogram
-// labeled {route}. The route label is the registered mux pattern (a
-// bounded set), never the raw URL path — device IDs and query strings
-// must not mint unbounded label cardinality.
-func withHTTPMetrics(reg *obs.Registry, mux *http.ServeMux) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, route := mux.Handler(r)
-		if route == "" {
-			route = "unmatched"
-		}
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		mux.ServeHTTP(sw, r)
-		elapsed := time.Since(start).Seconds()
-		reg.Counter(MetricHTTPRequests, "HTTP requests served, by route pattern and status code.",
-			obs.L("route", route), obs.L("code", strconv.Itoa(sw.code))).Inc()
-		reg.Histogram(MetricHTTPLatency, "HTTP request latency by route pattern, in seconds.",
-			obs.LatencyBuckets(), obs.L("route", route)).Observe(elapsed)
-	})
-}
-
-// statusWriter captures the status code written by a handler.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// Unwrap exposes the underlying writer to http.ResponseController, so
-// the watch routes can flush SSE events through the metrics middleware.
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // ingestEvent is the wire shape of one event on the ingest route.
 type ingestEvent struct {
@@ -460,48 +221,6 @@ func decodeIngestBody(r *http.Request) ([]blktrace.Event, error) {
 		}
 	}
 	return evs, nil
-}
-
-// revalidated implements epoch-gated conditional GET on the query
-// routes. The tag encodes the device epoch (or fleet epoch sum) plus
-// every parameter that shapes the body; the synopsis is deterministic,
-// so an equal tag guarantees a byte-equal response and the handler can
-// answer 304 without recomputing — or even re-asking — anything. The
-// epoch is read before the body is computed, so a tag can only
-// under-claim freshness: a matching If-None-Match never hides newer
-// state, it only spares work when nothing changed.
-func revalidated(w http.ResponseWriter, r *http.Request, tag string) bool {
-	etag := `"` + tag + `"`
-	w.Header().Set("ETag", etag)
-	if r.Header.Get("If-None-Match") == etag {
-		w.WriteHeader(http.StatusNotModified)
-		return true
-	}
-	return false
-}
-
-// mergedOrSingleRules serves fleet-wide rules: the exact live-table
-// rules when one device is registered, the merged estimate otherwise.
-// The top bound is pushed into extraction (bounded-heap selection), so
-// the handler never materializes more rules than it will serve. top=0
-// short-circuits to none — the core API reserves limit<=0 for "all".
-func mergedOrSingleRules(e *engine.Engine, support uint32, conf float64, top int) ([]core.Rule, error) {
-	if top <= 0 {
-		return []core.Rule{}, nil
-	}
-	if devices := e.Devices(); len(devices) == 1 {
-		return e.TopRules(devices[0], support, conf, top)
-	}
-	return e.MergedTopRules(support, conf, top)
-}
-
-// deviceTopRules serves one device's rules bounded to top, with the
-// same top=0 short-circuit as mergedOrSingleRules.
-func deviceTopRules(e *engine.Engine, id string, support uint32, conf float64, top int) ([]core.Rule, error) {
-	if top <= 0 {
-		return []core.Rule{}, nil
-	}
-	return e.TopRules(id, support, conf, top)
 }
 
 // healthBody builds the shared healthz/readyz payload from the
@@ -567,108 +286,4 @@ func statsBody(st engine.Stats) map[string]any {
 			"dropped":  st.TotalDropped(),
 		},
 	}
-}
-
-func snapshotBody(snap core.Snapshot, top int, extra map[string]any) map[string]any {
-	body := map[string]any{
-		"totalPairs": len(snap.Pairs),
-		"pairs":      snap.TopPairs(top),
-	}
-	for k, v := range extra {
-		body[k] = v
-	}
-	return body
-}
-
-func snapshotParams(r *http.Request) (support uint32, top int, err error) {
-	support, err = supportParam(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	top, err = topParam(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	return support, top, nil
-}
-
-func ruleParams(r *http.Request) (support uint32, top int, conf float64, err error) {
-	support, top, err = snapshotParams(r)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	conf = DefaultConfidence
-	if v := r.URL.Query().Get("confidence"); v != "" {
-		conf, err = strconv.ParseFloat(v, 64)
-		if err != nil || conf < 0 || conf > 1 {
-			return 0, 0, 0, errors.New("confidence must be a number in [0,1]")
-		}
-	}
-	return support, top, conf, nil
-}
-
-// supportParam parses ?support= (default DefaultSupport). Values that
-// do not fit an unsigned 32-bit counter are rejected, not truncated.
-func supportParam(r *http.Request) (uint32, error) {
-	v := r.URL.Query().Get("support")
-	if v == "" {
-		return DefaultSupport, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 32)
-	if err != nil {
-		return 0, errors.New("support must be a non-negative 32-bit integer")
-	}
-	return uint32(n), nil
-}
-
-// topParam parses ?top= (default DefaultTop). Negative and
-// non-numeric values are rejected; anything above MaxTop is clamped so
-// a single request cannot ask for an unbounded result set. Parsing at
-// 31 bits keeps the conversion to int safe on 32-bit platforms.
-func topParam(r *http.Request) (int, error) {
-	v := r.URL.Query().Get("top")
-	if v == "" {
-		return DefaultTop, nil
-	}
-	n, err := strconv.ParseUint(v, 10, 31)
-	if err != nil {
-		return 0, fmt.Errorf("top must be a non-negative integer <= %d", MaxTop)
-	}
-	if n > MaxTop {
-		n = MaxTop
-	}
-	return int(n), nil
-}
-
-func writeData(w http.ResponseWriter, v any) {
-	writeJSON(w, envelope{Data: v})
-}
-
-// writeDataStatus writes a data envelope under a non-200 status — the
-// health routes answer 503 while still carrying the per-device detail
-// a prober needs to say *why*.
-func writeDataStatus(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(envelope{Data: v})
-}
-
-// writeAPIError writes the error half of the envelope under the
-// error's HTTP status — the single exit for every failed v1 route.
-func writeAPIError(w http.ResponseWriter, e *apiError) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(envelope{Error: e})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// An encode error here means the client went away; nothing to do.
-	_ = enc.Encode(v)
 }

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"daccor/internal/api"
 )
 
 // postEnvelope posts a JSON body to a v1 route and decodes the
@@ -106,15 +108,15 @@ func TestV1IngestErrors(t *testing.T) {
 		wantStatus           int
 		wantMsg              string
 	}{
-		{"malformed JSON", `{"events":`, ErrCodeBadRequest, http.StatusBadRequest, "invalid JSON"},
-		{"unknown field", `{"evnts":[]}`, ErrCodeBadRequest, http.StatusBadRequest, "invalid JSON"},
-		{"empty batch", `{"events":[]}`, ErrCodeBadRequest, http.StatusBadRequest, "non-empty"},
+		{"malformed JSON", `{"events":`, api.ErrCodeBadRequest, http.StatusBadRequest, "invalid JSON"},
+		{"unknown field", `{"evnts":[]}`, api.ErrCodeBadRequest, http.StatusBadRequest, "invalid JSON"},
+		{"empty batch", `{"events":[]}`, api.ErrCodeBadRequest, http.StatusBadRequest, "non-empty"},
 		{"bad op", ingestBodyJSON(`{"time":1,"op":"trim","block":1,"len":1}`),
-			ErrCodeBadRequest, http.StatusBadRequest, "event 0"},
+			api.ErrCodeBadRequest, http.StatusBadRequest, "event 0"},
 		{"invalid event", ingestBodyJSON(
 			`{"time":1,"op":"read","block":1,"len":1}`,
 			`{"time":2,"op":"read","block":1,"len":0}`),
-			ErrCodeBadRequest, http.StatusBadRequest, "event 1"},
+			api.ErrCodeBadRequest, http.StatusBadRequest, "event 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -149,7 +151,7 @@ func TestV1IngestErrors(t *testing.T) {
 	// Unknown device maps through the engine error path.
 	code, apiErr = postEnvelope(t, srv.URL+"/v1/devices/nope/events",
 		ingestBodyJSON(`{"time":1,"op":"read","block":1,"len":1}`), nil)
-	if code != http.StatusNotFound || apiErr == nil || apiErr.Code != ErrCodeUnknownDevice {
+	if code != http.StatusNotFound || apiErr == nil || apiErr.Code != api.ErrCodeUnknownDevice {
 		t.Errorf("unknown device: status %d error %+v", code, apiErr)
 	}
 }

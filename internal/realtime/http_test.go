@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/blktrace"
 	"daccor/pkg/client"
 )
@@ -127,14 +128,14 @@ func TestClientTypedErrors(t *testing.T) {
 	defer c.Stop()
 	_, err := cli.DeviceSnapshot(context.Background(), "nope", client.Query{})
 	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != ErrCodeUnknownDevice {
-		t.Errorf("unknown device error = %v, want 404 %s", err, ErrCodeUnknownDevice)
+	if !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != api.ErrCodeUnknownDevice {
+		t.Errorf("unknown device error = %v, want 404 %s", err, api.ErrCodeUnknownDevice)
 	}
 	// Out-of-range confidence travels to the server and comes back as
 	// a typed bad_request.
 	_, err = cli.FleetRules(context.Background(), client.Query{Confidence: 2})
-	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != ErrCodeBadRequest {
-		t.Errorf("bad param error = %v, want 400 %s", err, ErrCodeBadRequest)
+	if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != api.ErrCodeBadRequest {
+		t.Errorf("bad param error = %v, want 400 %s", err, api.ErrCodeBadRequest)
 	}
 }
 
@@ -221,4 +222,79 @@ func TestClientAfterStop(t *testing.T) {
 	if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Code != ErrCodeStopped {
 		t.Errorf("post-stop error = %v, want 503 %s", err, ErrCodeStopped)
 	}
+}
+
+// TestClientBothDaemons points the one typed client at each daemon and
+// expects the same answers: the device listing decodes, device reads
+// work and an unknown device is a typed 404, omitted parameters select
+// the same server defaults, the long poll returns, holds, and reports
+// no change, and a Watch is pushed the state, then a newer one, then
+// the daemon's terminal reason.
+func TestClientBothDaemons(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, b *backend) {
+		ctx := context.Background()
+		cli := client.New(b.url)
+
+		devices, err := cli.Devices(ctx)
+		if err != nil || len(devices) != 2 || devices[0].ID != "vol0" || devices[1].ID != "vol1" {
+			t.Fatalf("Devices = %+v, %v", devices, err)
+		}
+		snap, err := cli.DeviceSnapshot(ctx, "vol0", client.Query{Support: 3})
+		if err != nil || snap.Device != "vol0" || snap.TotalPairs != 1 {
+			t.Fatalf("DeviceSnapshot = %+v, %v", snap, err)
+		}
+		var apiErr *client.APIError
+		if _, err := cli.DeviceRules(ctx, "nope", client.Query{}); !errors.As(err, &apiErr) || apiErr.Status != 404 || apiErr.Code != api.ErrCodeUnknownDevice {
+			t.Errorf("DeviceRules on an unknown device = %v, want 404 %s", err, api.ErrCodeUnknownDevice)
+		}
+		// Query{Top: 0} omits the parameter: the server default applies,
+		// it does not ask for zero rules.
+		rules, err := cli.FleetRules(ctx, client.Query{Support: 3})
+		if err != nil || len(rules.Rules) != 2 || len(rules.Devices) != 2 {
+			t.Fatalf("FleetRules with defaults = %+v, %v; want both rules of the learned pair", rules, err)
+		}
+
+		st, tag, changed, err := cli.WatchPoll(ctx, "", client.Query{Support: 3}, "", time.Second)
+		if err != nil || !changed || tag == "" || st.TotalPairs != 1 || len(st.Devices) != 2 {
+			t.Fatalf("first WatchPoll = %+v, tag %q, changed %v, %v", st, tag, changed, err)
+		}
+		if _, again, changed, err := cli.WatchPoll(ctx, "", client.Query{Support: 3}, tag, 50*time.Millisecond); err != nil || changed || again != tag {
+			t.Fatalf("held WatchPoll = tag %q, changed %v, %v; want no change under %q", again, changed, err, tag)
+		}
+
+		w, err := cli.Watch(ctx, "vol0", client.Query{Support: 3, Top: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		next := func() client.WatchState {
+			t.Helper()
+			select {
+			case st, ok := <-w.Events():
+				if !ok {
+					t.Fatalf("watch ended early: %v", w.Err())
+				}
+				return st
+			case <-time.After(5 * time.Second):
+				t.Fatal("no watch delivery")
+				return client.WatchState{}
+			}
+		}
+		first := next()
+		if first.Device != "vol0" || first.TotalPairs != 1 || len(first.Rules) == 0 || w.LastEventID() != first.Epoch {
+			t.Fatalf("initial watch state = %+v (LastEventID %q)", first, w.LastEventID())
+		}
+		b.advance(t, "vol0", 200*int64(time.Second))
+		if st := next(); st.Epoch == first.Epoch {
+			t.Errorf("epoch did not advance past %s", first.Epoch)
+		}
+		b.stop()
+		for range w.Events() {
+			// a final flushed state may precede the end
+		}
+		var end *client.WatchEndError
+		if err := w.Err(); !errors.As(err, &end) || end.Reason != b.endReason {
+			t.Errorf("watch ended with %v, want WatchEndError %q", err, b.endReason)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/blktrace"
 	"daccor/internal/core"
 	"daccor/internal/engine"
@@ -248,52 +249,67 @@ func TestV1MergedRules(t *testing.T) {
 }
 
 func TestV1UnknownDevice(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	for _, path := range []string{
-		"/v1/devices/nope/snapshot",
-		"/v1/devices/nope/rules",
-	} {
-		code, apiErr := getEnvelope(t, srv.URL+path, nil)
-		if code != http.StatusNotFound {
-			t.Errorf("%s: status = %d, want 404", path, code)
+	forEachBackend(t, func(t *testing.T, b *backend) {
+		for _, path := range []string{
+			"/v1/devices/nope/snapshot",
+			"/v1/devices/nope/rules",
+		} {
+			code, apiErr := getEnvelope(t, b.url+path, nil)
+			if code != http.StatusNotFound {
+				t.Errorf("%s: status = %d, want 404", path, code)
+			}
+			if apiErr == nil || apiErr.Code != api.ErrCodeUnknownDevice {
+				t.Errorf("%s: error = %+v, want code %q", path, apiErr, api.ErrCodeUnknownDevice)
+			}
 		}
-		if apiErr == nil || apiErr.Code != ErrCodeUnknownDevice {
-			t.Errorf("%s: error = %+v, want code %q", path, apiErr, ErrCodeUnknownDevice)
-		}
-	}
+	})
 }
 
 func TestV1BadParams(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	for _, path := range []string{
-		"/v1/snapshot?support=x",
-		"/v1/snapshot?top=-1",
-		"/v1/snapshot?support=99999999999999999999",
-		"/v1/devices/vol0/snapshot?top=x",
-		"/v1/devices/vol0/rules?confidence=2",
-		"/v1/rules?confidence=nope",
-		"/v1/rules?support=4294967296", // one past uint32
-	} {
-		code, apiErr := getEnvelope(t, srv.URL+path, nil)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status = %d, want 400", path, code)
+	forEachBackend(t, func(t *testing.T, b *backend) {
+		for _, path := range []string{
+			"/v1/snapshot?support=x",
+			"/v1/snapshot?top=-1",
+			"/v1/snapshot?support=99999999999999999999",
+			"/v1/devices/vol0/snapshot?top=x",
+			"/v1/devices/vol0/rules?confidence=2",
+			"/v1/rules?confidence=nope",
+			"/v1/rules?support=4294967296", // one past uint32
+			"/v1/watch?wait=nope",
+			"/v1/devices/vol0/watch?wait=-1s",
+			"/v1/watch?interval=-1s",
+			"/v1/devices/vol0/watch?interval=soon&wait=1s",
+		} {
+			code, apiErr := getEnvelope(t, b.url+path, nil)
+			if code != http.StatusBadRequest {
+				t.Errorf("%s: status = %d, want 400", path, code)
+			}
+			if apiErr == nil || apiErr.Code != api.ErrCodeBadRequest {
+				t.Errorf("%s: error = %+v, want code %q", path, apiErr, api.ErrCodeBadRequest)
+			}
 		}
-		if apiErr == nil || apiErr.Code != ErrCodeBadRequest {
-			t.Errorf("%s: error = %+v, want code %q", path, apiErr, ErrCodeBadRequest)
-		}
-	}
+	})
 }
 
 func TestV1TopClamped(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	// A huge-but-parseable top is clamped to MaxTop, not rejected.
-	code, _ := getEnvelope(t, srv.URL+"/v1/snapshot?top=2000000000", nil)
-	if code != http.StatusOK {
-		t.Errorf("clamped top: status = %d, want 200", code)
-	}
+	forEachBackend(t, func(t *testing.T, b *backend) {
+		// A huge-but-parseable top is clamped to MaxTop, not rejected.
+		code, _ := getEnvelope(t, b.url+"/v1/snapshot?top=2000000000", nil)
+		if code != http.StatusOK {
+			t.Errorf("clamped top: status = %d, want 200", code)
+		}
+		// top=0 is a valid request for nothing, on every list.
+		for _, path := range []string{"/v1/rules", "/v1/devices/vol0/rules", "/v1/snapshot", "/v1/devices/vol0/snapshot"} {
+			var body struct {
+				Pairs []any `json:"pairs"`
+				Rules []any `json:"rules"`
+			}
+			code, _ := getEnvelope(t, b.url+path+"?support=3&top=0", &body)
+			if code != http.StatusOK || len(body.Pairs) != 0 || len(body.Rules) != 0 {
+				t.Errorf("%s?top=0 = %d with %d pairs, %d rules; want 200 and none", path, code, len(body.Pairs), len(body.Rules))
+			}
+		}
+	})
 }
 
 func TestV1AfterStop(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/blktrace"
 	"daccor/internal/engine"
 )
@@ -124,23 +125,33 @@ func decodeWatchBody(t *testing.T, ev sseEvent) watchBody {
 	return b
 }
 
-// advanceEpoch feeds one correlated pair at a fresh event time, far
-// enough from earlier traffic to flush the open transaction window.
-func advanceEpoch(t *testing.T, e *engine.Engine, id string, base int64) {
-	t.Helper()
-	if err := e.SubmitBatch(id, []blktrace.Event{
+// pairAt is the learned pair (10, 20) once more at a fresh event time:
+// base must be far enough from earlier traffic to flush the open
+// transaction window.
+func pairAt(base int64) []blktrace.Event {
+	return []blktrace.Event{
 		{Time: base, Op: blktrace.OpRead, Extent: blktrace.Extent{Block: 10, Len: 1}},
 		{Time: base + 1000, Op: blktrace.OpRead, Extent: blktrace.Extent{Block: 20, Len: 1}},
-	}); err != nil {
+	}
+}
+
+// advanceEpoch feeds one pairAt straight into an engine.
+func advanceEpoch(t *testing.T, e *engine.Engine, id string, base int64) {
+	t.Helper()
+	if err := e.SubmitBatch(id, pairAt(base)); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// epochNum extracts the epoch of a device cursor: the whole token on a
+// collector ("17"), the part before the live-mirror count on an
+// aggregator ("17.1").
 func epochNum(t *testing.T, id string) uint64 {
 	t.Helper()
-	n, err := strconv.ParseUint(id, 10, 64)
+	epoch, _, _ := strings.Cut(id, ".")
+	n, err := strconv.ParseUint(epoch, 10, 64)
 	if err != nil {
-		t.Fatalf("cursor %q is not a device epoch: %v", id, err)
+		t.Fatalf("cursor %q does not start with an epoch: %v", id, err)
 	}
 	return n
 }
@@ -150,44 +161,46 @@ func epochNum(t *testing.T, id string) uint64 {
 // revalidations anywhere — the watch path never falls back to
 // conditional-GET polling.
 func TestWatchSSEPush(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	s := openSSE(t, srv.URL+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
+	forEachBackend(t, func(t *testing.T, b *backend) {
+		s := openSSE(t, b.url+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
 
-	first := decodeWatchBody(t, s.next(t, 5*time.Second))
-	if first.Device != "vol0" || first.TotalPairs != 1 {
-		t.Fatalf("initial state = %+v", first)
-	}
-	if len(first.Rules) == 0 {
-		t.Fatalf("initial state has no rules: %+v", first)
-	}
+		first := decodeWatchBody(t, s.next(t, 5*time.Second))
+		if first.Device != "vol0" || first.TotalPairs != 1 {
+			t.Fatalf("initial state = %+v", first)
+		}
+		if len(first.Rules) == 0 {
+			t.Fatalf("initial state has no rules: %+v", first)
+		}
 
-	advanceEpoch(t, e, "vol0", 100*int64(time.Second))
-	second := decodeWatchBody(t, s.next(t, 5*time.Second))
-	if epochNum(t, second.Epoch) <= epochNum(t, first.Epoch) {
-		t.Errorf("epoch did not advance: %s -> %s", first.Epoch, second.Epoch)
-	}
+		b.advance(t, "vol0", 100*int64(time.Second))
+		second := decodeWatchBody(t, s.next(t, 5*time.Second))
+		if epochNum(t, second.Epoch) <= epochNum(t, first.Epoch) {
+			t.Errorf("epoch did not advance: %s -> %s", first.Epoch, second.Epoch)
+		}
 
-	// The push loop must not have minted a single 304 anywhere.
-	var sb strings.Builder
-	if err := e.Metrics().WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), `code="304"`) {
-		t.Errorf("watch delivery produced 304 revalidations:\n%s", sb.String())
-	}
-	if got := e.Metrics().Gauge(MetricWatchWatchers, "").Value(); got != 1 {
-		t.Errorf("watchers gauge = %g, want 1", got)
-	}
+		// The push loop must not have minted a single 304 anywhere.
+		var sb strings.Builder
+		if err := b.reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(sb.String(), `code="304"`) {
+			t.Errorf("watch delivery produced 304 revalidations:\n%s", sb.String())
+		}
+		if got := b.reg.Gauge(api.MetricWatchWatchers, "").Value(); got != 1 {
+			t.Errorf("watchers gauge = %g, want 1", got)
+		}
+	})
 }
 
 // TestWatchLongPoll covers the ?wait= fallback: an immediate answer
 // without a tag, a deferred 304 when nothing changes, and a wakeup
 // when the epoch advances mid-wait.
 func TestWatchLongPoll(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	url := srv.URL + "/v1/watch?support=3&confidence=0.5&top=10&wait=30s"
+	forEachBackend(t, testWatchLongPoll)
+}
+
+func testWatchLongPoll(t *testing.T, b *backend) {
+	url := b.url + "/v1/watch?support=3&confidence=0.5&top=10&wait=30s"
 
 	get := func(etag string) (*http.Response, string) {
 		t.Helper()
@@ -218,7 +231,7 @@ func TestWatchLongPoll(t *testing.T) {
 	}
 
 	// Current tag, nothing changes: blocks for the wait, then 304.
-	shortURL := srv.URL + "/v1/watch?support=3&confidence=0.5&top=10&wait=100ms"
+	shortURL := b.url + "/v1/watch?support=3&confidence=0.5&top=10&wait=100ms"
 	req, _ := http.NewRequest(http.MethodGet, shortURL, nil)
 	req.Header.Set("If-None-Match", tag)
 	start := time.Now()
@@ -233,7 +246,7 @@ func TestWatchLongPoll(t *testing.T) {
 	if held := time.Since(start); held < 100*time.Millisecond {
 		t.Errorf("long poll returned after %v, want >= 100ms hold", held)
 	}
-	if got := e.Metrics().Counter(MetricWatchTimeouts, "").Value(); got == 0 {
+	if got := b.reg.Counter(api.MetricWatchTimeouts, "").Value(); got == 0 {
 		t.Error("long-poll timeout not recorded")
 	}
 
@@ -249,7 +262,7 @@ func TestWatchLongPoll(t *testing.T) {
 		}
 	}()
 	time.Sleep(50 * time.Millisecond)
-	advanceEpoch(t, e, "vol0", 200*int64(time.Second))
+	b.advance(t, "vol0", 200*int64(time.Second))
 	select {
 	case resp := <-done:
 		if resp.StatusCode != http.StatusOK {
@@ -267,9 +280,11 @@ func TestWatchLongPoll(t *testing.T) {
 // current cursor is not re-sent the state it already has, while a
 // stale or garbled cursor gets the current state immediately.
 func TestWatchResume(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	url := srv.URL + "/v1/devices/vol0/watch?support=3&confidence=0.5&top=10"
+	forEachBackend(t, testWatchResume)
+}
+
+func testWatchResume(t *testing.T, b *backend) {
+	url := b.url + "/v1/devices/vol0/watch?support=3&confidence=0.5&top=10"
 
 	s1 := openSSE(t, url, "")
 	first := decodeWatchBody(t, s1.next(t, 5*time.Second))
@@ -278,7 +293,7 @@ func TestWatchResume(t *testing.T) {
 	// Resume holding the current cursor: no duplicate of the state the
 	// client already has — the first delivery is the next advance.
 	s2 := openSSE(t, url, first.Epoch)
-	advanceEpoch(t, e, "vol0", 300*int64(time.Second))
+	b.advance(t, "vol0", 300*int64(time.Second))
 	resumed := decodeWatchBody(t, s2.next(t, 5*time.Second))
 	if epochNum(t, resumed.Epoch) <= epochNum(t, first.Epoch) {
 		t.Errorf("resume delivered a duplicate: cursor %s after %s", resumed.Epoch, first.Epoch)
@@ -302,14 +317,16 @@ func TestWatchResume(t *testing.T) {
 // checks delivered cursors are strictly increasing — intermediate
 // epochs are coalesced into fresh-state deliveries, never replayed.
 func TestWatchCoalescing(t *testing.T) {
-	e, srv := servedEngine(t)
-	defer e.Stop()
-	s := openSSE(t, srv.URL+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
+	forEachBackend(t, testWatchCoalescing)
+}
+
+func testWatchCoalescing(t *testing.T, b *backend) {
+	s := openSSE(t, b.url+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
 	first := decodeWatchBody(t, s.next(t, 5*time.Second))
 
 	const rounds = 40
 	for i := 0; i < rounds; i++ {
-		advanceEpoch(t, e, "vol0", (400+int64(i))*int64(time.Second))
+		b.advance(t, "vol0", (400+int64(i))*int64(time.Second))
 	}
 
 	// Drain deliveries until the cursor stops moving; every delivered
@@ -342,17 +359,20 @@ func TestWatchCoalescing(t *testing.T) {
 }
 
 // TestWatchStoppedTerminal pins the terminal path: a connected watcher
-// is woken on Stop and receives the end event with a machine-readable
-// reason, and new watch connections answer the same typed 503 as the
-// query routes.
+// is woken on Stop (Close on an aggregator) and receives the end event
+// with a machine-readable reason. New watch connections to a stopped
+// collector answer the same typed 503 as the query routes; a closed
+// aggregator keeps serving reads from its mirrors, so a new watcher
+// there gets the last state and then the same end.
 func TestWatchStoppedTerminal(t *testing.T) {
-	e, srv := servedEngine(t)
-	s := openSSE(t, srv.URL+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
-	decodeWatchBody(t, s.next(t, 5*time.Second))
+	forEachBackend(t, testWatchStoppedTerminal)
+}
 
-	e.Stop()
-	// Stop flushes open transactions, so a final rules delivery may
-	// precede the end event; it must arrive promptly either way.
+// awaitEnd drains a stream up to its end event and returns the reason.
+// Stop flushes open transactions, so a final rules delivery may precede
+// the end event; it must arrive promptly either way.
+func awaitEnd(t *testing.T, s *sseStream) string {
+	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for {
 		select {
@@ -372,18 +392,32 @@ func TestWatchStoppedTerminal(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.data), &body); err != nil {
 				t.Fatal(err)
 			}
-			if body.Reason != ErrCodeStopped {
-				t.Errorf("end reason = %q, want %q", body.Reason, ErrCodeStopped)
-			}
-			goto stopped
+			return body.Reason
 		case <-deadline:
 			t.Fatal("no end event after Stop")
 		}
 	}
-stopped:
+}
+
+func testWatchStoppedTerminal(t *testing.T, b *backend) {
+	s := openSSE(t, b.url+"/v1/devices/vol0/watch?support=3&confidence=0.5&top=10", "")
+	decodeWatchBody(t, s.next(t, 5*time.Second))
+
+	b.stop()
+	if reason := awaitEnd(t, s); reason != b.endReason {
+		t.Errorf("end reason = %q, want %q", reason, b.endReason)
+	}
+	if b.stoppedCode == "" {
+		late := openSSE(t, b.url+"/v1/watch?support=3", "")
+		decodeWatchBody(t, late.next(t, 5*time.Second))
+		if reason := awaitEnd(t, late); reason != b.endReason {
+			t.Errorf("late watcher's end reason = %q, want %q", reason, b.endReason)
+		}
+		return
+	}
 	// New connections get the typed stopped envelope, not a stream.
 	for _, path := range []string{"/v1/devices/vol0/watch", "/v1/watch", "/v1/watch?wait=1s"} {
-		resp, err := http.Get(srv.URL + path)
+		resp, err := http.Get(b.url + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,8 +431,8 @@ stopped:
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		if resp.StatusCode != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != ErrCodeStopped {
-			t.Errorf("%s: post-stop watch = %d %+v, want 503 %s", path, resp.StatusCode, env.Error, ErrCodeStopped)
+		if resp.StatusCode != http.StatusServiceUnavailable || env.Error == nil || env.Error.Code != b.stoppedCode {
+			t.Errorf("%s: post-stop watch = %d %+v, want 503 %s", path, resp.StatusCode, env.Error, b.stoppedCode)
 		}
 	}
 }
@@ -508,8 +542,11 @@ func TestWatchConcurrentChurn(t *testing.T) {
 // advances landing inside the pacing window coalesce into the next
 // delivery rather than being lost — and bad intervals are rejected.
 func TestWatchDeliveryInterval(t *testing.T) {
-	e, srv := servedEngine(t)
-	url := srv.URL + "/v1/devices/vol0/watch?support=1&interval=100ms"
+	forEachBackend(t, testWatchDeliveryInterval)
+}
+
+func testWatchDeliveryInterval(t *testing.T, b *backend) {
+	url := b.url + "/v1/devices/vol0/watch?support=1&interval=100ms"
 	s := openSSE(t, url, "")
 	first := decodeWatchBody(t, s.next(t, 5*time.Second))
 
@@ -517,15 +554,15 @@ func TestWatchDeliveryInterval(t *testing.T) {
 	// stream must deliver a newer state (possibly coalescing the two
 	// into one frame), not drop it.
 	base := int64(100 * time.Second)
-	advanceEpoch(t, e, "vol0", base)
-	advanceEpoch(t, e, "vol0", base+int64(time.Second))
+	b.advance(t, "vol0", base)
+	b.advance(t, "vol0", base+int64(time.Second))
 	got := decodeWatchBody(t, s.next(t, 5*time.Second))
 	if epochNum(t, got.Epoch) <= epochNum(t, first.Epoch) {
 		t.Fatalf("paced stream did not advance: %q -> %q", first.Epoch, got.Epoch)
 	}
 
 	for _, bad := range []string{"interval=-1s", "interval=soon"} {
-		resp, err := http.Get(srv.URL + "/v1/devices/vol0/watch?" + bad)
+		resp, err := http.Get(b.url + "/v1/devices/vol0/watch?" + bad)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,0 +1,110 @@
+package realtime
+
+import (
+	"context"
+	"errors"
+	"time"
+
+	"daccor/internal/api"
+	"daccor/internal/core"
+	"daccor/internal/engine"
+)
+
+// engineSource adapts an engine to api.Source. A device view's cursor
+// is the device's synopsis epoch ("17" on the wire); the merged view's
+// is the epoch-sum and device count ("103.2") — any device processing
+// a batch, restarting, registering, unregistering, or flushing on stop
+// changes it.
+type engineSource struct {
+	e *engine.Engine
+}
+
+// typed maps an engine failure onto the envelope's typed error. Context
+// errors pass through untouched: the watch loop tells a keepalive
+// timeout and a vanished client from a terminal source by them.
+func typed(err error) error {
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		return err
+	}
+	return engineError(err)
+}
+
+func (s engineSource) Devices() []string { return s.e.Devices() }
+
+func (s engineSource) DeviceRows() ([]map[string]any, error) {
+	st, err := s.e.Stats()
+	if err != nil {
+		return nil, typed(err)
+	}
+	rows := make([]map[string]any, 0, len(st.Devices))
+	for _, d := range st.Devices {
+		rows = append(rows, map[string]any{
+			"id":      d.Device,
+			"events":  d.Monitor.Events,
+			"dropped": d.Dropped,
+			"lag":     d.Lag,
+		})
+	}
+	return rows, nil
+}
+
+func (s engineSource) Cursor(device string) (api.Cursor, error) {
+	if device == "" {
+		sum, n := s.e.MergedEpoch()
+		return api.Cursor{Epoch: sum, N: n}, nil
+	}
+	epoch, err := s.e.Epoch(device)
+	return api.Cursor{Epoch: epoch}, typed(err)
+}
+
+func (s engineSource) Snapshot(device string, minSupport uint32) (core.Snapshot, error) {
+	if device == "" {
+		snap, err := s.e.MergedSnapshot(minSupport)
+		return snap, typed(err)
+	}
+	snap, err := s.e.Snapshot(device, minSupport)
+	return snap, typed(err)
+}
+
+// TopRules serves the merged view from the exact live-table rules when
+// one device is registered, and from the merged estimate otherwise.
+func (s engineSource) TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
+	if device == "" {
+		devices := s.e.Devices()
+		if len(devices) != 1 {
+			rules, err := s.e.MergedTopRules(minSupport, minConfidence, limit)
+			return rules, typed(err)
+		}
+		device = devices[0]
+	}
+	rules, err := s.e.TopRules(device, minSupport, minConfidence, limit)
+	return rules, typed(err)
+}
+
+// Wait blocks on the engine's epoch notification; see Engine.WaitEpoch
+// and Engine.WaitMergedEpoch for the terminal and context semantics.
+func (s engineSource) Wait(ctx context.Context, device string, since api.Cursor) (time.Time, error) {
+	if device == "" {
+		if _, _, err := s.e.WaitMergedEpoch(ctx, since.Epoch, since.N); err != nil {
+			return time.Time{}, typed(err)
+		}
+		return s.e.MergedEpochAdvanceTime(), nil
+	}
+	if _, err := s.e.WaitEpoch(ctx, device, since.Epoch); err != nil {
+		return time.Time{}, typed(err)
+	}
+	// A device unregistered since the wake has no advance time to give;
+	// the read that follows reports it gone.
+	at, _ := s.e.EpochAdvanceTime(device)
+	return at, nil
+}
+
+// EndReason mirrors the error codes of the query routes, except that a
+// device unregistered under its watcher reads as stopped, not unknown:
+// the watcher knew it.
+func (s engineSource) EndReason(err error) string {
+	if api.AsError(err).Code == ErrCodeDeviceUnavailable {
+		return ErrCodeDeviceUnavailable
+	}
+	return ErrCodeStopped
+}

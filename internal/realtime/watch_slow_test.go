@@ -7,22 +7,24 @@ import (
 	"testing"
 	"time"
 
+	"daccor/internal/api"
 	"daccor/internal/blktrace"
 )
 
 // TestWatchSlowConsumerDropped proves the SSE write deadline does its
 // job: a watcher that connects and then never reads a byte must not
 // park its handler goroutine forever on a full TCP window. Once a
-// delivery cannot be written within watchWriteTimeout the stream is
-// dropped — the watchers gauge returns to zero and the slow-drop
+// delivery cannot be written within api.WatchWriteTimeout the stream
+// is dropped — the watchers gauge returns to zero and the slow-drop
 // counter records why.
 func TestWatchSlowConsumerDropped(t *testing.T) {
-	old := watchWriteTimeout
-	watchWriteTimeout = 100 * time.Millisecond
-	defer func() { watchWriteTimeout = old }()
+	old := api.WatchWriteTimeout
+	api.WatchWriteTimeout = 100 * time.Millisecond
+	defer func() { api.WatchWriteTimeout = old }()
+	forEachBackend(t, testWatchSlowConsumerDropped)
+}
 
-	e, srv := servedEngine(t)
-	defer e.Stop()
+func testWatchSlowConsumerDropped(t *testing.T, b *backend) {
 
 	// Fatten the watch body: thousands of distinct pairs make every
 	// delivery tens of kilobytes, so a handful of unread pushes fill
@@ -35,14 +37,14 @@ func TestWatchSlowConsumerDropped(t *testing.T) {
 			blktrace.Event{Time: base + 1000, Op: blktrace.OpRead, Extent: blktrace.Extent{Block: uint64(101 + 2*i), Len: 1}},
 		)
 	}
-	if err := e.SubmitBatch("vol0", evs); err != nil {
+	if err := b.feed("vol0", evs); err != nil {
 		t.Fatal(err)
 	}
 
 	// A raw TCP client that sends the request and then goes silent —
 	// no reads, tiny receive buffer, exactly the consumer the guard
 	// exists for.
-	u, err := url.Parse(srv.URL)
+	u, err := url.Parse(b.url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestWatchSlowConsumerDropped(t *testing.T) {
 	}
 	fmt.Fprintf(conn, "GET /v1/devices/vol0/watch?support=1&top=10000 HTTP/1.1\r\nHost: %s\r\nAccept: text/event-stream\r\n\r\n", u.Host)
 
-	watchers := e.Metrics().Gauge(MetricWatchWatchers, "")
+	watchers := b.reg.Gauge(api.MetricWatchWatchers, "")
 	deadline := time.Now().Add(5 * time.Second)
 	for watchers.Value() != 1 {
 		if time.Now().After(deadline) {
@@ -67,9 +69,10 @@ func TestWatchSlowConsumerDropped(t *testing.T) {
 
 	// Keep the state advancing so the stream keeps pushing into the
 	// void until a write jams.
-	stop := make(chan struct{})
-	defer close(stop)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-stopped }()
 	go func() {
+		defer close(stopped)
 		base := int64(100_000) * int64(time.Second)
 		for i := 0; ; i++ {
 			select {
@@ -77,10 +80,8 @@ func TestWatchSlowConsumerDropped(t *testing.T) {
 				return
 			default:
 			}
-			_ = e.SubmitBatch("vol0", []blktrace.Event{
-				{Time: base + int64(i)*int64(time.Second), Op: blktrace.OpRead, Extent: blktrace.Extent{Block: 10, Len: 1}},
-				{Time: base + int64(i)*int64(time.Second) + 1000, Op: blktrace.OpRead, Extent: blktrace.Extent{Block: 20, Len: 1}},
-			})
+			// Best effort: the test only needs the state to keep moving.
+			_ = b.feed("vol0", pairAt(base+int64(i)*int64(time.Second)))
 			time.Sleep(2 * time.Millisecond)
 		}
 	}()
@@ -92,7 +93,7 @@ func TestWatchSlowConsumerDropped(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n := e.Metrics().Counter(MetricWatchSlowDrops, "").Value(); n == 0 {
+	if n := b.reg.Counter(api.MetricWatchSlowDrops, "").Value(); n == 0 {
 		t.Error("stream ended but the slow-drop counter never moved")
 	}
 }

@@ -1,4 +1,8 @@
-// Package client is the typed Go client for the daccor v1 HTTP API.
+// Package client is the typed Go client for the daccor v1 HTTP API —
+// a collector's (charactld) or an aggregator's (aggregatord): both
+// serve the same read surface from the same handlers, so everything
+// here but the collector-only calls (Stats, SubmitEvents, Unregister,
+// Health) works against either.
 //
 // It wraps the uniform {data, error} envelope, surfaces the API's
 // machine-readable error codes as *APIError values, revalidates query
@@ -34,8 +38,8 @@ import (
 
 // APIError is the error half of the v1 envelope plus the HTTP status
 // it arrived under. Code is one of the API's machine-readable codes
-// (bad_request, unknown_device, stopped, device_unavailable,
-// internal).
+// (bad_request, unknown_device, internal; a collector's stopped and
+// device_unavailable; an aggregator's closed).
 type APIError struct {
 	Status  int    `json:"-"`
 	Code    string `json:"code"`

@@ -14,7 +14,9 @@ import (
 
 // WatchEndError is the terminal condition of a watch stream: the
 // server said the watched state can never advance again. Reason
-// mirrors the API error codes ("stopped", "device_unavailable").
+// mirrors the API error codes: "stopped" or "device_unavailable" from
+// a collector, "closed" or "unknown_device" (the device lost its last
+// live mirror) from an aggregator.
 type WatchEndError struct {
 	Reason string
 }
