@@ -13,9 +13,17 @@
 // ok, test logs) are ignored, so the whole `go test` stream can be
 // piped through unfiltered.
 //
+// `go test` prints GOMAXPROCS nowhere but in that name suffix, where it
+// is textually the same as a numbered sub-benchmark (devices-4), so
+// benchjson takes the run's GOMAXPROCS to be its own — it converts in
+// the same pipeline, on the same host — records it in the header, and
+// strips a trailing -N from a name only when N equals it. Names are
+// then keyed the same whatever the width of the host that recorded
+// them.
+//
 // Diff mode compares two converted documents:
 //
-//	benchjson -diff BENCH_baseline.json BENCH_pr5.json
+//	benchjson -diff BENCH_baseline.json BENCH_pr10.json
 //
 // printing a per-benchmark delta table keyed by (pkg, name). With
 // -fail-on-alloc-regress the exit status is 1 if any benchmark present
@@ -46,21 +54,22 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Result is one benchmark measurement.
 type Result struct {
-	// Name is the benchmark name exactly as printed, including any
-	// -GOMAXPROCS suffix — a trailing -N is textually ambiguous with a
-	// numbered sub-benchmark (devices-4 vs running at GOMAXPROCS=4), so
-	// the name is never rewritten and baselines are keyed verbatim.
+	// Name is the benchmark name as printed, less the -GOMAXPROCS
+	// suffix when it carries the run's (see Doc.Procs). Any other
+	// trailing -N is part of the name: a numbered sub-benchmark, or a
+	// lap of a -cpu list at another width.
 	Name string `json:"name"`
 	// Pkg is the package under test, from the preceding "pkg:" line.
 	Pkg string `json:"pkg,omitempty"`
-	// Procs is the parsed trailing -N of the name (0 when absent) —
-	// GOMAXPROCS when the suffix is one, per the caveat on Name.
+	// Procs is the GOMAXPROCS suffix stripped from the name, 0 when it
+	// carried none (go test omits it at GOMAXPROCS=1).
 	Procs int `json:"procs,omitempty"`
 	// N is the iteration count.
 	N int64 `json:"n"`
@@ -75,9 +84,12 @@ type Result struct {
 
 // Doc is the whole converted run.
 type Doc struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Procs is the GOMAXPROCS the run was converted — and so, in the
+	// Makefile's pipelines, recorded — under.
+	Procs      int      `json:"gomaxprocs,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -110,7 +122,7 @@ func main() {
 		os.Exit(runDiff(os.Stdout, flag.Arg(0), flag.Arg(1), *failAlloc, gate, allocGate))
 	}
 
-	doc, err := parse(os.Stdin)
+	doc, err := parse(os.Stdin, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -137,8 +149,10 @@ func main() {
 	}
 }
 
-func parse(r io.Reader) (*Doc, error) {
-	doc := &Doc{Benchmarks: []Result{}}
+// parse converts a `go test -bench` stream recorded at GOMAXPROCS
+// procs.
+func parse(r io.Reader, procs int) (*Doc, error) {
+	doc := &Doc{Procs: procs, Benchmarks: []Result{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	pkg := ""
@@ -154,7 +168,7 @@ func parse(r io.Reader) (*Doc, error) {
 		case strings.HasPrefix(line, "pkg:"):
 			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			res, ok := parseResult(line)
+			res, ok := parseResult(line, procs)
 			if ok {
 				res.Pkg = pkg
 				doc.Benchmarks = append(doc.Benchmarks, res)
@@ -166,18 +180,17 @@ func parse(r io.Reader) (*Doc, error) {
 
 // parseResult parses one benchmark result line; ok is false for lines
 // that start with "Benchmark" but are not results (e.g. a test log
-// line that happens to mention a benchmark).
-func parseResult(line string) (Result, bool) {
+// line that happens to mention a benchmark). procs is the run's
+// GOMAXPROCS: the one trailing -N that is a suffix and not a name.
+func parseResult(line string, procs int) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 { // minimum shape: Name N value ns/op
 		return Result{}, false
 	}
 	var res Result
 	res.Name = fields[0]
-	if i := strings.LastIndexByte(res.Name, '-'); i > 0 {
-		if procs, err := strconv.Atoi(res.Name[i+1:]); err == nil {
-			res.Procs = procs
-		}
+	if name, ok := strings.CutSuffix(res.Name, "-"+strconv.Itoa(procs)); ok && procs > 1 {
+		res.Name, res.Procs = name, procs
 	}
 	n, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {

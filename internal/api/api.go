@@ -5,8 +5,8 @@
 // (Handle), query-parameter parsing, cursor-keyed ETag revalidation,
 // the JSON writers, the per-route metrics middleware, and the watch
 // delivery loop (watch.go), and it serves the read routes from a
-// Source: the small view of "devices, a cursor, a snapshot, top-K
-// rules, wait for change" that an engine and an aggregator both are.
+// Source: the small view of "devices, a cursor, the bounded state at
+// it, wait for change" that an engine and an aggregator both are.
 // Routes only one daemon has (ingest, stats, sync, health) stay in
 // that daemon's package and register on the same mux through the same
 // helpers, so this package imports neither the engine nor the fleet.
@@ -147,13 +147,21 @@ type Cursor struct {
 	N     int
 }
 
+// State is one read of a view: the bounded state (core.State) and the
+// cursor the source read before deriving it.
+type State struct {
+	Cursor Cursor
+	core.State
+}
+
 // Source is what the read routes serve from. Every method taking a
 // device answers for that device's view, or for the merged view across
 // all devices when device is "". Errors that should reach the client
 // as anything but 500 internal are returned as *Error (see AsError).
 //
-// Two rules make the cursor safe to cache on. A handler reads Cursor
-// before Snapshot and TopRules, so the cursor it labels a body with may
+// Two rules make the cursor safe to cache on. The cursor labelling a
+// body is read before the state behind the body — by the handler ahead
+// of a conditional GET, by State itself otherwise — so it may
 // under-claim the body's freshness (costing one redundant delivery or
 // 200) but never over-claims it (which would hide newer state behind a
 // 304). And a source that is about to become terminal publishes its
@@ -171,12 +179,12 @@ type Source interface {
 	// Cursor returns the view's current position without computing
 	// anything: it is the whole cost of a 304.
 	Cursor(device string) (Cursor, error)
-	// Snapshot returns the view's frequent pairs at minSupport, sorted
-	// by descending count; callers treat it as read-only.
-	Snapshot(device string, minSupport uint32) (core.Snapshot, error)
-	// TopRules returns the view's limit highest-ranked rules; limit is
-	// at least 1.
-	TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error)
+	// State reads the view once: the number of pairs at support, the
+	// top highest-count of them, and the top highest-ranked rules at
+	// support and conf — the parts named by want, with top = 0 keeping
+	// no entries. Every part comes from one capture of the view, so one
+	// body never describes two epochs.
+	State(device string, support uint32, conf float64, top int, want core.Want) (State, error)
 	// Wait blocks until the view's cursor differs from since and
 	// reports when it moved (zero if unknown). It returns ctx's error
 	// when ctx ends first, and a terminal error — immediately, and on
@@ -260,13 +268,13 @@ func (s *server) serveSnapshot(device string, w http.ResponseWriter, r *http.Req
 	if revalidated(w, r, fmt.Sprintf("%s-s%d-t%d", formatCursor(device, cur), support, top)) {
 		return nil
 	}
-	snap, err := s.src.Snapshot(device, support)
+	st, err := s.state(device, support, 0, top, core.WantPairs)
 	if err != nil {
 		return AsError(err)
 	}
 	WriteData(w, s.body(device, map[string]any{
-		"totalPairs": len(snap.Pairs),
-		"pairs":      snap.TopPairs(top),
+		"totalPairs": st.TotalPairs,
+		"pairs":      st.Pairs,
 	}))
 	return nil
 }
@@ -283,23 +291,22 @@ func (s *server) serveRules(device string, w http.ResponseWriter, r *http.Reques
 	if revalidated(w, r, fmt.Sprintf("%s-s%d-t%d-c%g", formatCursor(device, cur), support, top, conf)) {
 		return nil
 	}
-	rules, err := s.topRules(device, support, conf, top)
+	st, err := s.state(device, support, conf, top, core.WantRules)
 	if err != nil {
 		return AsError(err)
 	}
-	WriteData(w, s.body(device, map[string]any{"rules": rules}))
+	WriteData(w, s.body(device, map[string]any{"rules": st.Rules}))
 	return nil
 }
 
-// topRules serves a view's rules bounded to top. The bound is pushed
-// into extraction (bounded-heap selection), so a handler never
-// materializes more rules than it will serve. top=0 short-circuits to
-// none — the extraction APIs reserve limit<=0 for "all".
-func (s *server) topRules(device string, support uint32, conf float64, top int) ([]core.Rule, error) {
-	if top <= 0 {
-		return []core.Rule{}, nil
+// state reads the view's state for a body. ?top=0 is served as an
+// empty rule list, not an absent one.
+func (s *server) state(device string, support uint32, conf float64, top int, want core.Want) (State, error) {
+	st, err := s.src.State(device, support, conf, top, want)
+	if err == nil && top == 0 {
+		st.Rules = []core.Rule{}
 	}
-	return s.src.TopRules(device, support, conf, top)
+	return st, err
 }
 
 // body finishes an object body: it names the view ("device", or the

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -96,30 +95,20 @@ func (f *fakeSource) Cursor(device string) (Cursor, error) {
 	return f.cur, nil
 }
 
-// Snapshot serves one pair whose count is the current epoch, so a body
+// State serves one pair whose count is the current epoch, so a body
 // names the state it was built from.
-func (f *fakeSource) Snapshot(device string, minSupport uint32) (core.Snapshot, error) {
+func (f *fakeSource) State(device string, support uint32, conf float64, top int, want core.Want) (State, error) {
 	if err := f.known(device); err != nil {
-		return core.Snapshot{}, err
+		return State{}, err
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	x, y := blktrace.Extent{Block: 10, Len: 1}, blktrace.Extent{Block: 20, Len: 1}
-	return core.Snapshot{
+	snap := core.Snapshot{
 		Pairs: []core.PairCount{{Pair: blktrace.Pair{A: x, B: y}, Count: uint32(f.cur.Epoch)}},
 		Items: []core.ItemCount{{Extent: x, Count: uint32(f.cur.Epoch)}, {Extent: y, Count: uint32(f.cur.Epoch)}},
-	}.FilterSupport(minSupport), nil
-}
-
-func (f *fakeSource) TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
-	if limit < 1 {
-		return nil, errors.New("fake: TopRules called with limit < 1")
 	}
-	snap, err := f.Snapshot(device, 0)
-	if err != nil {
-		return nil, err
-	}
-	return snap.TopRules(minSupport, minConfidence, limit), nil
+	return State{Cursor: f.cur, State: snap.State(support, conf, top, want)}, nil
 }
 
 func (f *fakeSource) Wait(ctx context.Context, device string, since Cursor) (time.Time, error) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"daccor/internal/core"
 	"daccor/internal/obs"
 )
 
@@ -74,6 +75,7 @@ const (
 	MetricWatchCoalesced = "daccor_watch_coalesced_epochs_total"
 	MetricWatchTimeouts  = "daccor_watch_longpoll_timeouts_total"
 	MetricWatchSlowDrops = "daccor_watch_slow_drops_total"
+	MetricWatchState     = "daccor_watch_state_seconds"
 )
 
 // watchMetrics holds the watch instruments, resolved once per mux so
@@ -86,6 +88,9 @@ type watchMetrics struct {
 	coalesced  *obs.Counter
 	timeouts   *obs.Counter
 	slowDrops  *obs.Counter
+	// stateSeconds times one state build: what a woken watcher waits
+	// between the wakeup and having a body to write.
+	stateSeconds *obs.Histogram
 }
 
 func newWatchMetrics(reg *obs.Registry) *watchMetrics {
@@ -104,6 +109,8 @@ func newWatchMetrics(reg *obs.Registry) *watchMetrics {
 			"Long-poll watch requests that timed out with 304 (no advance)."),
 		slowDrops: reg.Counter(MetricWatchSlowDrops,
 			"SSE watch streams dropped because the client stopped reading."),
+		stateSeconds: reg.Histogram(MetricWatchState,
+			"Time to build one watch state body (one read of the view), in seconds.", obs.LatencyBuckets()),
 	}
 }
 
@@ -229,29 +236,25 @@ func (s *server) serveWatch(device string, w http.ResponseWriter, r *http.Reques
 	return t.stream(w, r, interval)
 }
 
-// state reads the view's current cursor and delta body. The cursor is
-// read before the snapshot/rules, so it can only under-claim
-// freshness — a watcher acting on the body never misses a newer epoch,
-// it is just woken once more for it.
+// state reads the view's current cursor and body, timed as
+// daccor_watch_state_seconds. Everything in the body comes from one
+// State read, so it describes one epoch; the cursor is read before it,
+// so it can only under-claim freshness — a watcher acting on the body
+// never misses a newer epoch, it is just woken once more for it.
 func (t watch) state() (Cursor, map[string]any, error) {
-	cur, err := t.src.Cursor(t.device)
+	start := time.Now()
+	st, err := t.server.state(t.device, t.support, t.conf, t.top, core.WantPairs|core.WantRules)
 	if err != nil {
 		return Cursor{}, nil, err
 	}
-	snap, err := t.src.Snapshot(t.device, t.support)
-	if err != nil {
-		return Cursor{}, nil, err
-	}
-	rules, err := t.topRules(t.device, t.support, t.conf, t.top)
-	if err != nil {
-		return Cursor{}, nil, err
-	}
-	return cur, t.body(t.device, map[string]any{
-		"epoch":      formatCursor(t.device, cur),
-		"totalPairs": len(snap.Pairs),
-		"pairs":      snap.TopPairs(t.top),
-		"rules":      rules,
-	}), nil
+	body := t.body(t.device, map[string]any{
+		"epoch":      formatCursor(t.device, st.Cursor),
+		"totalPairs": st.TotalPairs,
+		"pairs":      st.Pairs,
+		"rules":      st.Rules,
+	})
+	t.wm.stateSeconds.Observe(time.Since(start).Seconds())
+	return st.Cursor, body, nil
 }
 
 // longPoll is the no-SSE fallback: semantically a conditional GET on

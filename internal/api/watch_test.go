@@ -92,6 +92,9 @@ func TestWatchStreamDelivery(t *testing.T) {
 	if n := reg.Counter(MetricWatchEvents, "", obs.L("mode", "sse")).Value(); n != 4 {
 		t.Errorf("sse deliveries = %d, want 4", n)
 	}
+	if n := reg.Histogram(MetricWatchState, "", obs.LatencyBuckets()).Count(); n != 4 {
+		t.Errorf("state builds timed = %d, want 4: one per delivery", n)
+	}
 	for deadline := time.Now().Add(10 * time.Second); reg.Gauge(MetricWatchWatchers, "").Value() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("watcher slot never released")

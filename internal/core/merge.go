@@ -96,18 +96,21 @@ func (s Snapshot) Rules(minSupport uint32, minConfidence float64) []Rule {
 // TopRules is Rules bounded to the limit highest-ranked rules (all of
 // them when limit <= 0); the result is exactly Rules(...)[:limit].
 func (s Snapshot) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	items := make(map[blktrace.Extent]uint32, len(s.Items))
-	for _, ic := range s.Items {
-		items[ic.Extent] = ic.Count
+	var items extentIndex
+	keyAt := func(i int) blktrace.Extent { return s.Items[i].Extent }
+	items.build(len(s.Items), keyAt)
+	itemCount := func(ext blktrace.Extent) uint32 {
+		if i := items.lookup(ext, keyAt); i >= 0 {
+			return s.Items[i].Count
+		}
+		return 0
 	}
 	sink := newRuleSink(limit)
 	for _, pc := range s.Pairs {
 		if pc.Count < minSupport {
 			continue
 		}
-		sink.addPair(pc.Pair, pc.Count, minConfidence, func(ext blktrace.Extent) uint32 {
-			return items[ext]
-		})
+		sink.addPair(pc.Pair, pc.Count, minConfidence, itemCount)
 	}
 	return sink.finish()
 }

@@ -128,3 +128,33 @@ func BenchmarkRulesTopK(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkDeviceState times the bounded device read behind a snapshot
+// page, a rules page and a watch delivery on full 32 Ki tables at
+// top=64. dirty is the first read of an epoch — the capture itself,
+// the item index rebuilt over it, then the scan; clean is every later
+// read of that epoch, the scan alone. Support 1 keeps every pair a
+// candidate (the rule sink's prune carries the scan); support 5 cuts
+// most before they reach a sink.
+func BenchmarkDeviceState(b *testing.B) {
+	a := fullAnalyzer(b, 32<<10)
+	g := RawGroup{new(RawSnapshot)}
+	a.CaptureSnapshot(g[0])
+	for _, support := range []uint32{1, 5} {
+		b.Run(fmt.Sprintf("support-%d/dirty", support), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a.CaptureSnapshot(g[0])
+				g.State(support, 0.5, 64, WantPairs|WantRules)
+			}
+		})
+		b.Run(fmt.Sprintf("support-%d/clean", support), func(b *testing.B) {
+			g.State(support, 0.5, 64, WantPairs|WantRules)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.State(support, 0.5, 64, WantPairs|WantRules)
+			}
+		})
+	}
+}

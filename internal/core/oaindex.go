@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"hash/maphash"
+
+	"daccor/internal/blktrace"
 )
 
 // Open-addressing key indexes for the synopsis hot path.
@@ -462,4 +464,54 @@ func (m *oaMap[K]) checkInvariants() error {
 		return fmt.Errorf("oaMap used %d, counted %d occupied slots", m.used, occupied)
 	}
 	return nil
+}
+
+// extentIndex is the read side's counterpart of tableIndex: a flat
+// open-addressing index from an extent to its position in a captured or
+// exported item slice, so rule extraction resolves antecedents without
+// building a Go map over every item. Same slot layout and probe
+// discipline (8-byte slots caching the reduced hash, linear probing,
+// load <= 3/4); build-once, so there is no deletion and no growth, and
+// the slot buffer is reused from one build to the next. Keys stay in
+// the indexed slice: keyAt(i) names the i-th.
+type extentIndex struct {
+	seed  maphash.Seed
+	slots []idxSlot
+	mask  uint32
+}
+
+// build indexes n distinct keys, replacing whatever was indexed before.
+func (ix *extentIndex) build(n int, keyAt func(int) blktrace.Extent) {
+	size := nextPow2(n + n/3 + 1)
+	if cap(ix.slots) < size {
+		ix.seed = maphash.MakeSeed()
+		ix.slots = make([]idxSlot, size)
+	}
+	ix.slots = ix.slots[:size]
+	for i := range ix.slots {
+		ix.slots[i].slot = nilSlot
+	}
+	ix.mask = uint32(size - 1)
+	for pos := 0; pos < n; pos++ {
+		h := hashOf(ix.seed, keyAt(pos))
+		i := h & ix.mask
+		for ix.slots[i].slot != nilSlot {
+			i = (i + 1) & ix.mask
+		}
+		ix.slots[i] = idxSlot{hash: h, slot: int32(pos)}
+	}
+}
+
+// lookup returns ext's position among the keys last built, or -1.
+func (ix *extentIndex) lookup(ext blktrace.Extent, keyAt func(int) blktrace.Extent) int {
+	h := hashOf(ix.seed, ext)
+	for i := h & ix.mask; ; i = (i + 1) & ix.mask {
+		s := ix.slots[i]
+		if s.slot == nilSlot {
+			return -1
+		}
+		if s.hash == h && keyAt(int(s.slot)) == ext {
+			return int(s.slot)
+		}
+	}
 }

@@ -20,8 +20,9 @@ import (
 //   - each partition runs an ordinary Analyzer at 1/P of the device
 //     capacity (Config.Split), so the device's memory bound is
 //     preserved;
-//   - merged views concatenate the P captures (RawGroup), which are
-//     disjoint by ownership, through MergeSnapshots.
+//   - merged views read the P captures side by side (RawGroup): they
+//     are disjoint by ownership, so bounded reads scan them in one pass
+//     (RawGroup.State) and the sorted export is their union.
 //
 // The split is exact while no partition evicts: every partition sees
 // the same transactions (restricted to its owned extents and pairs), so
@@ -132,9 +133,9 @@ func (g RawGroup) Snapshot(minSupport uint32) Snapshot {
 }
 
 // Rules derives device-level directional rules from the group. The
-// antecedent lookup must see every item the device holds regardless of
-// support, so the group is first merged at support 0 — on a single
-// capture this reproduces RawSnapshot.Rules exactly.
+// antecedent lookup sees every item the device holds regardless of
+// support — on a single capture this reproduces RawSnapshot.Rules
+// exactly.
 func (g RawGroup) Rules(minSupport uint32, minConfidence float64) []Rule {
 	return g.TopRules(minSupport, minConfidence, 0)
 }
@@ -142,10 +143,9 @@ func (g RawGroup) Rules(minSupport uint32, minConfidence float64) []Rule {
 // TopRules is Rules bounded to the limit highest-ranked rules (all of
 // them when limit <= 0); the result is exactly Rules(...)[:limit].
 func (g RawGroup) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	if len(g) == 1 {
-		return g[0].TopRules(minSupport, minConfidence, limit)
-	}
-	return g.Snapshot(0).TopRules(minSupport, minConfidence, limit)
+	sink := newRuleSink(limit)
+	g.scan(minSupport, minConfidence, nil, sink)
+	return sink.finish()
 }
 
 // Stats sums the captured per-partition processing counters. The

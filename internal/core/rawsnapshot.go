@@ -31,6 +31,11 @@ type RawSnapshot struct {
 	// format requires, which is why WriteTo needs no re-sorting.
 	items []Entry[blktrace.Extent]
 	pairs []Entry[blktrace.Pair]
+	// itemIdx resolves rule antecedents to positions in items. It is
+	// built by the first rules read of a capture (indexItems) and
+	// invalidated by the next CaptureSnapshot, which keeps its buffer.
+	itemIdx   extentIndex
+	itemIdxOK bool
 }
 
 // CaptureSnapshot copies the analyzer's full state into r, reusing r's
@@ -43,6 +48,7 @@ func (a *Analyzer) CaptureSnapshot(r *RawSnapshot) {
 	r.stats = a.stats
 	r.items = a.items.appendEntries(r.items[:0])
 	r.pairs = a.pairs.appendEntries(r.pairs[:0])
+	r.itemIdxOK = false
 }
 
 // appendEntries appends every entry (T2 first, each tier MRU→LRU — the
@@ -90,7 +96,7 @@ func (r *RawSnapshot) Snapshot(minSupport uint32) Snapshot {
 // Rules derives directional association rules from the capture,
 // producing exactly what Analyzer.Rules would have at capture time:
 // the antecedent lookup consults every captured item (the full item
-// table), and sortRules is a total order, so the output is
+// table), and compareRules is a total order, so the output is
 // reproducible entry for entry.
 func (r *RawSnapshot) Rules(minSupport uint32, minConfidence float64) []Rule {
 	return r.TopRules(minSupport, minConfidence, 0)
@@ -99,20 +105,29 @@ func (r *RawSnapshot) Rules(minSupport uint32, minConfidence float64) []Rule {
 // TopRules is Rules bounded to the limit highest-ranked rules (all of
 // them when limit <= 0); the result is exactly Rules(...)[:limit].
 func (r *RawSnapshot) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	items := make(map[blktrace.Extent]uint32, len(r.items))
-	for _, e := range r.items {
-		items[e.Key] = e.Count
+	return RawGroup{r}.TopRules(minSupport, minConfidence, limit)
+}
+
+// indexItems builds the capture's item index unless a read since the
+// last capture already has: once per capture however many reads share
+// it, and never for a capture that only feeds an export or a
+// checkpoint.
+func (r *RawSnapshot) indexItems() {
+	if !r.itemIdxOK {
+		r.itemIdx.build(len(r.items), r.itemKey)
+		r.itemIdxOK = true
 	}
-	sink := newRuleSink(limit)
-	for _, e := range r.pairs {
-		if e.Count < minSupport {
-			continue
-		}
-		sink.addPair(e.Key, e.Count, minConfidence, func(ext blktrace.Extent) uint32 {
-			return items[ext]
-		})
+}
+
+func (r *RawSnapshot) itemKey(i int) blktrace.Extent { return r.items[i].Key }
+
+// itemCount returns a captured item's counter, 0 when the extent is not
+// in the capture. indexItems must have run since the capture.
+func (r *RawSnapshot) itemCount(ext blktrace.Extent) uint32 {
+	if i := r.itemIdx.lookup(ext, r.itemKey); i >= 0 {
+		return r.items[i].Count
 	}
-	return sink.finish()
+	return 0
 }
 
 // WriteTo serialises the capture in the synopsis snapshot format,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"slices"
 
 	"daccor/internal/blktrace"
@@ -36,7 +35,7 @@ func (a *Analyzer) Rules(minSupport uint32, minConfidence float64) []Rule {
 // them when limit <= 0). The bound is applied during extraction via a
 // size-limit min-heap, so asking for the top 100 of a synopsis that
 // would yield 50k rules never builds or sorts the 50k: partial
-// selection costs O(n log limit) instead of the full sortRules
+// selection costs O(n log limit) instead of the full sort's
 // O(n log n). The result is exactly Rules(...)[:limit] — the rule
 // order is total, so the truncation is deterministic.
 func (a *Analyzer) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
@@ -86,61 +85,96 @@ func compareRules(a, b Rule) int {
 	return 0
 }
 
-// sortRules orders rules by descending confidence, then support, then
-// key order — the presentation order shared by every Rules variant.
-func sortRules(out []Rule) {
-	slices.SortFunc(out, compareRules)
-}
-
-// ruleHeap is a min-heap under compareRules' ranking: the root is the
-// worst rule currently kept, so a bounded top-K selection evicts it
-// when a better candidate arrives.
-type ruleHeap []Rule
-
-func (h ruleHeap) Len() int           { return len(h) }
-func (h ruleHeap) Less(i, j int) bool { return compareRules(h[i], h[j]) > 0 }
-func (h ruleHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *ruleHeap) Push(x any)        { *h = append(*h, x.(Rule)) }
-func (h *ruleHeap) Pop() any          { old := *h; n := len(old); r := old[n-1]; *h = old[:n-1]; return r }
-
-// ruleSink accumulates candidate rules. With limit <= 0 it keeps
-// everything and finish() full-sorts; with a positive limit it keeps
-// only the limit best via the min-heap, so extraction never
-// materializes more than limit rules.
-type ruleSink struct {
+// topK selects the limit best values under cmp (negative = ranks
+// first), or keeps every value when limit <= 0. With a positive limit
+// vals is a binary heap whose root is the worst value kept, so a
+// candidate costs one comparison against the root unless it displaces
+// it, and selection never holds more than limit values. cmp must be a
+// total order for the selection to equal sort-then-truncate.
+type topK[T any] struct {
 	limit int
-	rules ruleHeap
+	cmp   func(a, b T) int
+	vals  []T
 }
 
-func newRuleSink(limit int) *ruleSink {
-	s := &ruleSink{limit: limit}
+func newTopK[T any](limit int, cmp func(a, b T) int) topK[T] {
+	s := topK[T]{limit: limit, cmp: cmp}
 	if limit > 0 {
-		s.rules = make(ruleHeap, 0, limit)
+		s.vals = make([]T, 0, limit)
 	}
 	return s
 }
 
-func (s *ruleSink) add(r Rule) {
-	if s.limit <= 0 {
-		s.rules = append(s.rules, r)
-		return
-	}
-	if len(s.rules) < s.limit {
-		heap.Push(&s.rules, r)
-		return
-	}
-	if compareRules(r, s.rules[0]) < 0 { // beats the worst kept rule
-		s.rules[0] = r
-		heap.Fix(&s.rules, 0)
+// full reports whether a further value can only enter by displacing
+// the worst one kept, vals[0].
+func (s *topK[T]) full() bool { return s.limit > 0 && len(s.vals) == s.limit }
+
+func (s *topK[T]) add(v T) {
+	switch {
+	case s.limit <= 0:
+		s.vals = append(s.vals, v)
+	case len(s.vals) < s.limit:
+		s.vals = append(s.vals, v)
+		for i := len(s.vals) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if s.cmp(s.vals[i], s.vals[parent]) <= 0 {
+				break
+			}
+			s.vals[i], s.vals[parent] = s.vals[parent], s.vals[i]
+			i = parent
+		}
+	case s.cmp(v, s.vals[0]) < 0: // beats the worst kept value
+		s.vals[0] = v
+		for i := 0; ; {
+			worst := i
+			for c := 2*i + 1; c <= 2*i+2 && c < len(s.vals); c++ {
+				if s.cmp(s.vals[c], s.vals[worst]) > 0 {
+					worst = c
+				}
+			}
+			if worst == i {
+				break
+			}
+			s.vals[i], s.vals[worst] = s.vals[worst], s.vals[i]
+			i = worst
+		}
 	}
 }
 
+// finish sorts and returns the kept values, best first; nil when none.
+func (s *topK[T]) finish() []T {
+	if len(s.vals) == 0 {
+		return nil
+	}
+	slices.SortFunc(s.vals, s.cmp)
+	return s.vals
+}
+
+// ruleSink accumulates candidate rules under compareRules: everything
+// with limit <= 0, only the limit best otherwise, so a bounded
+// extraction never materializes more than limit rules.
+type ruleSink struct {
+	topK[Rule]
+}
+
+func newRuleSink(limit int) *ruleSink {
+	return &ruleSink{newTopK(limit, compareRules)}
+}
+
 // addPair emits the up-to-two directional rules of one pair entry into
-// the sink: the shared candidate-generation step of Analyzer.Rules,
-// Snapshot.Rules, RawSnapshot.Rules, and MergeIndex.TopRules. The
-// caller has already applied minSupport to count; itemCount resolves
-// an antecedent to its item counter (0 = absent).
+// the sink: the shared candidate-generation step of every extraction
+// path. The caller has already applied minSupport to count; itemCount
+// resolves an antecedent to its item counter (0 = absent).
+//
+// Confidence is clamped to 1 and both directions carry count as their
+// support, so once the sink is full and even its worst rule has
+// confidence 1 at a support above count, neither direction can enter
+// and both antecedent lookups are skipped. Equal support is not pruned:
+// there the key order decides.
 func (s *ruleSink) addPair(p blktrace.Pair, count uint32, minConfidence float64, itemCount func(blktrace.Extent) uint32) {
+	if s.full() && s.vals[0].Confidence == 1 && s.vals[0].Support > count {
+		return
+	}
 	for _, dir := range [2][2]blktrace.Extent{{p.A, p.B}, {p.B, p.A}} {
 		from, to := dir[0], dir[1]
 		if from == to {
@@ -159,13 +193,4 @@ func (s *ruleSink) addPair(p blktrace.Pair, count uint32, minConfidence float64,
 		}
 		s.add(Rule{From: from, To: to, Support: count, Confidence: conf})
 	}
-}
-
-// finish sorts and returns the kept rules.
-func (s *ruleSink) finish() []Rule {
-	sortRules(s.rules)
-	if len(s.rules) == 0 {
-		return nil
-	}
-	return s.rules
 }

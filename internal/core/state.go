@@ -1,0 +1,145 @@
+package core
+
+import "daccor/internal/blktrace"
+
+// Want names the parts of a State a reader asks for; parts not asked
+// for are left zero and cost nothing.
+type Want uint8
+
+const (
+	// WantPairs asks for TotalPairs and Pairs.
+	WantPairs Want = 1 << iota
+	// WantRules asks for Rules.
+	WantRules
+)
+
+// State is one bounded read of a synopsis view — what a snapshot page,
+// a rules page, or a watch delivery serves — with every part derived
+// from the same underlying state.
+type State struct {
+	// TotalPairs counts the pairs with counter >= the read's support.
+	TotalPairs int
+	// Pairs is the top highest-count of them in snapshot order
+	// (comparePairCounts). It is nil exactly when TotalPairs is 0, so an
+	// empty page of a non-empty view and an empty view stay distinct,
+	// as they are for Snapshot(support).TopPairs(top). Read-only: it may
+	// alias a shared export.
+	Pairs []PairCount
+	// Rules is Rules(support, confidence) cut to its top first entries;
+	// nil when there are none.
+	Rules []Rule
+}
+
+// State reads the group's bounded state in one linear pass over the
+// captures, at every P: partition captures are disjoint by ownership,
+// so counting, top-K selection and rule extraction need neither a
+// merge nor a sort of the table. Pairs at or above minSupport are
+// counted, the top best kept in a bounded heap, and the same entries
+// feed the rule sink, with antecedents resolved through each capture's
+// item index. The result equals Snapshot(minSupport) cut to top and
+// Rules(minSupport, minConfidence) cut to top; top <= 0 keeps no
+// entries of either kind.
+func (g RawGroup) State(minSupport uint32, minConfidence float64, top int, want Want) State {
+	var (
+		st    State
+		pairs *topK[PairCount]
+		rules *ruleSink
+	)
+	if want&WantPairs != 0 && top > 0 {
+		k := newTopK(top, comparePairCounts)
+		pairs = &k
+	}
+	if want&WantRules != 0 && top > 0 {
+		rules = newRuleSink(top)
+	}
+	total := g.scan(minSupport, minConfidence, pairs, rules)
+	if want&WantPairs != 0 && total > 0 {
+		st.TotalPairs = total
+		st.Pairs = []PairCount{}
+		if pairs != nil {
+			st.Pairs = pairs.finish()
+		}
+	}
+	if rules != nil {
+		st.Rules = rules.finish()
+	}
+	return st
+}
+
+// scan is the one pass behind every read of a group that does not need
+// the sorted export: it returns the number of pairs at or above
+// minSupport and offers each to the sinks that are set.
+func (g RawGroup) scan(minSupport uint32, minConfidence float64, pairs *topK[PairCount], rules *ruleSink) (total int) {
+	if rules != nil {
+		for _, r := range g {
+			if r != nil {
+				r.indexItems()
+			}
+		}
+	}
+	itemCount := g.itemCount
+	for _, r := range g {
+		if r == nil {
+			continue
+		}
+		for i := range r.pairs {
+			e := &r.pairs[i]
+			if e.Count < minSupport {
+				continue
+			}
+			total++
+			if pairs != nil {
+				pairs.add(PairCount{Pair: e.Key, Count: e.Count, Tier: e.Tier})
+			}
+			if rules != nil {
+				rules.addPair(e.Key, e.Count, minConfidence, itemCount)
+			}
+		}
+	}
+	return total
+}
+
+// itemCount resolves a rule antecedent across the group: an extent's
+// item entry lives only in the capture of the partition that owns it.
+func (g RawGroup) itemCount(ext blktrace.Extent) uint32 {
+	if r := g[PartitionOf(ext, len(g))]; r != nil {
+		return r.itemCount(ext)
+	}
+	return 0
+}
+
+// State cuts the bounded state out of a full sorted export (support
+// 0, so every antecedent item is present): the pairs are a prefix of
+// the count-sorted order, the rules a bounded extraction over it.
+func (s Snapshot) State(minSupport uint32, minConfidence float64, top int, want Want) State {
+	var st State
+	if want&WantPairs != 0 {
+		st.TotalPairs, st.Pairs = s.pairPage(minSupport, top)
+	}
+	if want&WantRules != 0 && top > 0 {
+		st.Rules = s.TopRules(minSupport, minConfidence, top)
+	}
+	return st
+}
+
+// pairPage counts a sorted export's pairs at or above minSupport and
+// returns the first top of them.
+func (s Snapshot) pairPage(minSupport uint32, top int) (int, []PairCount) {
+	s = s.FilterSupport(minSupport)
+	return len(s.Pairs), s.TopPairs(max(top, 0))
+}
+
+// State reads the union's bounded state: the pairs from the
+// materialized export (Snapshot, which also drains the change list),
+// the rules straight off the index, both describing the same union.
+func (m *MergeIndex) State(minSupport uint32, minConfidence float64, top int, want Want) State {
+	var st State
+	full := m.Snapshot()
+	if want&WantPairs != 0 {
+		st.TotalPairs, st.Pairs = full.pairPage(minSupport, top)
+	}
+	if want&WantRules != 0 && top > 0 {
+		st.Rules = m.TopRules(minSupport, minConfidence, top)
+	}
+	return st
+}

@@ -579,24 +579,38 @@ func (e *Engine) MergedEpoch() (sum uint64, devices int) {
 	return sum, len(shards)
 }
 
-// Rules extracts the named device's directional association rules from
-// its live tables. The rule extraction runs on the calling goroutine
-// against a capture; the worker only pays for the copy.
-func (e *Engine) Rules(id string, minSupport uint32, minConfidence float64) ([]core.Rule, error) {
-	return e.TopRules(id, minSupport, minConfidence, 0)
+// State is the bounded read behind a snapshot page, a rules page and a
+// watch delivery: the number of pairs at minSupport, the top best of
+// them, and the top highest-ranked rules (the parts named by want; see
+// core.State), all derived from one capture and returned with the
+// device epoch read before it. The read is one linear pass over the
+// capture on the calling goroutine — it never sorts the table — and
+// reads at an unchanged epoch share the capture, whatever their
+// parameters.
+func (e *Engine) State(id string, minSupport uint32, minConfidence float64, top int, want core.Want) (core.State, uint64, error) {
+	s, err := e.shard(id)
+	if err != nil {
+		return core.State{}, 0, err
+	}
+	var st core.State
+	epoch, err := s.withCapture(func(g core.RawGroup) {
+		st = g.State(minSupport, minConfidence, top, want)
+	})
+	return st, epoch, err
 }
 
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0); the result is exactly Rules(...)[:limit].
-func (e *Engine) TopRules(id string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
+// Rules extracts every directional association rule of the named
+// device from its live tables; State serves the bounded form. The
+// extraction runs on the calling goroutine against the epoch's shared
+// capture; the worker only pays for the copy.
+func (e *Engine) Rules(id string, minSupport uint32, minConfidence float64) ([]core.Rule, error) {
 	s, err := e.shard(id)
 	if err != nil {
 		return nil, err
 	}
 	var rules []core.Rule
-	err = s.capture(func(g core.RawGroup) error {
-		rules = g.TopRules(minSupport, minConfidence, limit)
-		return nil
+	_, err = s.withCapture(func(g core.RawGroup) {
+		rules = g.Rules(minSupport, minConfidence)
 	})
 	return rules, err
 }
@@ -693,24 +707,29 @@ func (e *Engine) refreshMergedLocked() (core.Snapshot, error) {
 // synopsis: per-device tables are exported in full, merged with summed
 // counters, and rules are extracted from the merged view. Confidences
 // are estimates over the summed counters. With one device this equals
-// that device's Rules.
+// that device's Rules. MergedState serves the bounded form.
 func (e *Engine) MergedRules(minSupport uint32, minConfidence float64) ([]core.Rule, error) {
-	return e.MergedTopRules(minSupport, minConfidence, 0)
-}
-
-// MergedTopRules is MergedRules bounded to the limit highest-ranked
-// rules (all of them when limit <= 0); the result is exactly
-// MergedRules(...)[:limit]. The extraction runs straight off the merge
-// index (antecedent lookups hit its item hash, selection is a bounded
-// heap), so a fleet-wide top-K read allocates O(K), independent of how
-// many rules the fleet could emit.
-func (e *Engine) MergedTopRules(minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
 	if _, err := e.refreshMergedLocked(); err != nil {
 		return nil, err
 	}
-	return e.mergeIdx.TopRules(minSupport, minConfidence, limit), nil
+	return e.mergeIdx.TopRules(minSupport, minConfidence, 0), nil
+}
+
+// MergedState is State for the fleet-wide view, returned with the
+// merged epoch (sum, devices) read before it: pairs from the merged
+// export, rules straight off the merge index (antecedent lookups hit
+// its item hash, selection is a bounded heap, so a top-K read allocates
+// O(K) however many rules the fleet could emit) — both under one hold
+// of the merge lock, so they describe the same merge.
+func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, sum uint64, devices int, err error) {
+	e.mergeMu.Lock()
+	defer e.mergeMu.Unlock()
+	if _, err := e.refreshMergedLocked(); err != nil {
+		return core.State{}, 0, 0, err
+	}
+	return e.mergeIdx.State(minSupport, minConfidence, top, want), e.mergeEpoch, e.mergeDevices, nil
 }
 
 // DeviceStats is one device's health and processing counters.

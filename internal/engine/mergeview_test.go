@@ -89,7 +89,7 @@ func testMergedIncrementalEqualsScratch(t *testing.T, parts int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := e.MergedTopRules(2, 0.1, 5)
+		st, _, _, err := e.MergedState(2, 0.1, 5, core.WantPairs|core.WantRules)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +97,12 @@ func testMergedIncrementalEqualsScratch(t *testing.T, parts int) {
 		if len(wantTop) > 5 {
 			wantTop = wantTop[:5]
 		}
-		if !reflect.DeepEqual(top, wantTop) {
-			t.Fatalf("round %d: MergedTopRules != MergedRules[:5] (%d vs %d rules)", round, len(top), len(wantTop))
+		if !reflect.DeepEqual(st.Rules, wantTop) {
+			t.Fatalf("round %d: MergedState rules != MergedRules[:5] (%d vs %d rules)", round, len(st.Rules), len(wantTop))
+		}
+		want := mergedFromScratch(t, e, devices, 2)
+		if st.TotalPairs != len(want.Pairs) || !reflect.DeepEqual(st.Pairs, want.TopPairs(5)) {
+			t.Fatalf("round %d: MergedState pairs != merged snapshot's top 5 (total %d, want %d)", round, st.TotalPairs, len(want.Pairs))
 		}
 	}
 

@@ -100,8 +100,8 @@ func newShardMetrics(r *obs.Registry, s *shard, queueSize int) *shardMetrics {
 		captureSeconds: r.Histogram(MetricCaptureSeconds,
 			"Worker time spent copying synopsis state for a reader (the ingest stall a query or checkpoint causes), in seconds.",
 			obs.LatencyBuckets(), lbl),
-		snapHits:    r.Counter(MetricSnapshotCacheHits, "Snapshot queries served from the epoch-gated cache without a worker round trip.", lbl),
-		snapMisses:  r.Counter(MetricSnapshotCacheMisses, "Snapshot queries that required a fresh capture.", lbl),
+		snapHits:    r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot, rules, state) served from the epoch's shared capture without a worker round trip.", lbl),
+		snapMisses:  r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
 		panics:      r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
 		restarts:    r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),
 		ckpts:       r.Counter(MetricCheckpoints, "Checkpoint generations committed, per device.", lbl),

@@ -295,17 +295,21 @@ type shard struct {
 
 	groupPool sync.Pool
 
-	// Epoch-gated snapshot cache; see snapshot. The cache holds the
-	// full (support-0) export — any requested support is a suffix cut
-	// of it (Snapshot.FilterSupport), so reads at different supports
-	// never thrash the cache. At P>1 snapIdx incrementally maintains
-	// the union of the partition captures across misses.
+	// Epoch-gated read cache; see withCapture and snapshot. snapGroup
+	// is the one capture of epoch snapEpoch (snapValid), shared by
+	// every read kind. snapCached is the full (support-0) sorted export
+	// derived from it on first demand (snapSorted) — any requested
+	// support is a suffix cut of it (Snapshot.FilterSupport), so reads
+	// at different supports never thrash the cache. At P>1 snapIdx
+	// incrementally maintains the union of the partition captures
+	// across derivations.
 	snapMu     sync.Mutex
 	snapGroup  core.RawGroup
-	snapIdx    *core.MergeIndex
-	snapCached core.Snapshot
 	snapEpoch  uint64
 	snapValid  bool
+	snapIdx    *core.MergeIndex
+	snapCached core.Snapshot
+	snapSorted bool
 	partNames  []string
 }
 
@@ -974,55 +978,92 @@ func (s *shard) ask(q query) (queryReply, error) {
 	}
 }
 
-// snapshot serves the device's sorted export, recomputing only when
-// the synopsis changed since the cached copy was derived. The cache
-// holds the full support-0 export; the requested support is applied as
-// a suffix cut (FilterSupport) on the way out, so the same epoch
-// serves every support without recomputation — exact, because the
-// export is sorted by count and a support filter of a merged view
-// equals the merge of support-filtered disjoint views.
-//
-// At P>1 the capture is a RawGroup — one disjoint capture per
-// partition — combined on this goroutine through a persistent
-// core.MergeIndex: each miss reconciles the partition captures into
-// the index (O(changed entries) per partition) instead of re-merging
-// every entry from scratch. The epoch gate is the device epoch, which
-// sums sub-shard advances.
-func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
+// withCapture runs fn against the device's capture of the current
+// epoch and returns the epoch it was taken for. There is exactly one
+// such capture per epoch, shared under snapMu by every read kind —
+// bounded reads (Engine.State), the sorted export (snapshot), rules —
+// and by every repeat of them while the synopsis is unchanged, so a
+// read storm against an idle device costs the worker one capture in
+// total. The epoch is read before the worker is asked, so it may
+// under-claim the capture's freshness and never over-claims it. fn
+// must not retain the group: the next epoch's capture overwrites it in
+// place.
+func (s *shard) withCapture(fn func(core.RawGroup)) (uint64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	epoch := s.epoch.Load() // before the ask: may under-claim, never over-claims
+	epoch, err := s.captureLocked()
+	if err != nil {
+		return 0, err
+	}
+	fn(s.snapGroup)
+	return epoch, nil
+}
+
+// captureLocked brings snapGroup up to the current epoch. Caller holds
+// snapMu.
+func (s *shard) captureLocked() (uint64, error) {
+	epoch := s.epoch.Load()
 	if s.snapValid && s.snapEpoch == epoch {
 		s.metrics.snapHits.Inc()
-		return s.snapCached.FilterSupport(minSupport), nil
+		return epoch, nil
 	}
 	s.metrics.snapMisses.Inc()
 	if s.snapGroup == nil {
 		s.snapGroup = s.newGroup()
 	}
+	// The workers write into the group in place; a capture that fails
+	// part-way must not be served as either epoch's.
+	s.snapValid = false
 	if _, err := s.ask(query{kind: queryCapture, raws: s.snapGroup}); err != nil {
+		return 0, err
+	}
+	s.snapEpoch, s.snapValid, s.snapSorted = epoch, true, false
+	return epoch, nil
+}
+
+// snapshot serves the device's sorted export, derived lazily from the
+// epoch's shared capture: a device that is only ever read through
+// bounded requests never sorts its table. The cache holds the full
+// support-0 export; the requested support is applied as a suffix cut
+// (FilterSupport) on the way out, so the same epoch serves every
+// support without recomputation — exact, because the export is sorted
+// by count and a support filter of a merged view equals the merge of
+// support-filtered disjoint views.
+//
+// At P>1 the capture is a RawGroup — one disjoint capture per
+// partition — combined on this goroutine through a persistent
+// core.MergeIndex: each derivation reconciles the partition captures
+// into the index (O(changed entries) per partition) instead of
+// re-merging every entry from scratch. The epoch gate is the device
+// epoch, which sums sub-shard advances.
+func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	if _, err := s.captureLocked(); err != nil {
 		return core.Snapshot{}, err
 	}
-	var snap core.Snapshot
-	if s.parts == 1 {
-		snap = s.snapGroup.Snapshot(0)
-	} else {
-		if s.snapIdx == nil {
-			s.snapIdx = core.NewMergeIndex()
+	if !s.snapSorted {
+		if s.parts == 1 {
+			s.snapCached = s.snapGroup.Snapshot(0)
+		} else {
+			if s.snapIdx == nil {
+				s.snapIdx = core.NewMergeIndex()
+			}
+			for i, r := range s.snapGroup {
+				s.snapIdx.UpdateRaw(s.partNames[i], r)
+			}
+			s.snapCached = s.snapIdx.Snapshot()
 		}
-		for i, r := range s.snapGroup {
-			s.snapIdx.UpdateRaw(s.partNames[i], r)
-		}
-		snap = s.snapIdx.Snapshot()
+		s.snapSorted = true
 	}
-	s.snapCached, s.snapEpoch, s.snapValid = snap, epoch, true
-	return snap.FilterSupport(minSupport), nil
+	return s.snapCached.FilterSupport(minSupport), nil
 }
 
 // capture runs fn against a fresh pooled capture group of the device's
-// synopsis. The workers only do the O(live entries) copies; fn (rule
-// extraction, snapshot encoding, checkpoint encoding) runs on the
-// calling goroutine.
+// synopsis — the writers' path (snapshot and checkpoint encoding),
+// which may hold the group across slow I/O and so stays off the
+// readers' shared capture. The workers only do the O(live entries)
+// copies; fn runs on the calling goroutine.
 func (s *shard) capture(fn func(core.RawGroup) error) error {
 	g := s.getGroup()
 	defer s.putGroup(g)

@@ -590,7 +590,7 @@ func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snap
 }
 
 // TopRules derives fleet-wide directional rules from the merged
-// mirror, as engine.MergedTopRules does from live tables: the limit
+// mirror, as engine.MergedRules does from live tables: the limit
 // highest-ranked rules (all of them when limit <= 0).
 // Extraction runs straight off the merge index — antecedent lookups
 // hit its item hash and selection is a bounded heap, so a top-K read
@@ -604,6 +604,16 @@ func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit in
 	// does not accumulate one.
 	a.idx.Snapshot()
 	return a.idx.TopRules(minSupport, minConfidence, limit)
+}
+
+// MergedState is the bounded read of the merged mirror (core.State):
+// pairs and rules are taken under one hold of the index lock, so they
+// describe the same merge.
+func (a *Aggregator) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) core.State {
+	a.reconcileIndex()
+	a.idxMu.Lock()
+	defer a.idxMu.Unlock()
+	return a.idx.State(minSupport, minConfidence, top, want)
 }
 
 // FleetStatus is the staleness block stamped into every read response:

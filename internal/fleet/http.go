@@ -131,28 +131,22 @@ func (s aggregatorSource) Cursor(device string) (api.Cursor, error) {
 	return api.Cursor{Epoch: version, N: live}, nil
 }
 
-func (s aggregatorSource) Snapshot(device string, minSupport uint32) (core.Snapshot, error) {
+// State reads a device view from one merge of the device's mirrors —
+// the full export, because rules need every antecedent's item count —
+// and the merged view from the merge index under one hold of its lock.
+func (s aggregatorSource) State(device string, support uint32, conf float64, top int, want core.Want) (api.State, error) {
+	cur, err := s.Cursor(device)
+	if err != nil {
+		return api.State{}, err
+	}
 	if device == "" {
-		return s.a.MergedSnapshot(minSupport), nil
+		return api.State{Cursor: cur, State: s.a.MergedState(support, conf, top, want)}, nil
 	}
-	snap, ok := s.a.DeviceSnapshot(device, minSupport)
-	if !ok {
-		return core.Snapshot{}, unknownDevice(device)
-	}
-	return snap, nil
-}
-
-func (s aggregatorSource) TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
-	if device == "" {
-		return s.a.TopRules(minSupport, minConfidence, limit), nil
-	}
-	// Rules need the antecedents' item counts, so they are cut from the
-	// device's full export, not a support-filtered one.
 	snap, ok := s.a.DeviceSnapshot(device, 0)
 	if !ok {
-		return nil, unknownDevice(device)
+		return api.State{}, unknownDevice(device)
 	}
-	return snap.TopRules(minSupport, minConfidence, limit), nil
+	return api.State{Cursor: cur, State: snap.State(support, conf, top, want)}, nil
 }
 
 func (s aggregatorSource) Wait(ctx context.Context, device string, since api.Cursor) (time.Time, error) {

@@ -572,3 +572,74 @@ func testWatchDeliveryInterval(t *testing.T, b *backend) {
 		}
 	}
 }
+
+// TestWatchBodyDescribesOneEpoch runs a writer beside SSE watchers of a
+// device view and of the merged view, and holds every delivered body to
+// itself: a rule's support is the counter of its pair, so wherever that
+// pair is also listed in "pairs" the two numbers must agree. A body
+// assembled from two captures — pairs from one epoch, rules from the
+// next — breaks this as soon as the writer lands between them; a body
+// cut from one State read cannot.
+func TestWatchBodyDescribesOneEpoch(t *testing.T) {
+	e, srv := servedEngine(t)
+	t.Cleanup(e.Stop)
+
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for base := 100 * int64(time.Second); ; base += int64(time.Second) {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := e.SubmitBatch("vol0", pairAt(base)); err != nil {
+				t.Errorf("writer: %v", err)
+				return
+			}
+		}
+	}()
+	defer writer.Wait()
+	defer close(stop)
+
+	type body struct {
+		Pairs []struct {
+			Pair  blktrace.Pair
+			Count uint32
+		} `json:"pairs"`
+		Rules []struct {
+			From, To blktrace.Extent
+			Support  uint32
+		} `json:"rules"`
+	}
+	for _, route := range []string{"/v1/devices/vol0/watch", "/v1/watch"} {
+		s := openSSE(t, srv.URL+route+"?support=1&confidence=0&top=10", "")
+		for delivery := 0; delivery < 150; delivery++ {
+			ev := s.next(t, 10*time.Second)
+			var b body
+			if err := json.Unmarshal([]byte(ev.data), &b); err != nil {
+				t.Fatalf("%s: decode %q: %v", route, ev.data, err)
+			}
+			counts := make(map[blktrace.Pair]uint32, len(b.Pairs))
+			for _, pc := range b.Pairs {
+				counts[pc.Pair] = pc.Count
+			}
+			if len(b.Rules) == 0 || len(counts) == 0 {
+				t.Fatalf("%s: delivery %d carries no pairs or no rules: %s", route, delivery, ev.data)
+			}
+			for _, r := range b.Rules {
+				p := blktrace.Pair{A: r.From, B: r.To}
+				if r.To.Less(r.From) {
+					p = blktrace.Pair{A: r.To, B: r.From}
+				}
+				if count, ok := counts[p]; ok && count != r.Support {
+					t.Fatalf("%s: delivery %d (epoch %s) mixes two epochs: rule %v→%v has support %d, its pair is listed with count %d",
+						route, delivery, ev.id, r.From, r.To, r.Support, count)
+				}
+			}
+		}
+		s.close()
+	}
+}

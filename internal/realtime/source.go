@@ -57,28 +57,15 @@ func (s engineSource) Cursor(device string) (api.Cursor, error) {
 	return api.Cursor{Epoch: epoch}, typed(err)
 }
 
-func (s engineSource) Snapshot(device string, minSupport uint32) (core.Snapshot, error) {
+// State reads a device view from one capture and the merged view from
+// one refresh of the merge index; each returns the epoch it read first.
+func (s engineSource) State(device string, support uint32, conf float64, top int, want core.Want) (api.State, error) {
 	if device == "" {
-		snap, err := s.e.MergedSnapshot(minSupport)
-		return snap, typed(err)
+		st, sum, n, err := s.e.MergedState(support, conf, top, want)
+		return api.State{Cursor: api.Cursor{Epoch: sum, N: n}, State: st}, typed(err)
 	}
-	snap, err := s.e.Snapshot(device, minSupport)
-	return snap, typed(err)
-}
-
-// TopRules serves the merged view from the exact live-table rules when
-// one device is registered, and from the merged estimate otherwise.
-func (s engineSource) TopRules(device string, minSupport uint32, minConfidence float64, limit int) ([]core.Rule, error) {
-	if device == "" {
-		devices := s.e.Devices()
-		if len(devices) != 1 {
-			rules, err := s.e.MergedTopRules(minSupport, minConfidence, limit)
-			return rules, typed(err)
-		}
-		device = devices[0]
-	}
-	rules, err := s.e.TopRules(device, minSupport, minConfidence, limit)
-	return rules, typed(err)
+	st, epoch, err := s.e.State(device, support, conf, top, want)
+	return api.State{Cursor: api.Cursor{Epoch: epoch}, State: st}, typed(err)
 }
 
 // Wait blocks on the engine's epoch notification; see Engine.WaitEpoch
