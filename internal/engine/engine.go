@@ -601,16 +601,18 @@ func (e *Engine) State(id string, minSupport uint32, minConfidence float64, top 
 
 // Rules extracts every directional association rule of the named
 // device from its live tables; State serves the bounded form. The
-// extraction runs on the calling goroutine against the epoch's shared
-// capture; the worker only pays for the copy.
+// extraction has no K to bound its time, so it runs on the calling
+// goroutine against a pooled capture of its own rather than holding the
+// epoch's shared one; the worker only pays for the copy.
 func (e *Engine) Rules(id string, minSupport uint32, minConfidence float64) ([]core.Rule, error) {
 	s, err := e.shard(id)
 	if err != nil {
 		return nil, err
 	}
 	var rules []core.Rule
-	_, err = s.withCapture(func(g core.RawGroup) {
+	err = s.capture(func(g core.RawGroup) error {
 		rules = g.Rules(minSupport, minConfidence)
+		return nil
 	})
 	return rules, err
 }

@@ -100,7 +100,7 @@ func newShardMetrics(r *obs.Registry, s *shard, queueSize int) *shardMetrics {
 		captureSeconds: r.Histogram(MetricCaptureSeconds,
 			"Worker time spent copying synopsis state for a reader (the ingest stall a query or checkpoint causes), in seconds.",
 			obs.LatencyBuckets(), lbl),
-		snapHits:    r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot, rules, state) served from the epoch's shared capture without a worker round trip.", lbl),
+		snapHits:    r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot page, rules page, watch state, export) served from the epoch's shared capture without a worker round trip.", lbl),
 		snapMisses:  r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
 		panics:      r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
 		restarts:    r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),

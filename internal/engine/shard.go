@@ -297,8 +297,8 @@ type shard struct {
 
 	// Epoch-gated read cache; see withCapture and snapshot. snapGroup
 	// is the one capture of epoch snapEpoch (snapValid), shared by
-	// every read kind. snapCached is the full (support-0) sorted export
-	// derived from it on first demand (snapSorted) — any requested
+	// bounded reads and the export. snapCached is the full (support-0)
+	// sorted export derived from it on first demand (snapSorted) — any requested
 	// support is a suffix cut of it (Snapshot.FilterSupport), so reads
 	// at different supports never thrash the cache. At P>1 snapIdx
 	// incrementally maintains the union of the partition captures
@@ -980,14 +980,15 @@ func (s *shard) ask(q query) (queryReply, error) {
 
 // withCapture runs fn against the device's capture of the current
 // epoch and returns the epoch it was taken for. There is exactly one
-// such capture per epoch, shared under snapMu by every read kind —
-// bounded reads (Engine.State), the sorted export (snapshot), rules —
-// and by every repeat of them while the synopsis is unchanged, so a
-// read storm against an idle device costs the worker one capture in
-// total. The epoch is read before the worker is asked, so it may
-// under-claim the capture's freshness and never over-claims it. fn
-// must not retain the group: the next epoch's capture overwrites it in
-// place.
+// such capture per epoch, shared under snapMu by bounded reads
+// (Engine.State) and the sorted export (snapshot), and by every repeat
+// of them while the synopsis is unchanged, so a read storm against an
+// idle device costs the worker one capture in total. The epoch is read
+// before the worker is asked, so it may under-claim the capture's
+// freshness and never over-claims it. fn runs with snapMu held — reads
+// of one device serialise for the length of its scan, which is why
+// only K-bounded scans belong here — and must not retain the group:
+// the next epoch's capture overwrites it in place.
 func (s *shard) withCapture(fn func(core.RawGroup)) (uint64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -1060,10 +1061,11 @@ func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 }
 
 // capture runs fn against a fresh pooled capture group of the device's
-// synopsis — the writers' path (snapshot and checkpoint encoding),
-// which may hold the group across slow I/O and so stays off the
-// readers' shared capture. The workers only do the O(live entries)
-// copies; fn runs on the calling goroutine.
+// synopsis — the path of whoever holds a capture for an unbounded time:
+// the writers (snapshot and checkpoint encoding, across slow I/O) and
+// the unbounded rule extraction. They stay off the readers' shared
+// capture so they never block it. The workers only do the O(live
+// entries) copies; fn runs on the calling goroutine.
 func (s *shard) capture(fn func(core.RawGroup) error) error {
 	g := s.getGroup()
 	defer s.putGroup(g)

@@ -17,8 +17,10 @@ import (
 // to the two reads it replaced on the HTTP path — the sorted export cut
 // to top, and the full rule list cut to top — through ingest churn on
 // tables small enough to evict, unpartitioned and partitioned. It also
-// pins the sharing: however many reads of whatever kind hit one epoch,
-// the worker is asked for one capture.
+// pins the sharing: however many bounded and export reads hit one
+// epoch, the worker is asked for one shared capture (the unbounded
+// Rules takes a pooled one of its own, which the miss counter does not
+// see).
 func TestEngineStateMatchesExports(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("P=%d", parts), func(t *testing.T) {

@@ -535,11 +535,23 @@ func (a *Aggregator) Devices() []string {
 // changes into the union as it lands, so a read after one device's
 // delta re-sorts only that device's changed entries and never holds
 // the ingest mutex across a merge.
-func (a *Aggregator) MergedSnapshot(minSupport uint32) core.Snapshot {
+func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
+	a.readIndex(func(_ *core.MergeIndex, full core.Snapshot) {
+		snap = full.FilterSupport(minSupport)
+	})
+	return snap
+}
+
+// readIndex is the one way a merged read reaches the union: Failed
+// collectors are reconciled out, then fn runs under idxMu against the
+// index and its materialized export. Materializing first is what
+// drains the index's change list, so a fleet that is only ever asked
+// for rules does not accumulate one.
+func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex, full core.Snapshot)) {
 	a.reconcileIndex()
 	a.idxMu.Lock()
 	defer a.idxMu.Unlock()
-	return a.idx.Snapshot().FilterSupport(minSupport)
+	fn(a.idx, a.idx.Snapshot())
 }
 
 // reconcileIndex replays the sources of collectors that crossed
@@ -594,26 +606,24 @@ func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snap
 // highest-ranked rules (all of them when limit <= 0).
 // Extraction runs straight off the merge index — antecedent lookups
 // hit its item hash and selection is a bounded heap, so a top-K read
-// allocates O(K) regardless of fleet size.
-func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) []core.Rule {
-	a.reconcileIndex()
-	a.idxMu.Lock()
-	defer a.idxMu.Unlock()
-	// Materialize first, as a snapshot read would: it is what drains the
-	// index's change list, so a fleet that is only ever asked for rules
-	// does not accumulate one.
-	a.idx.Snapshot()
-	return a.idx.TopRules(minSupport, minConfidence, limit)
+// allocates O(K) regardless of fleet size. The HTTP surface reads
+// MergedState; this form remains for the repository benchmark's
+// layer probe.
+func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) (rules []core.Rule) {
+	a.readIndex(func(idx *core.MergeIndex, _ core.Snapshot) {
+		rules = idx.TopRules(minSupport, minConfidence, limit)
+	})
+	return rules
 }
 
 // MergedState is the bounded read of the merged mirror (core.State):
 // pairs and rules are taken under one hold of the index lock, so they
 // describe the same merge.
-func (a *Aggregator) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) core.State {
-	a.reconcileIndex()
-	a.idxMu.Lock()
-	defer a.idxMu.Unlock()
-	return a.idx.State(minSupport, minConfidence, top, want)
+func (a *Aggregator) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State) {
+	a.readIndex(func(idx *core.MergeIndex, _ core.Snapshot) {
+		st = idx.State(minSupport, minConfidence, top, want)
+	})
+	return st
 }
 
 // FleetStatus is the staleness block stamped into every read response:

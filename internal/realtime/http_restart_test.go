@@ -80,9 +80,8 @@ func feedPair(t *testing.T, e *engine.Engine, sec int) {
 // consumer. The watcher re-dials with Last-Event-ID until the restarted
 // server — same address, state restored from checkpoint — answers, the
 // resumed deliveries carry the pre-restart counts forward (no cold
-// start), and each server's epochs are delivered in strictly increasing
-// order (the restarted engine's epoch counter starts over, so only the
-// restart may regress the cursor).
+// start), epochs never repeat, and the cursor regresses at most once
+// (the restarted engine's epoch counter starts over).
 func TestClientWatchAcrossServerRestart(t *testing.T) {
 	dir := t.TempDir()
 
@@ -143,7 +142,6 @@ func TestClientWatchAcrossServerRestart(t *testing.T) {
 	// Abrupt restart: kill the connections first so the client sees a
 	// dropped stream (not a graceful terminal end), then stop the
 	// engine, which flushes the final checkpoint.
-	restartAt := len(states) // index of the first post-restart delivery
 	srv1.Close()
 	e1.Stop()
 	e2 := restartEngine(t, dir)
@@ -183,21 +181,28 @@ func TestClientWatchAcrossServerRestart(t *testing.T) {
 		t.Errorf("post-resume count went backwards: %d after %d", c, pairCount(resumed))
 	}
 
-	// Cursor discipline across the whole run: within one server's
-	// lifetime every delivered epoch is above the one before (nothing
-	// delivered twice, nothing out of order). Across the restart the
-	// cursor may regress — the restarted engine's counter starts over,
-	// so it may even land on a number the first server delivered.
+	// Cursor discipline across the whole run: every delivered epoch is
+	// distinct (nothing delivered twice), and the numeric cursor
+	// regresses at most once — the restarted engine's counter reset.
+	seen := make(map[string]bool)
+	resets := 0
 	var prev uint64
 	for i, s := range states {
+		if seen[s.Epoch] {
+			t.Errorf("epoch %q delivered twice", s.Epoch)
+		}
+		seen[s.Epoch] = true
 		n, err := strconv.ParseUint(s.Epoch, 10, 64)
 		if err != nil {
 			t.Fatalf("epoch %q is not numeric: %v", s.Epoch, err)
 		}
-		if i > 0 && i != restartAt && n <= prev {
-			t.Errorf("delivery %d has epoch %d after %d from the same server", i, n, prev)
+		if i > 0 && n <= prev {
+			resets++
 		}
 		prev = n
+	}
+	if resets > 1 {
+		t.Errorf("cursor regressed %d times, want at most 1 (the restart)", resets)
 	}
 
 	w.Close()
