@@ -60,7 +60,7 @@ bench-repo:
 # itself allocates, which would mask — or falsely trip — a hot-path
 # allocation regression).
 alloc-guard:
-	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop' ./internal/core
+	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta' ./internal/core
 
 # Fault-injection and recovery suite: supervised worker panics,
 # checkpoint write failures, restore paths, post-Stop semantics.

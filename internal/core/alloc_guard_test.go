@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"daccor/internal/blktrace"
@@ -129,5 +130,40 @@ func TestAnalyzerProcessZeroAllocSteadyState(t *testing.T) {
 	}
 	if err := a.CheckMembershipInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDiffAllocsBoundedByDelta pins what the merge-walk diff buys
+// besides time: it allocates for the entries that moved and not for the
+// tables they moved in. The same eighty changes diffed on 1 Ki and on
+// 32 Ki exports cost the same number of allocations; the map-based diff
+// built four maps over both exports first.
+func TestDiffAllocsBoundedByDelta(t *testing.T) {
+	allocs := func(entries int) float64 {
+		old := benchSourceSnapshot(rand.New(rand.NewSource(9)), entries)
+		next := Snapshot{Pairs: slices.Clone(old.Pairs), Items: slices.Clone(old.Items)}
+		const moved = 80 // per table: 60 counters grow, 20 keys give way to new ones
+		for i := 0; i < moved; i++ {
+			at := i * (entries / moved)
+			if i < 60 {
+				next.Pairs[at].Count++
+				next.Items[at].Count++
+				continue
+			}
+			fresh := blktrace.Extent{Block: uint64(8*entries+i) * 8, Len: 8}
+			next.Pairs[at].Pair = blktrace.Pair{A: fresh, B: fresh}
+			next.Items[at].Extent = fresh
+		}
+		next.sort()
+		d := DiffSnapshots(old, next)
+		if len(d.UpsertPairs) != 80 || len(d.DeletePairs) != 20 || len(d.UpsertItems) != 80 || len(d.DeleteItems) != 20 {
+			t.Fatalf("%d entries: delta is %d+%d pairs, %d+%d items, want 80+20 each", entries,
+				len(d.UpsertPairs), len(d.DeletePairs), len(d.UpsertItems), len(d.DeleteItems))
+		}
+		return testing.AllocsPerRun(10, func() { DiffSnapshots(old, next) })
+	}
+	small, large := allocs(1<<10), allocs(32<<10)
+	if small != large {
+		t.Errorf("DiffSnapshots of the same delta allocates %.0f times on 1 Ki tables and %.0f on 32 Ki: it must not depend on the table size", small, large)
 	}
 }

@@ -98,6 +98,10 @@ type Analyzer struct {
 	memberSeen []uint8
 
 	stats Stats
+
+	// origin names the run of capture stamps the tables are in; see
+	// CaptureSnapshot.
+	origin *captureOrigin
 }
 
 // Stats counts what the analyzer has processed and how the tables
@@ -129,7 +133,7 @@ func NewAnalyzer(cfg Config) (*Analyzer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	a := &Analyzer{}
+	a := &Analyzer{origin: new(captureOrigin)}
 	a.cfg = cfg
 	i1, i2 := splitTiers(cfg.ItemCapacity, cfg.TierRatio)
 	p1, p2 := splitTiers(cfg.PairCapacity, cfg.TierRatio)

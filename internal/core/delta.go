@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"daccor/internal/blktrace"
 )
@@ -61,116 +62,241 @@ func (d SnapshotDelta) Len() int {
 
 // DiffSnapshots computes the delta that transforms old into new:
 // Apply(DiffSnapshots(old, new), old) == new for any two sorted
-// exports. Both inputs are sorted snapshots, so the output is
-// deterministic: upserts in new's order, deletes in old's order.
+// exports. Both inputs are sorted under the same total order, so the
+// diff is one merge walk over them and the output is deterministic:
+// upserts in new's order, deletes in old's order. Beyond the walk it
+// costs and allocates in proportion to the delta, not to the tables.
 func DiffSnapshots(old, new Snapshot) SnapshotDelta {
 	var d SnapshotDelta
-	oldPairs := make(map[blktrace.Pair]PairCount, len(old.Pairs))
-	for _, pc := range old.Pairs {
-		oldPairs[pc.Pair] = pc
-	}
-	oldItems := make(map[blktrace.Extent]ItemCount, len(old.Items))
-	for _, ic := range old.Items {
-		oldItems[ic.Extent] = ic
-	}
-	newPairs := make(map[blktrace.Pair]struct{}, len(new.Pairs))
-	for _, pc := range new.Pairs {
-		newPairs[pc.Pair] = struct{}{}
-		if prev, ok := oldPairs[pc.Pair]; !ok || prev != pc {
-			d.UpsertPairs = append(d.UpsertPairs, pc)
-		}
-	}
-	newItems := make(map[blktrace.Extent]struct{}, len(new.Items))
-	for _, ic := range new.Items {
-		newItems[ic.Extent] = struct{}{}
-		if prev, ok := oldItems[ic.Extent]; !ok || prev != ic {
-			d.UpsertItems = append(d.UpsertItems, ic)
-		}
-	}
-	for _, pc := range old.Pairs {
-		if _, ok := newPairs[pc.Pair]; !ok {
-			d.DeletePairs = append(d.DeletePairs, pc.Pair)
-		}
-	}
-	for _, ic := range old.Items {
-		if _, ok := newItems[ic.Extent]; !ok {
-			d.DeleteItems = append(d.DeleteItems, ic.Extent)
-		}
-	}
+	d.UpsertPairs, d.DeletePairs = diffSorted(old.Pairs, new.Pairs, pairOps)
+	d.UpsertItems, d.DeleteItems = diffSorted(old.Items, new.Items, itemOps)
 	return d
 }
 
+// exportOps is what the code that diffs, patches and merges sorted
+// exports needs to know about one table's entries; pairOps and itemOps
+// are the two there are.
+type exportOps[K comparable, E any] struct {
+	mk  func(K, uint32, Tier) E
+	key func(E) K
+	// cmp is the export order: descending counter, ties by key.
+	cmp func(a, b E) int
+	// hash feeds the dropSet filter: one multiplication an extent, the
+	// well-mixed high half of the product kept. It only has to spread a
+	// few hundred keys over a few thousand bits; the map behind the
+	// filter decides membership.
+	hash func(K) uint64
+}
+
+var pairOps = exportOps[blktrace.Pair, PairCount]{
+	mk:  func(k blktrace.Pair, c uint32, t Tier) PairCount { return PairCount{Pair: k, Count: c, Tier: t} },
+	key: func(pc PairCount) blktrace.Pair { return pc.Pair },
+	cmp: comparePairCounts,
+	hash: func(p blktrace.Pair) uint64 {
+		return ((p.A.Block^uint64(p.A.Len)<<40)*0x9e3779b97f4a7c15 + (p.B.Block^uint64(p.B.Len)<<40)*0xbf58476d1ce4e5b9) >> 32
+	},
+}
+
+var itemOps = exportOps[blktrace.Extent, ItemCount]{
+	mk:  func(k blktrace.Extent, c uint32, t Tier) ItemCount { return ItemCount{Extent: k, Count: c, Tier: t} },
+	key: func(ic ItemCount) blktrace.Extent { return ic.Extent },
+	cmp: compareItemCounts,
+	hash: func(e blktrace.Extent) uint64 {
+		return ((e.Block ^ uint64(e.Len)<<40) * 0x9e3779b97f4a7c15) >> 32
+	},
+}
+
+// diffSorted walks two sorted exports of one table side by side. An
+// entry with an identical twin on the other side is unchanged and
+// passes by; what is left over on the new side is an upsert as it
+// stands (a new key, or a known one whose counter or tier moved), and
+// what is left over on the old side is a delete unless its key was just
+// upserted — the only lookup the diff needs, over the upserts alone.
+func diffSorted[K comparable, E comparable](old, new []E, ops exportOps[K, E]) (upserts []E, deletes []K) {
+	var left []K // keys of old's leftovers, in old's order
+	i, j := 0, 0
+	for i < len(old) && j < len(new) {
+		switch c := ops.cmp(old[i], new[j]); {
+		case c < 0:
+			left = append(left, ops.key(old[i]))
+			i++
+		case c > 0:
+			upserts = append(upserts, new[j])
+			j++
+		default: // same counter and key; the tier may still differ
+			if old[i] != new[j] {
+				upserts = append(upserts, new[j])
+			}
+			i++
+			j++
+		}
+	}
+	for ; i < len(old); i++ {
+		left = append(left, ops.key(old[i]))
+	}
+	upserts = append(upserts, new[j:]...)
+	if len(left) == 0 {
+		return upserts, nil
+	}
+	upserted := make(map[K]struct{}, len(upserts))
+	for _, e := range upserts {
+		upserted[ops.key(e)] = struct{}{}
+	}
+	deletes = left[:0]
+	for _, k := range left {
+		if _, ok := upserted[k]; !ok {
+			deletes = append(deletes, k)
+		}
+	}
+	if len(deletes) == 0 {
+		return upserts, nil
+	}
+	return upserts, deletes
+}
+
+// patchSorted is how a sorted export is brought up to date without
+// sorting it again: it appends to out the entries of prev whose key
+// drop does not name, merged with patch, and returns the extended
+// slice. prev and patch are in export order and patch holds no key
+// that survives in prev — callers make drop name every key of patch —
+// so the result is sorted with each key once. One sequential pass over
+// prev; drop is asked once per entry of prev, in order.
+func patchSorted[K comparable, E any](out, prev, patch []E, ops exportOps[K, E], drop func(K) bool) []E {
+	i := 0
+	for _, pe := range patch {
+		for i < len(prev) {
+			q := prev[i]
+			if drop(ops.key(q)) {
+				i++
+				continue
+			}
+			if ops.cmp(q, pe) > 0 {
+				break
+			}
+			out = append(out, q)
+			i++
+		}
+		out = append(out, pe)
+	}
+	for ; i < len(prev); i++ {
+		if q := prev[i]; !drop(ops.key(q)) {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// dropSet is the set of keys a patch takes out of a sorted export. It
+// is asked about every entry of the export — tens of thousands — while
+// holding the few hundred that moved, so nearly every answer is no, and
+// a Go map spends 20–30 ns hashing a 32-byte key to say so. A one-hash
+// Bloom filter in front of the map, 16 bits or more to a key under a
+// multiplicative hash of two or three instructions (exportOps.hash),
+// says no to ~95% of the entries without touching the map.
+type dropSet[K comparable] struct {
+	keys map[K]struct{}
+	hash func(K) uint64
+	bits []uint64
+}
+
+// reset empties the set and sizes its filter for up to n keys.
+func (d *dropSet[K]) reset(n int, hash func(K) uint64) {
+	if d.keys == nil {
+		d.keys = make(map[K]struct{}, n)
+	}
+	clear(d.keys)
+	d.hash = hash
+	words := nextPow2(n) / 4 // 16 bits a key at least, in 64-bit words
+	if cap(d.bits) < words {
+		d.bits = make([]uint64, words)
+	}
+	d.bits = d.bits[:words]
+	clear(d.bits)
+}
+
+func (d *dropSet[K]) add(k K) {
+	d.keys[k] = struct{}{}
+	h := d.hash(k)
+	d.bits[(h>>6)&uint64(len(d.bits)-1)] |= 1 << (h & 63)
+}
+
+func (d *dropSet[K]) has(k K) bool {
+	h := d.hash(k)
+	if d.bits[(h>>6)&uint64(len(d.bits)-1)]&(1<<(h&63)) == 0 {
+		return false
+	}
+	_, ok := d.keys[k]
+	return ok
+}
+
 // Apply transforms a base snapshot by the delta, returning the sorted
-// result. A delete of a key the base does not hold returns
+// result: the base without the keys the delta names, merged with the
+// upserts (patchSorted) — no index of the base is built and nothing is
+// sorted but the upserts, and those only when they do not arrive in
+// export order. A delete of a key the base does not hold returns
 // ErrDeltaConflict: the delta was diffed against a different base, and
 // the caller must fall back to a full sync rather than build a silently
-// diverged mirror. The base is not modified.
+// diverged mirror. A delta naming one key twice is ErrBadDelta, as it
+// is to DecodeDelta. The base must be a sorted export and is not
+// modified.
 func (d SnapshotDelta) Apply(base Snapshot) (Snapshot, error) {
-	pairAt := make(map[blktrace.Pair]int, len(base.Pairs)+len(d.UpsertPairs))
-	itemAt := make(map[blktrace.Extent]int, len(base.Items)+len(d.UpsertItems))
-	out := Snapshot{
-		Pairs: make([]PairCount, len(base.Pairs), len(base.Pairs)+len(d.UpsertPairs)),
-		Items: make([]ItemCount, len(base.Items), len(base.Items)+len(d.UpsertItems)),
+	pairs, err := applySorted(base.Pairs, d.UpsertPairs, d.DeletePairs, pairOps, "pair")
+	if err != nil {
+		return Snapshot{}, err
 	}
-	copy(out.Pairs, base.Pairs)
-	copy(out.Items, base.Items)
-	for i, pc := range out.Pairs {
-		pairAt[pc.Pair] = i
+	items, err := applySorted(base.Items, d.UpsertItems, d.DeleteItems, itemOps, "item")
+	if err != nil {
+		return Snapshot{}, err
 	}
-	for i, ic := range out.Items {
-		itemAt[ic.Extent] = i
+	return Snapshot{Pairs: pairs, Items: items}, nil
+}
+
+// applySorted is Apply for one table.
+func applySorted[K comparable, E any](base, upserts []E, deletes []K, ops exportOps[K, E], what string) ([]E, error) {
+	if len(upserts)+len(deletes) == 0 {
+		return base, nil
 	}
-	for _, p := range d.DeletePairs {
-		i, ok := pairAt[p]
-		if !ok {
-			return Snapshot{}, fmt.Errorf("%w: delete of absent pair %v", ErrDeltaConflict, p)
-		}
-		delete(pairAt, p)
-		last := len(out.Pairs) - 1
-		if i != last {
-			out.Pairs[i] = out.Pairs[last]
-			pairAt[out.Pairs[i].Pair] = i
-		}
-		out.Pairs = out.Pairs[:last]
+	var named dropSet[K]
+	named.reset(len(upserts)+len(deletes), ops.hash)
+	for _, e := range upserts {
+		named.add(ops.key(e))
 	}
-	for _, e := range d.DeleteItems {
-		i, ok := itemAt[e]
-		if !ok {
-			return Snapshot{}, fmt.Errorf("%w: delete of absent item %v", ErrDeltaConflict, e)
-		}
-		delete(itemAt, e)
-		last := len(out.Items) - 1
-		if i != last {
-			out.Items[i] = out.Items[last]
-			itemAt[out.Items[i].Extent] = i
-		}
-		out.Items = out.Items[:last]
+	met := make(map[K]bool, len(deletes)) // a delete, and whether the base held its key
+	for _, k := range deletes {
+		named.add(k)
+		met[k] = false
 	}
-	for _, pc := range d.UpsertPairs {
-		if i, ok := pairAt[pc.Pair]; ok {
-			out.Pairs[i] = pc
-			continue
-		}
-		pairAt[pc.Pair] = len(out.Pairs)
-		out.Pairs = append(out.Pairs, pc)
+	if len(named.keys) != len(upserts)+len(deletes) {
+		return nil, fmt.Errorf("%w: a %s is named twice", ErrBadDelta, what)
 	}
-	for _, ic := range d.UpsertItems {
-		if i, ok := itemAt[ic.Extent]; ok {
-			out.Items[i] = ic
-			continue
+	if !slices.IsSortedFunc(upserts, ops.cmp) {
+		upserts = slices.Clone(upserts)
+		slices.SortFunc(upserts, ops.cmp)
+	}
+	held := 0
+	out := make([]E, 0, max(len(base)+len(upserts)-len(deletes), 0))
+	out = patchSorted(out, base, upserts, ops, func(k K) bool {
+		if !named.has(k) {
+			return false
 		}
-		itemAt[ic.Extent] = len(out.Items)
-		out.Items = append(out.Items, ic)
+		if _, deleted := met[k]; deleted {
+			met[k] = true
+			held++
+		}
+		return true
+	})
+	if held != len(deletes) {
+		for _, k := range deletes {
+			if !met[k] {
+				return nil, fmt.Errorf("%w: delete of absent %s %v", ErrDeltaConflict, what, k)
+			}
+		}
 	}
 	// Empty sections are nil in every other Snapshot producer; match
 	// that so DeepEqual-based convergence checks compare content only.
-	if len(out.Pairs) == 0 {
-		out.Pairs = nil
+	if len(out) == 0 {
+		return nil, nil
 	}
-	if len(out.Items) == 0 {
-		out.Items = nil
-	}
-	out.sort()
 	return out, nil
 }
 
@@ -235,7 +361,10 @@ func EncodeSnapshotRecords(w io.Writer, s Snapshot) (int64, error) {
 // DecodeSnapshotRecords reads a snapshot body written by
 // EncodeSnapshotRecords, validating every record (bounded counts,
 // nonzero extents, canonical pairs, valid tiers, positive counters, no
-// duplicate keys) before it lands in the result.
+// duplicate keys) before it lands in the result, and that the records
+// arrive in export order: a snapshot body is a sorted export, and what
+// holds one afterwards — a mirror that deltas are applied to, a
+// support cut by binary search — relies on the order without checking.
 func DecodeSnapshotRecords(r io.Reader) (Snapshot, error) {
 	br := asByteReader(r)
 	nItems, nPairs, err := readCountPair(br, "snapshot body")
@@ -253,6 +382,9 @@ func DecodeSnapshotRecords(r io.Reader) (Snapshot, error) {
 		if _, dup := seenItems[ic.Extent]; dup {
 			return Snapshot{}, fmt.Errorf("%w: duplicate item %v", ErrBadSnapshotRecord, ic.Extent)
 		}
+		if i > 0 && compareItemCounts(s.Items[i-1], ic) > 0 {
+			return Snapshot{}, fmt.Errorf("%w: item %v out of export order", ErrBadSnapshotRecord, ic.Extent)
+		}
 		seenItems[ic.Extent] = struct{}{}
 		s.Items = append(s.Items, ic)
 	}
@@ -265,6 +397,9 @@ func DecodeSnapshotRecords(r io.Reader) (Snapshot, error) {
 		}
 		if _, dup := seenPairs[pc.Pair]; dup {
 			return Snapshot{}, fmt.Errorf("%w: duplicate pair %v", ErrBadSnapshotRecord, pc.Pair)
+		}
+		if i > 0 && comparePairCounts(s.Pairs[i-1], pc) > 0 {
+			return Snapshot{}, fmt.Errorf("%w: pair %v out of export order", ErrBadSnapshotRecord, pc.Pair)
 		}
 		seenPairs[pc.Pair] = struct{}{}
 		s.Pairs = append(s.Pairs, pc)

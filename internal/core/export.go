@@ -1,0 +1,134 @@
+package core
+
+import (
+	"slices"
+	"strconv"
+
+	"daccor/internal/blktrace"
+)
+
+// Exporter derives a device's full sorted export — RawGroup.Snapshot(0)
+// — from successive captures of the same analyzers without sorting the
+// tables each time. Between two captures of a busy device a few hundred
+// entries move out of tens of thousands; the capture says which (the
+// entries stamped since the previous capture, and the keys its tables
+// discarded), so the new export is the previous one minus those keys,
+// merged with the moved entries in sorted order: patchSorted, the pass
+// SnapshotDelta.Apply and the merge index's materializer make.
+//
+// At P=1 the previous export is patched directly. At P>1 the partition
+// captures feed a persistent MergeIndex, one source each, through
+// MergeIndex.UpdateRaw, which applies the same change sets to its
+// shadows and patches its own previous output the same way.
+//
+// A capture the previous export cannot be advanced to is exported the
+// long way, by sorting: the first one, one taken of a different analyzer
+// (a restore, a restart), and one whose discard ring has lapped since
+// the previous export — too many evictions between two exports for the
+// ring's C/4 keys. So is one where a quarter of a table or more has
+// moved, for which patching costs what sorting does.
+//
+// An Exporter is not safe for concurrent use. The exports it returns
+// are immutable and stay valid.
+type Exporter struct {
+	prev Snapshot
+	// base marks the capture prev was derived from (P=1).
+	base captureMark
+	// idx unions the partition captures (P>1), under names.
+	idx   *MergeIndex
+	names []string
+
+	// Working storage of the P=1 patch, reused across exports.
+	pairs tablePatch[blktrace.Pair, PairCount]
+	items tablePatch[blktrace.Extent, ItemCount]
+}
+
+// tablePatch is the working storage of one table's patch.
+type tablePatch[K comparable, E any] struct {
+	moved []E
+	drop  dropSet[K]
+}
+
+// Export returns the sorted export of g, which must be a capture group
+// of the device every earlier call was given one of. patched reports
+// whether it was derived from the previous export; false means at least
+// one table was sorted, or one partition reconciled, in full.
+func (x *Exporter) Export(g RawGroup) (snap Snapshot, patched bool) {
+	if len(g) == 1 {
+		x.prev, patched = x.patch(g[0])
+		if !patched {
+			x.prev = g[0].Snapshot(0)
+		}
+		x.base = g[0].mark()
+		return x.prev, patched
+	}
+	if x.idx == nil {
+		x.idx = NewMergeIndex()
+		x.names = make([]string, len(g))
+		for i := range x.names {
+			x.names[i] = strconv.Itoa(i)
+		}
+	}
+	patched = true
+	for i, r := range g {
+		if !x.idx.UpdateRaw(x.names[i], r) {
+			patched = false
+		}
+	}
+	return x.idx.Snapshot(), patched
+}
+
+// patch advances the previous export to capture r, if r can say what
+// changed since the capture that export came from.
+func (x *Exporter) patch(r *RawSnapshot) (Snapshot, bool) {
+	goneItems, gonePairs, ok := r.goneSince(x.base)
+	if !ok {
+		return Snapshot{}, false
+	}
+	var s Snapshot
+	if s.Pairs, ok = x.pairs.advance(x.prev.Pairs, r.pairs, r.pairLog.stamps, x.base.seq, gonePairs, pairOps); !ok {
+		return Snapshot{}, false
+	}
+	if s.Items, ok = x.items.advance(x.prev.Items, r.items, r.itemLog.stamps, x.base.seq, goneItems, itemOps); !ok {
+		return Snapshot{}, false
+	}
+	return s, true
+}
+
+// advance brings one table's previous sorted export up to a capture of
+// it: entries stamped after `after` have moved since that export and
+// gone lists the keys discarded since (keys the export never held among
+// them, which drop nothing). ok is false, and nothing is built, when a
+// quarter of the table or more has moved.
+func (p *tablePatch[K, E]) advance(prev []E, entries []Entry[K], stamps []uint32, after uint32, gone []K, ops exportOps[K, E]) (out []E, ok bool) {
+	moved := len(gone)
+	for _, stamp := range stamps {
+		if stamp > after {
+			moved++
+		}
+	}
+	if moved == 0 {
+		return prev, true
+	}
+	if 4*moved > len(entries) {
+		return nil, false
+	}
+	p.drop.reset(moved, ops.hash)
+	for _, k := range gone {
+		p.drop.add(k)
+	}
+	p.moved = p.moved[:0]
+	for i, stamp := range stamps {
+		if stamp > after {
+			e := entries[i]
+			p.moved = append(p.moved, ops.mk(e.Key, e.Count, e.Tier))
+			p.drop.add(e.Key)
+		}
+	}
+	slices.SortFunc(p.moved, ops.cmp)
+	out = patchSorted(make([]E, 0, len(entries)), prev, p.moved, ops, p.drop.has)
+	if len(out) == 0 {
+		out = nil // as every other Snapshot producer has an empty table
+	}
+	return out, true
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"slices"
 	"testing"
 
 	"daccor/internal/blktrace"
@@ -117,13 +118,19 @@ func FuzzReadSnapshot(f *testing.F) {
 }
 
 // FuzzTableOps drives an arbitrary operation stream (touch, demote,
-// remove) against a small arena-backed table, checking the structural
-// and free-list invariants — no double-free, no lost slots, index and
-// lists consistent — after every operation.
+// remove, capture) against a small arena-backed table, checking the
+// structural and free-list invariants — no double-free, no lost slots,
+// index and lists consistent — after every operation, and at every
+// capture the change record against a shadow kept the obvious way: each
+// entry's stamp is the capture sequence at its last touch, and the
+// discards the capture reports since the one before are exactly the
+// keys evicted or removed in between, in order, unless it says the ring
+// lapped — which it may only say when more went than the ring holds.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 0, 2, 1, 3, 0, 5})
 	f.Add([]byte{1, 1, 2})
 	f.Add(bytes.Repeat([]byte{2, 7}, 40))
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 2, 4, 0, 0, 3, 0, 1, 4, 0, 3, 2, 4, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -133,19 +140,45 @@ func FuzzTableOps(f *testing.F) {
 			Capacity2:        1 + int(data[1]%8),
 			PromoteThreshold: 2 + uint32(data[2]%3),
 		}
-		tbl, err := NewTable[uint64](cfg, nil)
+		var gone []uint64 // discarded since the last capture, in order
+		tbl, err := NewTable[uint64](cfg, func(k uint64, _ uint32) { gone = append(gone, k) })
 		if err != nil {
 			t.Fatal(err)
 		}
+		stamps := map[uint64]uint32{}
+		seq := uint32(1)
+		var c captureLog[uint64]
+		var buf []Entry[uint64]
 		for i := 3; i+1 < len(data); i += 2 {
 			k := uint64(data[i+1] % 32)
-			switch data[i] % 4 {
+			switch data[i] % 5 {
 			case 0, 1:
 				tbl.Touch(k)
+				stamps[k] = seq
 			case 2:
 				tbl.Demote(k)
 			case 3:
-				tbl.Remove(k)
+				if tbl.Remove(k) {
+					gone = append(gone, k)
+				}
+			case 4:
+				before := c.discards
+				buf = tbl.capture(buf[:0], &c)
+				for j, e := range buf {
+					if c.stamps[j] != stamps[e.Key] {
+						t.Fatalf("after op %d: capture %d stamps %d with %d, last touched in period %d",
+							i, seq, e.Key, c.stamps[j], stamps[e.Key])
+					}
+				}
+				if since, ok := c.goneSince(before); ok {
+					if !slices.Equal(since, gone) {
+						t.Fatalf("after op %d: capture %d reports discards %v, the table made %v", i, seq, since, gone)
+					}
+				} else if len(gone) <= goneLogLen(tbl.Capacity()) {
+					t.Fatalf("after op %d: capture %d lost %d discards its ring has room for", i, seq, len(gone))
+				}
+				gone = gone[:0]
+				seq++
 			}
 			if err := tbl.checkInvariants(); err != nil {
 				t.Fatalf("after op %d: %v", i, err)

@@ -50,17 +50,17 @@ type MergeIndex struct {
 type mergeSource struct {
 	items shadowTable[blktrace.Extent]
 	pairs shadowTable[blktrace.Pair]
+	// base marks the capture the shadow mirrors, when it was last fed
+	// by UpdateRaw; the next capture of the same analyzer then only has
+	// to replay what changed since. Zero after any other kind of feed.
+	base captureMark
 }
 
 // NewMergeIndex returns an empty maintainer.
 func NewMergeIndex() *MergeIndex {
 	m := &MergeIndex{sources: make(map[string]*mergeSource)}
-	m.items.init(func(k blktrace.Extent, c uint32, t Tier) ItemCount {
-		return ItemCount{Extent: k, Count: c, Tier: t}
-	}, func(e ItemCount) blktrace.Extent { return e.Extent }, compareItemCounts)
-	m.pairs.init(func(k blktrace.Pair, c uint32, t Tier) PairCount {
-		return PairCount{Pair: k, Count: c, Tier: t}
-	}, func(e PairCount) blktrace.Pair { return e.Pair }, comparePairCounts)
+	m.items.init(itemOps)
+	m.pairs.init(pairOps)
 	return m
 }
 
@@ -92,6 +92,7 @@ func (m *MergeIndex) source(name string, ni, np int) *mergeSource {
 // entries must carry Tier1 or Tier2, which every real export does.
 func (m *MergeIndex) Update(source string, snap Snapshot) {
 	src := m.source(source, len(snap.Items), len(snap.Pairs))
+	src.base = captureMark{}
 	m.items.reconcile(&src.items, len(snap.Items), func(i int) (blktrace.Extent, uint32, Tier) {
 		e := snap.Items[i]
 		return e.Extent, e.Count, e.Tier
@@ -105,18 +106,51 @@ func (m *MergeIndex) Update(source string, snap Snapshot) {
 // UpdateRaw is Update fed from a RawSnapshot capture, skipping the
 // sorted-export derivation entirely: reconcile is order-insensitive,
 // so the capture's recency-order entries feed the index directly. This
-// is the P>1 partition path — each partition's capture reconciles in
-// O(partition entries) with no per-refresh sort of unchanged keys.
-func (m *MergeIndex) UpdateRaw(source string, raw *RawSnapshot) {
+// is the P>1 partition path, and there successive captures of one
+// partition's analyzer feed one source: when raw follows the capture
+// the source was last fed from and its discard log reaches back that
+// far, only the entries stamped since are upserted and the logged
+// discards dropped — O(changed), with no pass over the shadow — and
+// patched is true. A discard of a key the shadow lacks (inserted and
+// evicted between the two captures) is a no-op here, where ApplyDelta
+// would call it a conflict. Any other capture reconciles in full, in
+// O(partition entries) and still without a sort.
+func (m *MergeIndex) UpdateRaw(source string, raw *RawSnapshot) (patched bool) {
 	src := m.source(source, len(raw.items), len(raw.pairs))
-	m.items.reconcile(&src.items, len(raw.items), func(i int) (blktrace.Extent, uint32, Tier) {
-		e := raw.items[i]
-		return e.Key, e.Count, e.Tier
-	})
-	m.pairs.reconcile(&src.pairs, len(raw.pairs), func(i int) (blktrace.Pair, uint32, Tier) {
-		e := raw.pairs[i]
-		return e.Key, e.Count, e.Tier
-	})
+	goneItems, gonePairs, patched := raw.goneSince(src.base)
+	if patched {
+		// Discards first, as ApplyDelta: a key discarded and then seen
+		// again is in both lists.
+		for _, k := range gonePairs {
+			m.pairs.dropKey(&src.pairs, k)
+		}
+		for _, k := range goneItems {
+			m.items.dropKey(&src.items, k)
+		}
+		for i, stamp := range raw.pairLog.stamps {
+			if stamp > src.base.seq {
+				e := raw.pairs[i]
+				m.pairs.upsert(&src.pairs, e.Key, e.Count, e.Tier)
+			}
+		}
+		for i, stamp := range raw.itemLog.stamps {
+			if stamp > src.base.seq {
+				e := raw.items[i]
+				m.items.upsert(&src.items, e.Key, e.Count, e.Tier)
+			}
+		}
+	} else {
+		m.items.reconcile(&src.items, len(raw.items), func(i int) (blktrace.Extent, uint32, Tier) {
+			e := raw.items[i]
+			return e.Key, e.Count, e.Tier
+		})
+		m.pairs.reconcile(&src.pairs, len(raw.pairs), func(i int) (blktrace.Pair, uint32, Tier) {
+			e := raw.pairs[i]
+			return e.Key, e.Count, e.Tier
+		})
+	}
+	src.base = raw.mark()
+	return patched
 }
 
 // ApplyDelta advances a source by a SnapshotDelta in O(delta): upserts
@@ -129,6 +163,7 @@ func (m *MergeIndex) UpdateRaw(source string, raw *RawSnapshot) {
 // matching SnapshotDelta.Apply.
 func (m *MergeIndex) ApplyDelta(source string, d SnapshotDelta) error {
 	src := m.source(source, len(d.UpsertItems), len(d.UpsertPairs))
+	src.base = captureMark{}
 	for _, k := range d.DeletePairs {
 		if err := m.pairs.deleteKey(&src.pairs, k); err != nil {
 			return err
@@ -237,23 +272,20 @@ type mergeSide[K comparable, E any] struct {
 	// dirty accumulates keys touched since the last materialize
 	// (duplicates allowed — deduped through dirtySet at read time).
 	dirty    []K
-	dirtySet map[K]struct{}
+	dirtySet dropSet[K]
 	patch    []E
 
 	// prev is the last materialized output; immutable once returned.
 	prev   []E
 	prevOK bool
 
-	mk  func(K, uint32, Tier) E
-	key func(E) K
-	cmp func(E, E) int
+	ops exportOps[K, E]
 }
 
-func (u *mergeSide[K, E]) init(mk func(K, uint32, Tier) E, key func(E) K, cmp func(E, E) int) {
+func (u *mergeSide[K, E]) init(ops exportOps[K, E]) {
 	u.idx = newOAMap[K](0)
 	u.free = nilSlot
-	u.dirtySet = make(map[K]struct{})
-	u.mk, u.key, u.cmp = mk, key, cmp
+	u.ops = ops
 }
 
 func (u *mergeSide[K, E]) lookup(k K) uint32 {
@@ -378,14 +410,23 @@ func (u *mergeSide[K, E]) upsert(sh *shadowTable[K], k K, count uint32, tier Tie
 // deleteKey removes one key from the shadow and the union, failing
 // with ErrDeltaConflict when the shadow does not hold it.
 func (u *mergeSide[K, E]) deleteKey(sh *shadowTable[K], k K) error {
+	if !u.dropKey(sh, k) {
+		return fmt.Errorf("%w: delete of absent key %v", ErrDeltaConflict, k)
+	}
+	return nil
+}
+
+// dropKey removes one key from the shadow and the union if the shadow
+// holds it, and reports whether it did.
+func (u *mergeSide[K, E]) dropKey(sh *shadowTable[K], k K) bool {
 	slot, ok := sh.idx.Get(k)
 	if !ok {
-		return fmt.Errorf("%w: delete of absent key %v", ErrDeltaConflict, k)
+		return false
 	}
 	e := &sh.arena[slot]
 	u.sub(k, e.count, e.tier)
 	sh.deleteSlot(slot)
-	return nil
+	return true
 }
 
 // removeAll replays every shadow entry as a negative delta (the source
@@ -406,9 +447,10 @@ func (u *mergeSide[K, E]) removeAll(sh *shadowTable[K]) {
 
 // materialize returns the union's sorted export, rebuilding only what
 // changed: the previous output minus the dirty keys, linearly merged
-// with a freshly sorted patch of the dirty keys' current values. The
-// output is a new exact-size slice (readers may still hold the
-// previous one); all working storage is reused across calls.
+// with a freshly sorted patch of the dirty keys' current values
+// (patchSorted). The output is a new exact-size slice (readers may
+// still hold the previous one); all working storage is reused across
+// calls.
 func (u *mergeSide[K, E]) materialize() []E {
 	if u.prevOK && len(u.dirty) == 0 {
 		return u.prev
@@ -418,49 +460,27 @@ func (u *mergeSide[K, E]) materialize() []E {
 		for i := range u.arena {
 			e := &u.arena[i]
 			if e.refs > 0 {
-				out = append(out, u.mk(e.key, clampCount(e.sum), tierOfUnion(e.t2)))
+				out = append(out, u.ops.mk(e.key, clampCount(e.sum), tierOfUnion(e.t2)))
 			}
 		}
-		slices.SortFunc(out, u.cmp)
+		slices.SortFunc(out, u.ops.cmp)
 		u.dirty = u.dirty[:0]
 		u.prev, u.prevOK = out, true
 		return out
 	}
-	clear(u.dirtySet)
+	u.dirtySet.reset(len(u.dirty), u.ops.hash)
 	for _, k := range u.dirty {
-		u.dirtySet[k] = struct{}{}
+		u.dirtySet.add(k)
 	}
 	u.patch = u.patch[:0]
-	for k := range u.dirtySet {
+	for k := range u.dirtySet.keys {
 		if slot, ok := u.idx.Get(k); ok {
 			e := &u.arena[slot]
-			u.patch = append(u.patch, u.mk(k, clampCount(e.sum), tierOfUnion(e.t2)))
+			u.patch = append(u.patch, u.ops.mk(k, clampCount(e.sum), tierOfUnion(e.t2)))
 		}
 	}
-	slices.SortFunc(u.patch, u.cmp)
-	out := make([]E, 0, u.live)
-	i := 0
-	for _, pe := range u.patch {
-		for i < len(u.prev) {
-			q := u.prev[i]
-			if _, dirty := u.dirtySet[u.key(q)]; dirty {
-				i++
-				continue
-			}
-			if u.cmp(q, pe) > 0 {
-				break
-			}
-			out = append(out, q)
-			i++
-		}
-		out = append(out, pe)
-	}
-	for ; i < len(u.prev); i++ {
-		q := u.prev[i]
-		if _, dirty := u.dirtySet[u.key(q)]; !dirty {
-			out = append(out, q)
-		}
-	}
+	slices.SortFunc(u.patch, u.ops.cmp)
+	out := patchSorted(make([]E, 0, u.live), u.prev, u.patch, u.ops, u.dirtySet.has)
 	u.dirty = u.dirty[:0]
 	u.prev = out
 	return out

@@ -72,9 +72,16 @@ const nilSlot int32 = -1
 // 64-bit hosts, and a slab of entries is one allocation instead of one
 // per insert. A free entry is chained into the free list through its
 // next field and carries tier TierNone.
+//
+// stamp is the table's capture sequence (Table.seq) at the entry's last
+// content change — insert, count++, promote; recency moves do not count,
+// an export does not show them. It sits in what was padding between
+// count and tier, on the cache line the counter already dirties, so the
+// entry is no larger and a touch writes no extra line.
 type entry[K comparable] struct {
 	key        K
 	count      uint32
+	stamp      uint32
 	tier       Tier
 	prev, next int32
 }
@@ -194,9 +201,14 @@ const arenaMaxPrealloc = 1 << 20
 // through a free list, so after warm-up the steady-state Touch path
 // performs no heap allocation.
 type Table[K comparable] struct {
-	cfg     TableConfig
-	arena   []entry[K] // entry slab; grows to at most Capacity1+Capacity2
-	free    int32      // head of the free-slot list, chained via entry.next
+	cfg   TableConfig
+	arena []entry[K] // entry slab; grows to at most Capacity1+Capacity2
+	free  int32      // head of the free-slot list, chained via entry.next
+	// seq numbers the captures taken of this table (see capture): it is
+	// what touch stamps into an entry, so a reader holding the export of
+	// capture b finds what changed since among the entries stamped > b.
+	// It sits in free's padding, on the line touch reads arena from.
+	seq     uint32
 	freeLen int
 	t1, t2  lruList
 	// idx maps keys to arena slots via flat open addressing (see
@@ -215,6 +227,15 @@ type Table[K comparable] struct {
 
 	evictions  uint64
 	promotions uint64
+
+	// gone is a ring of the keys most recently discarded (evicted or
+	// removed) — the half of "what changed" that entry stamps cannot
+	// show. The n-th discard sits at gone[(n-1)&(len(gone)-1)] and
+	// discards counts them all, so a capture that carries the ring lets
+	// a reader recover exactly the discards since an earlier capture, or
+	// see that the ring has lapped them. Allocated on the first discard.
+	gone     []K
+	discards uint64
 }
 
 // NewTable returns an empty table. onEvict, if non-nil, is called with
@@ -238,6 +259,7 @@ func NewTable[K comparable](cfg TableConfig, onEvict func(K, uint32)) (*Table[K]
 		t1:      newLRUList(),
 		t2:      newLRUList(),
 		onEvict: onEvict,
+		seq:     1,
 	}
 	t.idx.indexInit(hint)
 	return t, nil
@@ -250,16 +272,36 @@ func (t *Table[K]) alloc(k K, count uint32, tier Tier) int32 {
 	if s := t.free; s != nilSlot {
 		t.free = t.arena[s].next
 		t.freeLen--
-		t.arena[s] = entry[K]{key: k, count: count, tier: tier, prev: nilSlot, next: nilSlot}
+		t.arena[s] = entry[K]{key: k, count: count, stamp: t.seq, tier: tier, prev: nilSlot, next: nilSlot}
 		return s
 	}
-	t.arena = append(t.arena, entry[K]{key: k, count: count, tier: tier, prev: nilSlot, next: nilSlot})
+	t.arena = append(t.arena, entry[K]{key: k, count: count, stamp: t.seq, tier: tier, prev: nilSlot, next: nilSlot})
 	return int32(len(t.arena) - 1)
 }
 
-// freeSlot recycles an arena slot onto the free list, clearing the key
-// so stale state cannot leak into a future occupant.
+// goneLogLen sizes the discard ring for a table of the given total
+// capacity: the largest power of two within an eighth of it (C/4 keys
+// when both tiers hold C), and at least minGoneLog so that tables too
+// small to matter still log something.
+func goneLogLen(capacity int) int {
+	n := minGoneLog
+	for n*2 <= capacity/8 {
+		n *= 2
+	}
+	return n
+}
+
+const minGoneLog = 8
+
+// freeSlot logs the slot's key as discarded and recycles the slot onto
+// the free list, clearing the key so stale state cannot leak into a
+// future occupant.
 func (t *Table[K]) freeSlot(s int32) {
+	if t.gone == nil {
+		t.gone = make([]K, goneLogLen(t.Capacity()))
+	}
+	t.gone[t.discards&uint64(len(t.gone)-1)] = t.arena[s].key
+	t.discards++
 	t.arena[s] = entry[K]{tier: TierNone, prev: nilSlot, next: t.free}
 	t.free = s
 	t.freeLen++
@@ -300,6 +342,7 @@ func (t *Table[K]) touch(k K) (TouchResult, int32) {
 	if s := t.indexLookup(h, k); s != nilSlot {
 		e := &t.arena[s]
 		e.count++
+		e.stamp = t.seq
 		switch e.tier {
 		case Tier1:
 			if e.count >= t.cfg.PromoteThreshold {

@@ -544,29 +544,6 @@ func (e *Engine) Epoch(id string) (uint64, error) {
 	return s.epoch.Load(), nil
 }
 
-// SnapshotSince is the delta-capture primitive for fleet sync: it
-// returns the named device's full export (support 0) together with the
-// epoch observed before the capture, skipping the capture entirely
-// when the epoch still equals since. The epoch is read first, so the
-// returned snapshot may already be newer than the labelled epoch —
-// sync clients diff by content, and an under-claimed epoch only means
-// one extra (empty) delta next round, never a missed change.
-func (e *Engine) SnapshotSince(id string, since uint64) (snap core.Snapshot, epoch uint64, changed bool, err error) {
-	s, err := e.shard(id)
-	if err != nil {
-		return core.Snapshot{}, 0, false, err
-	}
-	epoch = s.epoch.Load()
-	if epoch == since {
-		return core.Snapshot{}, epoch, false, nil
-	}
-	snap, err = s.snapshot(0)
-	if err != nil {
-		return core.Snapshot{}, epoch, false, err
-	}
-	return snap, epoch, true, nil
-}
-
 // MergedEpoch returns the sum of every device's epoch and the device
 // count. Epochs are monotone, so an unchanged (sum, devices) pair
 // means no device's synopsis changed — the fleet-level analogue of

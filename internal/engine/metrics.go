@@ -45,6 +45,11 @@ const (
 	MetricCaptureSeconds      = "daccor_engine_capture_seconds"
 	MetricSnapshotCacheHits   = "daccor_engine_snapshot_cache_hits_total"
 	MetricSnapshotCacheMisses = "daccor_engine_snapshot_cache_misses_total"
+	// How each sorted export of a dirty device was derived: by patching
+	// the previous export with what the capture says moved, or by
+	// sorting the tables in full.
+	MetricExportPatched = "daccor_engine_export_patched_total"
+	MetricExportRebuilt = "daccor_engine_export_rebuilt_total"
 
 	MetricPanics           = "daccor_engine_worker_panics_total"
 	MetricRestarts         = "daccor_engine_worker_restarts_total"
@@ -73,6 +78,8 @@ type shardMetrics struct {
 	captureSeconds *obs.Histogram
 	snapHits       *obs.Counter
 	snapMisses     *obs.Counter
+	exportPatched  *obs.Counter
+	exportRebuilt  *obs.Counter
 	panics         *obs.Counter
 	restarts       *obs.Counter
 	ckpts          *obs.Counter
@@ -100,14 +107,16 @@ func newShardMetrics(r *obs.Registry, s *shard, queueSize int) *shardMetrics {
 		captureSeconds: r.Histogram(MetricCaptureSeconds,
 			"Worker time spent copying synopsis state for a reader (the ingest stall a query or checkpoint causes), in seconds.",
 			obs.LatencyBuckets(), lbl),
-		snapHits:    r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot page, rules page, watch state, export) served from the epoch's shared capture without a worker round trip.", lbl),
-		snapMisses:  r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
-		panics:      r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
-		restarts:    r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),
-		ckpts:       r.Counter(MetricCheckpoints, "Checkpoint generations committed, per device.", lbl),
-		ckptErrors:  r.Counter(MetricCheckpointErrors, "Checkpoint saves that failed, per device.", lbl),
-		reorderLate: r.Counter(MetricReorderLate, "Events released out of timestamp order (inversion wider than the reorder buffer).", lbl),
-		reorderLost: r.Counter(MetricReorderLost, "Queued events evicted unanalyzed by the drop-oldest policy.", lbl),
+		snapHits:      r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot page, rules page, watch state, export) served from the epoch's shared capture without a worker round trip.", lbl),
+		snapMisses:    r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
+		exportPatched: r.Counter(MetricExportPatched, "Sorted exports derived by patching the device's previous export with the entries changed and keys evicted since.", lbl),
+		exportRebuilt: r.Counter(MetricExportRebuilt, "Sorted exports derived by sorting the tables in full: the first export, the first after a restore or restart, and any the eviction log no longer reaches back from. A rebuilt share near 1 on a device in steady state means the log (C/4 keys per table) is too short for the device's eviction rate at its export cadence.", lbl),
+		panics:        r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
+		restarts:      r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),
+		ckpts:         r.Counter(MetricCheckpoints, "Checkpoint generations committed, per device.", lbl),
+		ckptErrors:    r.Counter(MetricCheckpointErrors, "Checkpoint saves that failed, per device.", lbl),
+		reorderLate:   r.Counter(MetricReorderLate, "Events released out of timestamp order (inversion wider than the reorder buffer).", lbl),
+		reorderLost:   r.Counter(MetricReorderLost, "Queued events evicted unanalyzed by the drop-oldest policy.", lbl),
 	}
 	r.GaugeFunc(MetricQueueDepth, "Events queued but not yet processed (ingest lag).",
 		func() float64 { _, lag := s.counters(); return float64(lag) }, lbl)

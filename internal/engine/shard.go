@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -300,17 +299,16 @@ type shard struct {
 	// bounded reads and the export. snapCached is the full (support-0)
 	// sorted export derived from it on first demand (snapSorted) — any requested
 	// support is a suffix cut of it (Snapshot.FilterSupport), so reads
-	// at different supports never thrash the cache. At P>1 snapIdx
-	// incrementally maintains the union of the partition captures
-	// across derivations.
+	// at different supports never thrash the cache. snapExport derives
+	// each export from the one before it, patching in what the capture
+	// says moved since, at every P.
 	snapMu     sync.Mutex
 	snapGroup  core.RawGroup
 	snapEpoch  uint64
 	snapValid  bool
-	snapIdx    *core.MergeIndex
+	snapExport core.Exporter
 	snapCached core.Snapshot
 	snapSorted bool
-	partNames  []string
 }
 
 func newShard(id string, queueSize, parts int, policy Backpressure) *shard {
@@ -325,12 +323,6 @@ func newShard(id string, queueSize, parts int, policy Backpressure) *shard {
 	}
 	s.wake.init()
 	s.notFull.init()
-	if parts > 1 {
-		s.partNames = make([]string, parts)
-		for i := range s.partNames {
-			s.partNames[i] = strconv.Itoa(i)
-		}
-	}
 	return s
 }
 
@@ -1031,12 +1023,15 @@ func (s *shard) captureLocked() (uint64, error) {
 // by count and a support filter of a merged view equals the merge of
 // support-filtered disjoint views.
 //
-// At P>1 the capture is a RawGroup — one disjoint capture per
-// partition — combined on this goroutine through a persistent
-// core.MergeIndex: each derivation reconciles the partition captures
-// into the index (O(changed entries) per partition) instead of
-// re-merging every entry from scratch. The epoch gate is the device
-// epoch, which sums sub-shard advances.
+// Nor does a device that is exported again and again sort its table
+// each time: the capture carries what moved since any earlier one
+// (entry stamps and the tables' discard rings), and core.Exporter
+// patches the previous export with that — through a persistent merge
+// index over the disjoint partition captures at P>1. It sorts in full,
+// and counts a rebuild, only where the previous export cannot be
+// advanced: the first export, the first after a restore or restart,
+// and one the discard rings no longer reach back from. Captures taken
+// for bounded reads in between do not break the chain.
 func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -1044,16 +1039,12 @@ func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 		return core.Snapshot{}, err
 	}
 	if !s.snapSorted {
-		if s.parts == 1 {
-			s.snapCached = s.snapGroup.Snapshot(0)
+		var patched bool
+		s.snapCached, patched = s.snapExport.Export(s.snapGroup)
+		if patched {
+			s.metrics.exportPatched.Inc()
 		} else {
-			if s.snapIdx == nil {
-				s.snapIdx = core.NewMergeIndex()
-			}
-			for i, r := range s.snapGroup {
-				s.snapIdx.UpdateRaw(s.partNames[i], r)
-			}
-			s.snapCached = s.snapIdx.Snapshot()
+			s.metrics.exportRebuilt.Inc()
 		}
 		s.snapSorted = true
 	}

@@ -20,7 +20,9 @@ import (
 // pins the sharing: however many bounded and export reads hit one
 // epoch, the worker is asked for one shared capture (the unbounded
 // Rules takes a pooled one of its own, which the miss counter does not
-// see).
+// see). And it holds the sorted export, which after the first is
+// patched forward from the one before rather than sorted, to the export
+// sorted from scratch off a capture of its own.
 func TestEngineStateMatchesExports(t *testing.T) {
 	for _, parts := range []int{1, 3} {
 		t.Run(fmt.Sprintf("P=%d", parts), func(t *testing.T) {
@@ -38,7 +40,13 @@ func TestEngineStateMatchesExports(t *testing.T) {
 			var clock int64
 			var submitted uint64
 			for round := 0; round < 12; round++ {
-				for tx := 0; tx < 40; tx++ {
+				// Every third round turns the tables over; the rounds
+				// between move a few entries, as between two syncs.
+				txs := 3
+				if round%3 == 0 {
+					txs = 40
+				}
+				for tx := 0; tx < txs; tx++ {
 					for i, n := 0, 2+rng.Intn(4); i < n; i++ {
 						ev := blktrace.Event{Time: clock, Op: blktrace.OpRead,
 							Extent: blktrace.Extent{Block: uint64(rng.Intn(160)) * 8, Len: 8}}
@@ -88,6 +96,14 @@ func TestEngineStateMatchesExports(t *testing.T) {
 			if ds.Analyzer.PairEvictions == 0 {
 				t.Fatal("the run never evicted a pair: capacities too large to exercise the claim")
 			}
+			// One export per epoch read at least: the first sorted the
+			// tables, as did those after a round that lapped the discard
+			// rings; the short rounds were patched.
+			patched := e.Metrics().Counter(MetricExportPatched, "", obs.L("device", "dev")).Value()
+			rebuilt := e.Metrics().Counter(MetricExportRebuilt, "", obs.L("device", "dev")).Value()
+			if rebuilt == 0 || patched == 0 || patched+rebuilt < 12 {
+				t.Fatalf("%d exports patched and %d rebuilt over 12 rounds: want the first rebuilt, some patched, one per round at least", patched, rebuilt)
+			}
 		})
 	}
 }
@@ -97,10 +113,22 @@ func TestEngineStateMatchesExports(t *testing.T) {
 // exports, "" when there is none.
 func compareStateToExports(t *testing.T, e *Engine, id string) string {
 	t.Helper()
+	sh, err := e.shard(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sorted core.Snapshot
+	if err := sh.capture(func(g core.RawGroup) error { sorted = g.Snapshot(0); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	for _, support := range []uint32{0, 1, core.DefaultPromoteThreshold, 5} {
 		snap, err := e.Snapshot(id, support)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := sorted.FilterSupport(support); !reflect.DeepEqual(snap, want) {
+			return fmt.Sprintf("Snapshot(support %d) = %d pairs / %d items, sorted from scratch %d / %d",
+				support, len(snap.Pairs), len(snap.Items), len(want.Pairs), len(want.Items))
 		}
 		rules, err := e.Rules(id, support, 0.3)
 		if err != nil {

@@ -582,9 +582,11 @@ func mirrorKey(collector, device string) string {
 	return strconv.Itoa(len(collector)) + "\x00" + collector + device
 }
 
-// DeviceSnapshot merges one device's mirrors (normally a single
-// collector's) at minSupport. ok is false when no live collector
-// mirrors the device.
+// DeviceSnapshot returns one device's mirror at minSupport — the one
+// live collector's as it stands in the normal case (mirrors are
+// immutable sorted exports, so the cut is two binary searches and
+// nothing is copied), the merge of them when several live collectors
+// mirror the device. ok is false when none does.
 func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snapshot, bool) {
 	a.mu.Lock()
 	now := a.now()
@@ -595,8 +597,11 @@ func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snap
 		}
 	}
 	a.mu.Unlock()
-	if len(snaps) == 0 {
+	switch len(snaps) {
+	case 0:
 		return core.Snapshot{}, false
+	case 1:
+		return snaps[0].FilterSupport(minSupport), true
 	}
 	return core.MergeSnapshots(snaps...).FilterSupport(minSupport), true
 }

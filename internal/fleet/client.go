@@ -33,6 +33,7 @@ const (
 	MetricSyncFailures = "daccor_fleet_sync_failures_total"
 	MetricSyncTxBytes  = "daccor_fleet_sync_tx_bytes_total"
 	MetricSyncLastUnix = "daccor_fleet_sync_last_success_unixtime"
+	MetricSyncBuild    = "daccor_fleet_sync_build_seconds"
 )
 
 // ClientConfig configures a collector's sync client.
@@ -122,6 +123,7 @@ type SyncClient struct {
 	deltaBytes *obs.Counter
 	fullBytes  *obs.Counter
 	lastUnix   *obs.Gauge
+	build      *obs.Histogram
 }
 
 // NewSyncClient validates cfg and builds a client. Start launches the
@@ -170,6 +172,9 @@ func NewSyncClient(cfg ClientConfig) (*SyncClient, error) {
 		deltaBytes: reg.Counter(MetricSyncTxBytes, "Fleet sync bytes sent, by frame kind.", obs.L("kind", "delta")),
 		fullBytes:  reg.Counter(MetricSyncTxBytes, "Fleet sync bytes sent, by frame kind.", obs.L("kind", "full")),
 		lastUnix:   reg.Gauge(MetricSyncLastUnix, "Unix time of the last acked sync round."),
+		build: reg.Histogram(MetricSyncBuild,
+			"Time a sync round spends assembling its frame: exporting every device whose epoch moved and diffing it against the acked state, in seconds.",
+			obs.LatencyBuckets()),
 	}, nil
 }
 
@@ -321,6 +326,8 @@ func (c *SyncClient) SyncNow(ctx context.Context) (RoundReport, error) {
 // current state. Devices whose export fails (restarting, failed) are
 // skipped — their mirror just stays stale. Caller holds c.mu.
 func (c *SyncClient) buildFrameLocked() ([]pendingSection, Frame, error) {
+	start := time.Now()
+	defer func() { c.build.Observe(time.Since(start).Seconds()) }()
 	eng := c.cfg.Engine
 	devices := eng.Devices()
 	live := make(map[string]struct{}, len(devices))
@@ -328,23 +335,16 @@ func (c *SyncClient) buildFrameLocked() ([]pendingSection, Frame, error) {
 	for _, id := range devices {
 		live[id] = struct{}{}
 		st := c.states[id]
-		if st == nil || st.needFull {
-			snap, err := eng.Snapshot(id, 0)
-			if err != nil {
-				continue
-			}
-			epoch, err := eng.Epoch(id)
-			if err != nil {
-				continue
-			}
+		full := st == nil || st.needFull
+		snap, epoch, ok := c.export(id, st, full)
+		if !ok {
+			continue
+		}
+		if full {
 			pending = append(pending, pendingSection{
 				sec:  Section{Device: id, Kind: SectionFull, Epoch: epoch, Snap: snap},
 				snap: snap,
 			})
-			continue
-		}
-		snap, epoch, changed, err := eng.SnapshotSince(id, st.epoch)
-		if err != nil || !changed {
 			continue
 		}
 		d := core.DiffSnapshots(st.shadow, snap)
@@ -370,6 +370,24 @@ func (c *SyncClient) buildFrameLocked() ([]pendingSection, Frame, error) {
 		f.Sections = append(f.Sections, p.sec)
 	}
 	return pending, f, nil
+}
+
+// export reads one device's epoch and then its full export, in that
+// order, for full and delta sections alike: the section is labelled
+// with an epoch no newer than its content, so the next round's "did the
+// epoch move since the one acked?" can under-claim (one empty diff) but
+// never over-claim — labelling an older capture with a newer epoch
+// would let a device that goes quiet right there read as unchanged and
+// stay stale on the aggregator until its next event. ok is false when
+// there is nothing to send: the device cannot be read, or a delta is
+// wanted and the epoch still is the acked one (no capture is taken).
+func (c *SyncClient) export(id string, st *deviceSyncState, full bool) (snap core.Snapshot, epoch uint64, ok bool) {
+	epoch, err := c.cfg.Engine.Epoch(id)
+	if err != nil || (!full && epoch == st.epoch) {
+		return core.Snapshot{}, 0, false
+	}
+	snap, err = c.cfg.Engine.Snapshot(id, 0)
+	return snap, epoch, err == nil
 }
 
 // post sends one encoded frame, retrying transient failures with the

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"reflect"
 	"strings"
@@ -15,6 +16,7 @@ import (
 
 	"daccor/internal/blktrace"
 	"daccor/internal/core"
+	"daccor/internal/obs"
 )
 
 func sampleSnapshot() core.Snapshot {
@@ -193,6 +195,87 @@ func TestSyncDeltaFlow(t *testing.T) {
 	}
 	if rep.Sections != 0 {
 		t.Fatalf("idle round shipped %d sections", rep.Sections)
+	}
+
+	// Every round timed its frame build: one full round, five
+	// incremental ones, and for client 0 the heartbeat.
+	for i, want := range []uint64{7, 6} {
+		build := tf.clients[i].cfg.Engine.Metrics().Histogram(MetricSyncBuild, "", obs.LatencyBuckets())
+		if build.Count() != want || build.Sum() <= 0 {
+			t.Fatalf("client %d: %s observed %d builds (%.6fs in all), want %d", i, MetricSyncBuild, build.Count(), build.Sum(), want)
+		}
+	}
+}
+
+// TestSyncFullLabelsEpochBeforeCapture is the stress test for the
+// order a section's epoch and content are read in. A writer works the
+// devices while a first-contact round (all fulls) is built, and falls
+// silent on its own at an arbitrary moment; once its last events are
+// analyzed one more round runs, and the mirrors must then be the
+// engine's exports. A full section labelled with an epoch newer than
+// its capture breaks exactly this: the device that went quiet between
+// the two reads looks unchanged to the next round and its mirror keeps
+// the older state until the device sees another event.
+func TestSyncFullLabelsEpochBeforeCapture(t *testing.T) {
+	devices := []string{"vol0", "vol1", "vol2", "vol3"}
+	e := newTestEngine(t, devices...)
+	defer e.Stop()
+	// Tables large enough that an export takes a while after its
+	// capture: that is the window in which the epoch can run ahead.
+	submitted := make(map[string]uint64)
+	for i, dev := range devices {
+		feedKeys(t, e, dev, 4000, uint64(i), 512)
+		submitted[dev] = 4000
+	}
+	rng := rand.New(rand.NewSource(41))
+	clock := int64(time.Hour)
+	for trial := 0; trial < 60; trial++ {
+		// A new aggregator and client: every section of the first round
+		// is a first-contact full.
+		tf := newTestFleet(t, Config{}, e)
+		quiet := time.Duration(rng.Intn(4000)) * time.Microsecond
+		writer := make(chan error, 1)
+		go func() {
+			deadline := time.Now().Add(quiet)
+			for i := 0; time.Now().Before(deadline); i++ {
+				dev := devices[i%len(devices)]
+				for j := 0; j < 4; j++ {
+					clock += int64(time.Millisecond)
+					ev := blktrace.Event{Time: clock, Op: blktrace.OpRead,
+						Extent: blktrace.Extent{Block: uint64(i%len(devices))*65536 + uint64(1+(i+j)%512)*8, Len: 1}}
+					if err := e.Submit(dev, ev); err != nil {
+						writer <- err
+						return
+					}
+					submitted[dev]++
+				}
+				clock += int64(50 * time.Millisecond) // close the transaction
+			}
+			writer <- nil
+		}()
+		if _, err := tf.clients[0].SyncNow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-writer; err != nil {
+			t.Fatal(err)
+		}
+		for _, dev := range devices {
+			waitDrained(t, e, dev, submitted[dev])
+		}
+		if _, err := tf.clients[0].SyncNow(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		for _, dev := range devices {
+			want, err := e.Snapshot(dev, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := tf.agg.DeviceSnapshot(dev, 0); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: %s is stale on the aggregator one round after it went quiet: %d/%d pairs/items mirrored, the engine exports %d/%d",
+					trial, dev, len(got.Pairs), len(got.Items), len(want.Pairs), len(want.Items))
+			}
+		}
+		tf.srv.Close()
 	}
 }
 

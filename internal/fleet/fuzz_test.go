@@ -2,18 +2,80 @@ package fleet
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
 	"daccor/internal/blktrace"
 	"daccor/internal/core"
 )
 
+// applyDeltaByMap applies a delta the way SnapshotDelta.Apply first
+// did — a key map over the whole base, then a full sort (MergeSnapshots
+// of one snapshot with unique keys is exactly that) — as the reference
+// for the sorted-patch apply on whatever deltas the fuzzer gets past
+// the decoder. conflict reports a delete of a key the base lacks.
+func applyDeltaByMap(d core.SnapshotDelta, base core.Snapshot) (out core.Snapshot, conflict bool) {
+	pairs := make(map[blktrace.Pair]core.PairCount, len(base.Pairs))
+	for _, pc := range base.Pairs {
+		pairs[pc.Pair] = pc
+	}
+	items := make(map[blktrace.Extent]core.ItemCount, len(base.Items))
+	for _, ic := range base.Items {
+		items[ic.Extent] = ic
+	}
+	for _, p := range d.DeletePairs {
+		if _, ok := pairs[p]; !ok {
+			return core.Snapshot{}, true
+		}
+		delete(pairs, p)
+	}
+	for _, e := range d.DeleteItems {
+		if _, ok := items[e]; !ok {
+			return core.Snapshot{}, true
+		}
+		delete(items, e)
+	}
+	for _, pc := range d.UpsertPairs {
+		pairs[pc.Pair] = pc
+	}
+	for _, ic := range d.UpsertItems {
+		items[ic.Extent] = ic
+	}
+	for _, pc := range pairs {
+		out.Pairs = append(out.Pairs, pc)
+	}
+	for _, ic := range items {
+		out.Items = append(out.Items, ic)
+	}
+	return core.MergeSnapshots(out), false
+}
+
 // FuzzDeltaDecode hammers DecodeFrame with hostile bytes. The decoder
 // guards the aggregator's only write path, so the contract is strict:
 // any input either decodes to a frame that re-encodes to the same
 // bytes, or errors — it never panics and never allocates
-// proportionally to a length field it has not validated.
+// proportionally to a length field it has not validated. Every delta
+// that does decode is then applied to a fixed mirror by the production
+// applier and by the map-based reference: same mirror out, or a
+// conflict from both.
 func FuzzDeltaDecode(f *testing.F) {
+	ext := func(block uint64) blktrace.Extent { return blktrace.Extent{Block: block, Len: 1} }
+	// The mirror the decoded deltas meet: it holds what the seed delta
+	// deletes, with counter ties so an upsert can land between equals.
+	mirror := core.MergeSnapshots(core.Snapshot{
+		Items: []core.ItemCount{
+			{Extent: ext(8), Count: 9, Tier: core.Tier2},
+			{Extent: ext(16), Count: 4, Tier: core.Tier2},
+			{Extent: ext(32), Count: 4, Tier: core.Tier1},
+			{Extent: ext(40), Count: 1, Tier: core.Tier1},
+		},
+		Pairs: []core.PairCount{
+			{Pair: blktrace.MakePair(ext(8), ext(16)), Count: 4, Tier: core.Tier2},
+			{Pair: blktrace.MakePair(ext(8), ext(32)), Count: 4, Tier: core.Tier2},
+			{Pair: blktrace.MakePair(ext(16), ext(40)), Count: 1, Tier: core.Tier1},
+		},
+	})
 	// Seed with valid frames of every section kind so mutation explores
 	// the deep decode paths, not just the magic check.
 	seedFrames := []Frame{
@@ -31,6 +93,13 @@ func FuzzDeltaDecode(f *testing.F) {
 			{Device: "sdb", Kind: SectionDelta, BaseEpoch: 2, Epoch: 5, Delta: core.SnapshotDelta{
 				UpsertItems: []core.ItemCount{{Extent: blktrace.Extent{Block: 24, Len: 1}, Count: 2, Tier: 1}},
 				DeleteItems: []blktrace.Extent{{Block: 8, Len: 1}},
+			}},
+			{Device: "sdd", Kind: SectionDelta, BaseEpoch: 1, Epoch: 2, Delta: core.SnapshotDelta{
+				// Upserts out of export order, one of a held key; a held
+				// pair deleted.
+				UpsertItems: []core.ItemCount{{Extent: ext(40), Count: 4, Tier: 2}, {Extent: ext(24), Count: 9, Tier: 2}},
+				UpsertPairs: []core.PairCount{{Pair: blktrace.MakePair(ext(24), ext(40)), Count: 4, Tier: 2}},
+				DeletePairs: []blktrace.Pair{blktrace.MakePair(ext(8), ext(16))},
 			}},
 			{Device: "sdc", Kind: SectionRemove},
 		}},
@@ -88,8 +157,19 @@ func FuzzDeltaDecode(f *testing.F) {
 				t.Fatalf("accepted frame with empty or duplicate device %q", s.Device)
 			}
 			seen[s.Device] = true
-			if s.Kind == SectionDelta && s.Epoch <= s.BaseEpoch {
+			if s.Kind != SectionDelta {
+				continue
+			}
+			if s.Epoch <= s.BaseEpoch {
 				t.Fatalf("accepted delta with epoch regression: base %d epoch %d", s.BaseEpoch, s.Epoch)
+			}
+			got, err := s.Delta.Apply(mirror)
+			want, conflict := applyDeltaByMap(s.Delta, mirror)
+			switch {
+			case conflict != errors.Is(err, core.ErrDeltaConflict), err != nil && !conflict:
+				t.Fatalf("device %q: Apply returned %v where the map apply says conflict=%v", s.Device, err, conflict)
+			case err == nil && !reflect.DeepEqual(got, want):
+				t.Fatalf("device %q: Apply and the map apply disagree\ngot  %+v\nwant %+v", s.Device, got, want)
 			}
 		}
 	})

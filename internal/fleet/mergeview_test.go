@@ -160,6 +160,27 @@ func (m *fleetModel) check() {
 				len(want.FilterSupport(minSupport).Pairs), len(want.FilterSupport(minSupport).Items))
 		}
 	}
+	// A device read hands out the one live mirror as it stands and
+	// merges only when several collectors mirror the device; either way
+	// it is the merge of the live mirrors.
+	for _, dev := range []string{"vol0", "vol1", "absent"} {
+		var mirrors []core.Snapshot
+		for _, cs := range m.a.Collectors() {
+			if snap, ok := m.mirrors[cs.ID][dev]; ok && cs.State != Failed {
+				mirrors = append(mirrors, snap)
+			}
+		}
+		for _, minSupport := range []uint32{0, 3} {
+			got, ok := m.a.DeviceSnapshot(dev, minSupport)
+			if ok != (len(mirrors) > 0) {
+				m.t.Fatalf("DeviceSnapshot(%s): ok = %v with %d live mirrors", dev, ok, len(mirrors))
+			}
+			if want := core.MergeSnapshots(mirrors...).FilterSupport(minSupport); ok && !reflect.DeepEqual(got, want) {
+				m.t.Fatalf("DeviceSnapshot(%s, %d) over %d mirrors differs from their merge: %d/%d pairs/items, want %d/%d",
+					dev, minSupport, len(mirrors), len(got.Pairs), len(got.Items), len(want.Pairs), len(want.Items))
+			}
+		}
+	}
 	full := m.a.TopRules(2, 0.1, 0)
 	top := m.a.TopRules(2, 0.1, 4)
 	wantTop := full
