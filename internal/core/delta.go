@@ -81,29 +81,18 @@ type exportOps[K comparable, E any] struct {
 	key func(E) K
 	// cmp is the export order: descending counter, ties by key.
 	cmp func(a, b E) int
-	// hash feeds the dropSet filter: one multiplication an extent, the
-	// well-mixed high half of the product kept. It only has to spread a
-	// few hundred keys over a few thousand bits; the map behind the
-	// filter decides membership.
-	hash func(K) uint64
 }
 
 var pairOps = exportOps[blktrace.Pair, PairCount]{
 	mk:  func(k blktrace.Pair, c uint32, t Tier) PairCount { return PairCount{Pair: k, Count: c, Tier: t} },
 	key: func(pc PairCount) blktrace.Pair { return pc.Pair },
 	cmp: comparePairCounts,
-	hash: func(p blktrace.Pair) uint64 {
-		return ((p.A.Block^uint64(p.A.Len)<<40)*0x9e3779b97f4a7c15 + (p.B.Block^uint64(p.B.Len)<<40)*0xbf58476d1ce4e5b9) >> 32
-	},
 }
 
 var itemOps = exportOps[blktrace.Extent, ItemCount]{
 	mk:  func(k blktrace.Extent, c uint32, t Tier) ItemCount { return ItemCount{Extent: k, Count: c, Tier: t} },
 	key: func(ic ItemCount) blktrace.Extent { return ic.Extent },
 	cmp: compareItemCounts,
-	hash: func(e blktrace.Extent) uint64 {
-		return ((e.Block ^ uint64(e.Len)<<40) * 0x9e3779b97f4a7c15) >> 32
-	},
 }
 
 // diffSorted walks two sorted exports of one table side by side. An
@@ -160,73 +149,20 @@ func diffSorted[K comparable, E comparable](old, new []E, ops exportOps[K, E]) (
 // slice. prev and patch are in export order and patch holds no key
 // that survives in prev — callers make drop name every key of patch —
 // so the result is sorted with each key once. One sequential pass over
-// prev; drop is asked once per entry of prev, in order.
+// prev; drop is asked exactly once per entry of prev, in order.
 func patchSorted[K comparable, E any](out, prev, patch []E, ops exportOps[K, E], drop func(K) bool) []E {
-	i := 0
-	for _, pe := range patch {
-		for i < len(prev) {
-			q := prev[i]
-			if drop(ops.key(q)) {
-				i++
-				continue
-			}
-			if ops.cmp(q, pe) > 0 {
-				break
-			}
-			out = append(out, q)
-			i++
+	j := 0
+	for _, q := range prev {
+		if drop(ops.key(q)) {
+			continue
 		}
-		out = append(out, pe)
-	}
-	for ; i < len(prev); i++ {
-		if q := prev[i]; !drop(ops.key(q)) {
-			out = append(out, q)
+		for j < len(patch) && ops.cmp(patch[j], q) < 0 {
+			out = append(out, patch[j])
+			j++
 		}
+		out = append(out, q)
 	}
-	return out
-}
-
-// dropSet is the set of keys a patch takes out of a sorted export. It
-// is asked about every entry of the export — tens of thousands — while
-// holding the few hundred that moved, so nearly every answer is no, and
-// a Go map spends 20–30 ns hashing a 32-byte key to say so. A one-hash
-// Bloom filter in front of the map, 16 bits or more to a key under a
-// multiplicative hash of two or three instructions (exportOps.hash),
-// says no to ~95% of the entries without touching the map.
-type dropSet[K comparable] struct {
-	keys map[K]struct{}
-	hash func(K) uint64
-	bits []uint64
-}
-
-// reset empties the set and sizes its filter for up to n keys.
-func (d *dropSet[K]) reset(n int, hash func(K) uint64) {
-	if d.keys == nil {
-		d.keys = make(map[K]struct{}, n)
-	}
-	clear(d.keys)
-	d.hash = hash
-	words := nextPow2(n) / 4 // 16 bits a key at least, in 64-bit words
-	if cap(d.bits) < words {
-		d.bits = make([]uint64, words)
-	}
-	d.bits = d.bits[:words]
-	clear(d.bits)
-}
-
-func (d *dropSet[K]) add(k K) {
-	d.keys[k] = struct{}{}
-	h := d.hash(k)
-	d.bits[(h>>6)&uint64(len(d.bits)-1)] |= 1 << (h & 63)
-}
-
-func (d *dropSet[K]) has(k K) bool {
-	h := d.hash(k)
-	if d.bits[(h>>6)&uint64(len(d.bits)-1)]&(1<<(h&63)) == 0 {
-		return false
-	}
-	_, ok := d.keys[k]
-	return ok
+	return append(out, patch[j:]...)
 }
 
 // Apply transforms a base snapshot by the delta, returning the sorted
@@ -256,38 +192,40 @@ func applySorted[K comparable, E any](base, upserts []E, deletes []K, ops export
 	if len(upserts)+len(deletes) == 0 {
 		return base, nil
 	}
-	var named dropSet[K]
-	named.reset(len(upserts)+len(deletes), ops.hash)
+	// Every key the delta names, and for a delete whether the base has
+	// been seen to hold it.
+	const (
+		upserted = iota
+		deleted
+		deletedMet
+	)
+	named := make(map[K]uint8, len(upserts)+len(deletes))
 	for _, e := range upserts {
-		named.add(ops.key(e))
+		named[ops.key(e)] = upserted
 	}
-	met := make(map[K]bool, len(deletes)) // a delete, and whether the base held its key
 	for _, k := range deletes {
-		named.add(k)
-		met[k] = false
+		named[k] = deleted
 	}
-	if len(named.keys) != len(upserts)+len(deletes) {
+	if len(named) != len(upserts)+len(deletes) {
 		return nil, fmt.Errorf("%w: a %s is named twice", ErrBadDelta, what)
 	}
 	if !slices.IsSortedFunc(upserts, ops.cmp) {
 		upserts = slices.Clone(upserts)
 		slices.SortFunc(upserts, ops.cmp)
 	}
-	held := 0
+	met := 0
 	out := make([]E, 0, max(len(base)+len(upserts)-len(deletes), 0))
 	out = patchSorted(out, base, upserts, ops, func(k K) bool {
-		if !named.has(k) {
-			return false
+		how, ok := named[k]
+		if how == deleted {
+			named[k] = deletedMet
+			met++
 		}
-		if _, deleted := met[k]; deleted {
-			met[k] = true
-			held++
-		}
-		return true
+		return ok
 	})
-	if held != len(deletes) {
+	if met != len(deletes) {
 		for _, k := range deletes {
-			if !met[k] {
+			if named[k] != deletedMet {
 				return nil, fmt.Errorf("%w: delete of absent %s %v", ErrDeltaConflict, what, k)
 			}
 		}

@@ -261,6 +261,36 @@ func TestDiffApplyDifferential(t *testing.T) {
 	})
 }
 
+// TestPatchSortedAsksDropOncePerEntry pins the contract Apply's conflict
+// check leans on: drop hears every entry of prev exactly once, in
+// order, wherever the patch entries fall among them.
+func TestPatchSortedAsksDropOncePerEntry(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 50; trial++ {
+		prev := randomSnapshot(rng, 0, 40).Pairs
+		next := mutateSnapshot(rng, Snapshot{Pairs: prev}).Pairs
+		patch, gone := diffSorted(prev, next, pairOps)
+		drop := make(map[blktrace.Pair]bool)
+		for _, k := range gone {
+			drop[k] = true
+		}
+		for _, e := range patch {
+			drop[e.Pair] = true
+		}
+		var asked []blktrace.Pair
+		got := patchSorted(nil, prev, patch, pairOps, func(k blktrace.Pair) bool {
+			asked = append(asked, k)
+			return drop[k]
+		})
+		if !slices.Equal(got, next) {
+			t.Fatalf("trial %d: patched export differs from the target", trial)
+		}
+		if !slices.EqualFunc(asked, prev, func(k blktrace.Pair, e PairCount) bool { return k == e.Pair }) {
+			t.Fatalf("trial %d: drop was asked about %d keys for %d entries, or out of order", trial, len(asked), len(prev))
+		}
+	}
+}
+
 func TestDeltaWireRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 25; i++ {

@@ -3,8 +3,6 @@ package core
 import (
 	"slices"
 	"strconv"
-
-	"daccor/internal/blktrace"
 )
 
 // Exporter derives a device's full sorted export — RawGroup.Snapshot(0)
@@ -25,8 +23,7 @@ import (
 // long way, by sorting: the first one, one taken of a different analyzer
 // (a restore, a restart), and one whose discard ring has lapped since
 // the previous export — too many evictions between two exports for the
-// ring's C/4 keys. So is one where a quarter of a table or more has
-// moved, for which patching costs what sorting does.
+// ring's C/4 keys.
 //
 // An Exporter is not safe for concurrent use. The exports it returns
 // are immutable and stay valid.
@@ -37,16 +34,6 @@ type Exporter struct {
 	// idx unions the partition captures (P>1), under names.
 	idx   *MergeIndex
 	names []string
-
-	// Working storage of the P=1 patch, reused across exports.
-	pairs tablePatch[blktrace.Pair, PairCount]
-	items tablePatch[blktrace.Extent, ItemCount]
-}
-
-// tablePatch is the working storage of one table's patch.
-type tablePatch[K comparable, E any] struct {
-	moved []E
-	drop  dropSet[K]
 }
 
 // Export returns the sorted export of g, which must be a capture group
@@ -85,50 +72,41 @@ func (x *Exporter) patch(r *RawSnapshot) (Snapshot, bool) {
 	if !ok {
 		return Snapshot{}, false
 	}
-	var s Snapshot
-	if s.Pairs, ok = x.pairs.advance(x.prev.Pairs, r.pairs, r.pairLog.stamps, x.base.seq, gonePairs, pairOps); !ok {
-		return Snapshot{}, false
-	}
-	if s.Items, ok = x.items.advance(x.prev.Items, r.items, r.itemLog.stamps, x.base.seq, goneItems, itemOps); !ok {
-		return Snapshot{}, false
-	}
-	return s, true
+	return Snapshot{
+		Pairs: advanceSorted(x.prev.Pairs, r.pairs, r.pairLog.stamps, x.base.seq, gonePairs, pairOps),
+		Items: advanceSorted(x.prev.Items, r.items, r.itemLog.stamps, x.base.seq, goneItems, itemOps),
+	}, true
 }
 
-// advance brings one table's previous sorted export up to a capture of
-// it: entries stamped after `after` have moved since that export and
-// gone lists the keys discarded since (keys the export never held among
-// them, which drop nothing). ok is false, and nothing is built, when a
-// quarter of the table or more has moved.
-func (p *tablePatch[K, E]) advance(prev []E, entries []Entry[K], stamps []uint32, after uint32, gone []K, ops exportOps[K, E]) (out []E, ok bool) {
-	moved := len(gone)
-	for _, stamp := range stamps {
-		if stamp > after {
-			moved++
-		}
-	}
-	if moved == 0 {
-		return prev, true
-	}
-	if 4*moved > len(entries) {
-		return nil, false
-	}
-	p.drop.reset(moved, ops.hash)
-	for _, k := range gone {
-		p.drop.add(k)
-	}
-	p.moved = p.moved[:0]
+// advanceSorted brings one table's previous sorted export up to a
+// capture of it: entries stamped after `after` have moved since that
+// export and gone lists the keys discarded since (keys the export never
+// held among them, which drop nothing).
+func advanceSorted[K comparable, E any](prev []E, entries []Entry[K], stamps []uint32, after uint32, gone []K, ops exportOps[K, E]) []E {
+	var moved []E
 	for i, stamp := range stamps {
 		if stamp > after {
 			e := entries[i]
-			p.moved = append(p.moved, ops.mk(e.Key, e.Count, e.Tier))
-			p.drop.add(e.Key)
+			moved = append(moved, ops.mk(e.Key, e.Count, e.Tier))
 		}
 	}
-	slices.SortFunc(p.moved, ops.cmp)
-	out = patchSorted(make([]E, 0, len(entries)), prev, p.moved, ops, p.drop.has)
-	if len(out) == 0 {
-		out = nil // as every other Snapshot producer has an empty table
+	if len(moved)+len(gone) == 0 {
+		return prev
 	}
-	return out, true
+	drop := make(map[K]struct{}, len(moved)+len(gone))
+	for _, k := range gone {
+		drop[k] = struct{}{}
+	}
+	for _, e := range moved {
+		drop[ops.key(e)] = struct{}{}
+	}
+	slices.SortFunc(moved, ops.cmp)
+	out := patchSorted(make([]E, 0, len(entries)), prev, moved, ops, func(k K) bool {
+		_, ok := drop[k]
+		return ok
+	})
+	if len(out) == 0 {
+		return nil // as every other Snapshot producer has an empty table
+	}
+	return out
 }

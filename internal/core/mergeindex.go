@@ -272,7 +272,7 @@ type mergeSide[K comparable, E any] struct {
 	// dirty accumulates keys touched since the last materialize
 	// (duplicates allowed — deduped through dirtySet at read time).
 	dirty    []K
-	dirtySet dropSet[K]
+	dirtySet map[K]struct{}
 	patch    []E
 
 	// prev is the last materialized output; immutable once returned.
@@ -285,6 +285,7 @@ type mergeSide[K comparable, E any] struct {
 func (u *mergeSide[K, E]) init(ops exportOps[K, E]) {
 	u.idx = newOAMap[K](0)
 	u.free = nilSlot
+	u.dirtySet = make(map[K]struct{})
 	u.ops = ops
 }
 
@@ -468,19 +469,22 @@ func (u *mergeSide[K, E]) materialize() []E {
 		u.prev, u.prevOK = out, true
 		return out
 	}
-	u.dirtySet.reset(len(u.dirty), u.ops.hash)
+	clear(u.dirtySet)
 	for _, k := range u.dirty {
-		u.dirtySet.add(k)
+		u.dirtySet[k] = struct{}{}
 	}
 	u.patch = u.patch[:0]
-	for k := range u.dirtySet.keys {
+	for k := range u.dirtySet {
 		if slot, ok := u.idx.Get(k); ok {
 			e := &u.arena[slot]
 			u.patch = append(u.patch, u.ops.mk(k, clampCount(e.sum), tierOfUnion(e.t2)))
 		}
 	}
 	slices.SortFunc(u.patch, u.ops.cmp)
-	out := patchSorted(make([]E, 0, u.live), u.prev, u.patch, u.ops, u.dirtySet.has)
+	out := patchSorted(make([]E, 0, u.live), u.prev, u.patch, u.ops, func(k K) bool {
+		_, dirty := u.dirtySet[k]
+		return dirty
+	})
 	u.dirty = u.dirty[:0]
 	u.prev = out
 	return out

@@ -61,7 +61,10 @@ func (cw *countingWriter) write(data any) error {
 
 // WriteTo serialises the analyzer's full state. It implements
 // io.WriterTo. The encoding runs over a fresh capture, so it is the
-// same bytes RawSnapshot.WriteTo yields from a capture at this moment.
+// same bytes RawSnapshot.WriteTo yields from a capture at this moment
+// — and, being a capture, it closes a stamp period like any other
+// (see CaptureSnapshot): call it on the goroutine that owns the
+// analyzer, not beside Process.
 func (a *Analyzer) WriteTo(w io.Writer) (int64, error) {
 	var r RawSnapshot
 	a.CaptureSnapshot(&r)

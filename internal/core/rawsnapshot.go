@@ -109,6 +109,12 @@ func (c *captureLog[K]) goneSince(since uint64) (keys []K, ok bool) {
 // once r's buffers have grown to the table sizes, no allocation — this
 // is the only part of a snapshot/checkpoint/rules read that must run
 // on the analyzer's owning goroutine.
+//
+// It is not a pure read: a capture closes the tables' stamp period
+// (Table.seq advances, so later changes are told apart from the ones r
+// carries) and, when the sequence wraps, restamps every entry under a
+// new origin. The analyzed content is untouched, but the call writes to
+// the analyzer and so must run where Process does.
 func (a *Analyzer) CaptureSnapshot(r *RawSnapshot) {
 	r.cfg = a.cfg
 	r.stats = a.stats
