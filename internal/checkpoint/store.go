@@ -11,8 +11,8 @@
 // cut. The last Keep generations are retained; Restore walks them
 // newest-first and falls back to an older generation when the newest
 // is truncated or corrupt (the expected leftovers of a crash mid-save
-// are a stray temp file, which is ignored, or a torn rename, which the
-// fallback skips).
+// are a stray temp file, which is ignored and removed by the next Open,
+// or a torn rename, which the fallback skips).
 //
 // The worst case after a crash is therefore losing the events since
 // the last completed checkpoint — one checkpoint interval — never the
@@ -73,7 +73,10 @@ type Store struct {
 	next map[string]uint64 // per device, next generation sequence
 }
 
-// Open creates (if needed) the root directory and returns a store.
+// Open creates (if needed) the root directory, removes the temp files
+// interrupted saves of an earlier process left in it, and returns a
+// store. A directory belongs to one open Store at a time: a second Open
+// would take a save the first has in flight for such a leftover.
 func Open(cfg Config) (*Store, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("checkpoint: Dir must be non-empty")
@@ -87,12 +90,44 @@ func Open(cfg Config) (*Store, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create dir: %w", err)
 	}
+	if err := sweepTemps(cfg.Dir); err != nil {
+		return nil, fmt.Errorf("checkpoint: sweep temp files: %w", err)
+	}
 	return &Store{
 		dir:       cfg.Dir,
 		keep:      cfg.Keep,
 		faultHook: cfg.FaultHook,
 		next:      make(map[string]uint64),
 	}, nil
+}
+
+// sweepTemps removes every device directory's temp files: leftovers of
+// a crash between temp write and rename, never committed, so garbage.
+// It runs only before the store exists — once saves can be in flight a
+// temp file may be one of theirs, about to be renamed into place.
+func sweepTemps(root string) error {
+	devices, err := os.ReadDir(root)
+	if err != nil {
+		return err
+	}
+	for _, d := range devices {
+		if !d.IsDir() {
+			continue
+		}
+		dir := filepath.Join(root, d.Name())
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasPrefix(e.Name(), tmpPrefix) {
+				// Best effort: a leftover that cannot be removed is never
+				// read as a generation, it only wastes its bytes.
+				_ = os.Remove(filepath.Join(dir, e.Name()))
+			}
+		}
+	}
+	return nil
 }
 
 // Dir returns the store's root directory.
@@ -156,8 +191,8 @@ func parseGen(name string) (uint64, bool) {
 }
 
 // generations lists a device's generation files sorted newest-first.
-// Stray temp files from interrupted saves are ignored (and removed
-// opportunistically).
+// Temp files are not generations and are left alone: one seen here may
+// belong to a save in flight.
 func (s *Store) generations(device string) ([]Generation, error) {
 	dir := filepath.Join(s.dir, deviceDir(device))
 	entries, err := os.ReadDir(dir)
@@ -170,12 +205,6 @@ func (s *Store) generations(device string) ([]Generation, error) {
 	var gens []Generation
 	for _, e := range entries {
 		if e.IsDir() {
-			continue
-		}
-		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			// Leftover of a crash between temp write and rename; it was
-			// never committed, so it is garbage.
-			_ = os.Remove(filepath.Join(dir, e.Name()))
 			continue
 		}
 		seq, ok := parseGen(e.Name())
@@ -241,7 +270,7 @@ func (s *Store) save(device string, write func(f *os.File) error) (Generation, e
 	}
 	tmpName := tmp.Name()
 	// Any failure from here on removes the temp file; a crash leaves it
-	// behind, where generations() sweeps it up.
+	// behind for the next Open to sweep up.
 	fail := func(step string, err error) (Generation, error) {
 		tmp.Close()
 		os.Remove(tmpName)

@@ -225,8 +225,9 @@ func TestCrashMidCheckpointEveryTruncation(t *testing.T) {
 }
 
 // TestStrayTempFilesIgnoredAndSwept: a crash between temp write and
-// rename leaves tmp-* files; they must not be restored and must be
-// cleaned up by the next scan.
+// rename leaves tmp-* files; they must not be restored, no scan of a
+// live store may touch them (one may be a save in flight), and the next
+// Open cleans them up.
 func TestStrayTempFilesIgnoredAndSwept(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, Config{Dir: dir})
@@ -242,8 +243,61 @@ func TestStrayTempFilesIgnoredAndSwept(t *testing.T) {
 	if _, gen, err := s.Restore("dev0"); err != nil || gen.Seq != 1 {
 		t.Fatalf("Restore with stray temp: gen %d err %v", gen.Seq, err)
 	}
+	if _, err := s.Save("dev0", a); err != nil { // prune scans too
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); err != nil {
+		t.Errorf("a scan of the open store removed a temp file: %v", err)
+	}
+	s = mustOpen(t, Config{Dir: dir})
 	if _, err := os.Stat(stray); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("stray temp file not swept (stat err %v)", err)
+		t.Errorf("stray temp file not swept by Open (stat err %v)", err)
+	}
+	if _, gen, err := s.Restore("dev0"); err != nil || gen.Seq != 2 {
+		t.Fatalf("Restore after reopen: gen %d err %v", gen.Seq, err)
+	}
+}
+
+// TestRestoreBesideInFlightSave parks a save between its temp file's
+// close and the rename (the FaultHook's position) and reads the same
+// device's generations every way a restore does. None of them may take
+// the parked temp file for a crash leftover: the save must commit once
+// released, and its generation must load.
+func TestRestoreBesideInFlightSave(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	s := mustOpen(t, Config{Dir: t.TempDir(), FaultHook: func(device string, seq uint64) error {
+		if seq == 2 {
+			close(parked)
+			<-release
+		}
+		return nil
+	}})
+	a := testAnalyzer(t, 10)
+	if _, err := s.Save("dev0", a); err != nil {
+		t.Fatalf("Save 1: %v", err)
+	}
+	type saved struct {
+		gen Generation
+		err error
+	}
+	done := make(chan saved, 1)
+	go func() {
+		gen, err := s.Save("dev0", a)
+		done <- saved{gen, err}
+	}()
+	<-parked
+	if g, ok := s.Latest("dev0"); !ok || g.Seq != 1 {
+		t.Errorf("Latest beside the parked save = gen %d ok %v, want gen 1", g.Seq, ok)
+	}
+	if _, gen, err := s.Restore("dev0"); err != nil || gen.Seq != 1 {
+		t.Errorf("Restore beside the parked save: gen %d err %v, want gen 1", gen.Seq, err)
+	}
+	close(release)
+	if r := <-done; r.err != nil || r.gen.Seq != 2 {
+		t.Fatalf("parked save: gen %d err %v, want gen 2 committed", r.gen.Seq, r.err)
+	}
+	if _, gen, err := s.Restore("dev0"); err != nil || gen.Seq != 2 {
+		t.Fatalf("Restore after the save committed: gen %d err %v, want gen 2", gen.Seq, err)
 	}
 }
 

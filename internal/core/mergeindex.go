@@ -16,8 +16,11 @@ import (
 // everything per read is O(total live entries) with two fresh dedup
 // maps; the CHH literature maintains its combined summaries per update
 // for exactly this reason. The index pays O(source entries) once when
-// a source's full state arrives and O(delta) for a delta, and a read
-// pays O(changed since last read · log changed) to re-materialize.
+// a source's full state arrives and O(delta) for a delta. A bounded
+// read (State, TopRules) is one linear pass over the pair arena and
+// builds nothing table-sized; only the unbounded read (Snapshot)
+// materializes the sorted export, paying O(changed since the last one ·
+// log changed) to patch it while it has a predecessor to patch.
 //
 // Layout follows the PR 5 probe discipline: per side (items, pairs) an
 // open-addressing oaMap keys into an arena of union entries holding a
@@ -34,8 +37,10 @@ import (
 // steady-state maintenance does not allocate; each materialized
 // Snapshot is a fresh exact-size allocation (the previous one may
 // still be referenced by readers) built by merging the previous sorted
-// output with a sorted patch of the dirty keys — allocation count per
-// read is constant, independent of union size.
+// output with a sorted patch of the keys changed since — allocation
+// count per read is constant, independent of union size. The change
+// list exists only beside a materialized export and never outgrows it,
+// so an index that is only asked for bounded reads keeps none.
 //
 // A MergeIndex is not safe for concurrent use; callers wrap it in the
 // cache lock that already guards their merged view.
@@ -106,15 +111,16 @@ func (m *MergeIndex) Update(source string, snap Snapshot) {
 // UpdateRaw is Update fed from a RawSnapshot capture, skipping the
 // sorted-export derivation entirely: reconcile is order-insensitive,
 // so the capture's recency-order entries feed the index directly. This
-// is the P>1 partition path, and there successive captures of one
-// partition's analyzer feed one source: when raw follows the capture
-// the source was last fed from and its discard log reaches back that
-// far, only the entries stamped since are upserted and the logged
-// discards dropped — O(changed), with no pass over the shadow — and
-// patched is true. A discard of a key the shadow lacks (inserted and
-// evicted between the two captures) is a no-op here, where ApplyDelta
-// would call it a conflict. Any other capture reconciles in full, in
-// O(partition entries) and still without a sort.
+// is how the engine's merged view and the P>1 Exporter are fed, one
+// source per partition capture, and there successive captures of one
+// analyzer feed one source: when raw follows the capture the source was
+// last fed from and its discard log reaches back that far, only the
+// entries stamped since are upserted and the logged discards dropped —
+// O(changed), with no pass over the shadow — and patched is true. A
+// discard of a key the shadow lacks (inserted and evicted between the
+// two captures) is a no-op here, where ApplyDelta would call it a
+// conflict. Any other capture reconciles in full, in O(partition
+// entries) and still without a sort.
 func (m *MergeIndex) UpdateRaw(source string, raw *RawSnapshot) (patched bool) {
 	src := m.source(source, len(raw.items), len(raw.pairs))
 	goneItems, gonePairs, patched := raw.goneSince(src.base)
@@ -200,7 +206,9 @@ func (m *MergeIndex) Remove(source string) {
 // MergeSnapshots over the sources' current states. Unchanged reads
 // return the previous value; otherwise the dirty keys are deduped,
 // their current values sorted into a patch, and the patch is merged
-// with the previous sorted output in one linear pass. The result is
+// with the previous sorted output in one linear pass — or, with no
+// previous output to patch (the first call, and the first after more
+// changed than it held), the arena is sorted in full. The result is
 // read-only and remains valid after further index mutations.
 func (m *MergeIndex) Snapshot() Snapshot {
 	var s Snapshot
@@ -221,18 +229,7 @@ func (m *MergeIndex) Snapshot() Snapshot {
 // Snapshot().Rules(minSupport, minConfidence)[:limit].
 func (m *MergeIndex) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
 	sink := newRuleSink(limit)
-	lookup := func(ext blktrace.Extent) uint32 { return m.items.lookup(ext) }
-	for i := range m.pairs.arena {
-		e := &m.pairs.arena[i]
-		if e.refs <= 0 {
-			continue
-		}
-		count := clampCount(e.sum)
-		if count < minSupport {
-			continue
-		}
-		sink.addPair(e.key, count, minConfidence, lookup)
-	}
+	m.scan(minSupport, minConfidence, nil, sink)
 	return sink.finish()
 }
 
@@ -269,15 +266,18 @@ type mergeSide[K comparable, E any] struct {
 	free  int32
 	live  int
 
-	// dirty accumulates keys touched since the last materialize
-	// (duplicates allowed — deduped through dirtySet at read time).
+	// prev is the last materialized output; immutable once returned.
+	// It is kept for as long as patching it is cheaper than sorting the
+	// arena again — see touch.
+	prev   []E
+	prevOK bool
+
+	// dirty lists the keys touched since prev was materialized
+	// (duplicates allowed — deduped through dirtySet at read time). It
+	// is empty whenever prev is not valid.
 	dirty    []K
 	dirtySet map[K]struct{}
 	patch    []E
-
-	// prev is the last materialized output; immutable once returned.
-	prev   []E
-	prevOK bool
 
 	ops exportOps[K, E]
 }
@@ -297,9 +297,25 @@ func (u *mergeSide[K, E]) lookup(k K) uint32 {
 	return clampCount(u.arena[slot].sum)
 }
 
+// touch records that k's union entry changed, for the next
+// materialize to patch prev with. Nothing is recorded without a prev,
+// and a list grown longer than prev is dropped together with it: a
+// patch at least as long as the table patches nothing, so the next
+// materialize sorts from the arena instead. That bounds the list by the
+// export it belongs to however long the index goes unread.
+func (u *mergeSide[K, E]) touch(k K) {
+	if !u.prevOK {
+		return
+	}
+	u.dirty = append(u.dirty, k)
+	if len(u.dirty) > len(u.prev) {
+		u.dirty, u.prev, u.prevOK = nil, nil, false
+	}
+}
+
 // add records one more holder of k contributing count at tier.
 func (u *mergeSide[K, E]) add(k K, count uint32, tier Tier) {
-	u.dirty = append(u.dirty, k)
+	u.touch(k)
 	if slot, ok := u.idx.Get(k); ok {
 		e := &u.arena[slot]
 		e.sum += uint64(count)
@@ -329,7 +345,7 @@ func (u *mergeSide[K, E]) add(k K, count uint32, tier Tier) {
 // sub removes one holder's contribution; the key must be held (the
 // caller's shadow proves it).
 func (u *mergeSide[K, E]) sub(k K, count uint32, tier Tier) {
-	u.dirty = append(u.dirty, k)
+	u.touch(k)
 	slot, _ := u.idx.Get(k)
 	e := &u.arena[slot]
 	e.sum -= uint64(count)
@@ -349,7 +365,7 @@ func (u *mergeSide[K, E]) sub(k K, count uint32, tier Tier) {
 
 // replace adjusts one holder's contribution in place (refs unchanged).
 func (u *mergeSide[K, E]) replace(k K, oldCount uint32, oldTier Tier, newCount uint32, newTier Tier) {
-	u.dirty = append(u.dirty, k)
+	u.touch(k)
 	slot, _ := u.idx.Get(k)
 	e := &u.arena[slot]
 	e.sum = e.sum - uint64(oldCount) + uint64(newCount)
@@ -449,9 +465,9 @@ func (u *mergeSide[K, E]) removeAll(sh *shadowTable[K]) {
 // materialize returns the union's sorted export, rebuilding only what
 // changed: the previous output minus the dirty keys, linearly merged
 // with a freshly sorted patch of the dirty keys' current values
-// (patchSorted). The output is a new exact-size slice (readers may
-// still hold the previous one); all working storage is reused across
-// calls.
+// (patchSorted) — or the arena sorted in full when there is no previous
+// output. The output is a new exact-size slice (readers may still hold
+// the previous one); all working storage is reused across calls.
 func (u *mergeSide[K, E]) materialize() []E {
 	if u.prevOK && len(u.dirty) == 0 {
 		return u.prev
@@ -465,7 +481,6 @@ func (u *mergeSide[K, E]) materialize() []E {
 			}
 		}
 		slices.SortFunc(out, u.ops.cmp)
-		u.dirty = u.dirty[:0]
 		u.prev, u.prevOK = out, true
 		return out
 	}
@@ -553,8 +568,9 @@ func (sh *shadowTable[K]) deleteSlot(slot int32) {
 
 // checkInvariants verifies the maintainer's accounting: every union
 // entry's sum, refcount, and Tier2 count must equal the aggregation of
-// the shadows, both oaMaps must satisfy their probe invariants, and
-// live counts must match. Test-only (differential suite).
+// the shadows, both oaMaps must satisfy their probe invariants, live
+// counts must match, and a change list exists only beside the export
+// it patches and is no longer than it. Test-only (differential suite).
 func (m *MergeIndex) checkInvariants() error {
 	if err := checkSideInvariants(&m.items, m.sources, func(s *mergeSource) *shadowTable[blktrace.Extent] { return &s.items }); err != nil {
 		return fmt.Errorf("items: %w", err)
@@ -568,6 +584,12 @@ func (m *MergeIndex) checkInvariants() error {
 func checkSideInvariants[K comparable, E any](u *mergeSide[K, E], sources map[string]*mergeSource, side func(*mergeSource) *shadowTable[K]) error {
 	if err := u.idx.checkInvariants(); err != nil {
 		return err
+	}
+	if !u.prevOK && len(u.dirty) != 0 {
+		return fmt.Errorf("change list holds %d keys with no export to patch", len(u.dirty))
+	}
+	if len(u.dirty) > len(u.prev) {
+		return fmt.Errorf("change list (%d keys) outgrew the export it patches (%d entries)", len(u.dirty), len(u.prev))
 	}
 	type agg struct {
 		sum  uint64

@@ -11,10 +11,12 @@ import (
 // Fan-in read-path benchmarks: the numbers behind the incremental
 // merged-view work. The scenario is the steady state every fleet
 // deployment converges to — N mirrored devices, one of which changed
-// since the last read — measured both ways: reconcile-one-source
-// through the MergeIndex versus re-merging every mirror from scratch
-// (core.MergeSnapshots). The incremental side's allocs/op must not
-// scale with the fleet's entry count (the alloc-regress gate pins it).
+// since the last read — measured three ways: reconcile-one-source
+// through the MergeIndex and materialize its sorted export, the same
+// feed followed by the bounded read that builds no export, and
+// re-merging every mirror from scratch (core.MergeSnapshots). The
+// incremental side's allocs/op must not scale with the fleet's entry
+// count (the alloc-regress gate pins it).
 
 // benchSourceSnapshot builds a deterministic per-device export over a
 // keyspace shared across devices (so the union overlaps, the
@@ -82,6 +84,27 @@ func BenchmarkMergedReadUnderIngest(b *testing.B) {
 					idx.Update(names[0], dirtyA)
 				}
 				idx.Snapshot()
+			}
+		})
+
+		// What /v1/rules?top=64 asks of the same fleet: no sorted
+		// export at all, one pass over the union per dirtying.
+		b.Run(fmt.Sprintf("devices-%d/bounded", devices), func(b *testing.B) {
+			idx := NewMergeIndex()
+			for i, s := range snaps {
+				idx.Update(names[i], s)
+			}
+			idx.Update(names[0], dirtyB) // warm both alternating states
+			idx.Update(names[0], dirtyA)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%2 == 0 {
+					idx.Update(names[0], dirtyB)
+				} else {
+					idx.Update(names[0], dirtyA)
+				}
+				idx.State(1, 0.5, 64, WantPairs|WantRules)
 			}
 		})
 

@@ -11,11 +11,13 @@ import (
 
 // The MergeIndex's contract is differential: however it got to its
 // current per-source states — full updates, deltas, raw captures,
-// removals, anti-entropy re-feeds — its materialized union must be
-// byte-identical to core.MergeSnapshots recomputed from scratch over
-// the same states. These tests drive random operation streams against
-// both and DeepEqual after every step, with the internal accounting
-// invariants checked along the way.
+// removals, anti-entropy re-feeds — and however it has been read so
+// far, its materialized union must be byte-identical to
+// core.MergeSnapshots recomputed from scratch over the same states, and
+// its bounded read to the bounded cut of that. These tests drive random
+// operation streams against both and DeepEqual after every step that
+// reads, with the internal accounting invariants checked after every
+// step.
 
 // genExtent returns the id-th extent of the test keyspace.
 func genExtent(id int) blktrace.Extent {
@@ -91,9 +93,87 @@ func requireUnionEqual(t *testing.T, step int, idx *MergeIndex, states map[strin
 	}
 }
 
+// unionReader decides, step by step, how a differential walk reads the
+// index: in stretches of bounded reads (State), of unbounded ones
+// (Snapshot), and of no read at all. The sorted export is lazy and its
+// change list bounded by it, so what a Snapshot has to do depends on
+// what was read and fed before it; the reader counts the three ways it
+// can come about so a walk can insist it met each.
+type unionReader struct {
+	rng  *rand.Rand
+	mode int // 0 State, 1 Snapshot, 2 no read
+	left int // steps left in this stretch
+
+	dropped int // an export (with its change list) given up between reads
+	rebuilt int // Snapshots that sorted the arena: no export to patch
+	patched int // Snapshots that patched the previous export
+}
+
+// exportsValid reports whether each side holds a materialized export.
+func exportsValid(idx *MergeIndex) (pairs, items bool) {
+	return idx.pairs.prevOK, idx.items.prevOK
+}
+
+// feed runs one mutation of the index and notes whether it pushed a
+// change list past its bound.
+func (r *unionReader) feed(idx *MergeIndex, mutate func()) {
+	pairsBefore, itemsBefore := exportsValid(idx)
+	mutate()
+	pairsAfter, itemsAfter := exportsValid(idx)
+	if (pairsBefore && !pairsAfter) || (itemsBefore && !itemsAfter) {
+		r.dropped++
+	}
+}
+
+// check reads the index the way the current stretch says and holds
+// what it reads to MergeSnapshots over the model states.
+func (r *unionReader) check(t *testing.T, step int, idx *MergeIndex, states map[string]Snapshot) {
+	t.Helper()
+	if r.left == 0 {
+		r.mode, r.left = r.rng.Intn(3), 1+r.rng.Intn(12)
+	}
+	r.left--
+	switch r.mode {
+	case 0:
+		want := groundTruth(states)
+		minSupport, minConf, top := uint32(r.rng.Intn(4)), float64(r.rng.Intn(3))/2, []int{0, 1, 8, maxTop}[r.rng.Intn(4)]
+		got := idx.State(minSupport, minConf, top, WantPairs|WantRules)
+		if !reflect.DeepEqual(got, want.State(minSupport, minConf, top, WantPairs|WantRules)) {
+			t.Fatalf("step %d: State(%d, %v, %d) diverged from the cut of MergeSnapshots: %d pairs of %d / %d rules",
+				step, minSupport, minConf, top, len(got.Pairs), got.TotalPairs, len(got.Rules))
+		}
+	case 1:
+		pairsOK, itemsOK := exportsValid(idx)
+		switch {
+		case !pairsOK || !itemsOK:
+			r.rebuilt++
+		case len(idx.pairs.dirty)+len(idx.items.dirty) > 0:
+			r.patched++
+		}
+		requireUnionEqual(t, step, idx, states)
+		return
+	}
+	if err := idx.checkInvariants(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+}
+
+// requireEveryExportPath fails a walk that did not drive the lazy
+// export through its whole cycle: a change list dropped for outgrowing
+// its export, the from-scratch rebuild that follows, and patched
+// exports after that.
+func (r *unionReader) requireEveryExportPath(t *testing.T) {
+	t.Helper()
+	if r.dropped == 0 || r.rebuilt < 2 || r.patched == 0 {
+		t.Fatalf("walk met %d dropped change lists, %d rebuilt exports, %d patched ones: want each (and a rebuild beyond the first)",
+			r.dropped, r.rebuilt, r.patched)
+	}
+}
+
 func TestMergeIndexDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1234} {
 		rng := rand.New(rand.NewSource(seed))
+		reader := &unionReader{rng: rng}
 		idx := NewMergeIndex()
 		states := make(map[string]Snapshot)
 		sources := []string{"s0", "s1", "s2", "s3", "s4"}
@@ -103,17 +183,19 @@ func TestMergeIndexDifferential(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4: // full update (covers anti-entropy re-feed)
 				next := genSnapshot(rng, keyspace)
-				idx.Update(src, next)
+				reader.feed(idx, func() { idx.Update(src, next) })
 				states[src] = next
 			case op < 8: // incremental delta from the current state
 				next := genSnapshot(rng, keyspace)
 				d := DiffSnapshots(states[src], next)
-				if err := idx.ApplyDelta(src, d); err != nil {
-					t.Fatalf("seed %d step %d: ApplyDelta: %v", seed, step, err)
-				}
+				reader.feed(idx, func() {
+					if err := idx.ApplyDelta(src, d); err != nil {
+						t.Fatalf("seed %d step %d: ApplyDelta: %v", seed, step, err)
+					}
+				})
 				states[src] = next
 			case op < 9: // source removal replays the negative delta
-				idx.Remove(src)
+				reader.feed(idx, func() { idx.Remove(src) })
 				delete(states, src)
 			default: // conflicting delta must reject, then self-heal via Update
 				if _, ok := states[src]; !ok {
@@ -125,8 +207,9 @@ func TestMergeIndexDifferential(t *testing.T) {
 				}
 				idx.Update(src, states[src])
 			}
-			requireUnionEqual(t, step, idx, states)
+			reader.check(t, step, idx, states)
 		}
+		reader.requireEveryExportPath(t)
 		// Drain: removal all the way back to empty must converge on the
 		// empty union, not a residue.
 		for _, src := range sources {
@@ -140,42 +223,72 @@ func TestMergeIndexDifferential(t *testing.T) {
 	}
 }
 
-// TestMergeIndexUpdateRawDifferential pins the P>1 partition path: raw
-// captures fed via UpdateRaw must yield the same union as the sorted
-// exports fed via Update.
+// TestMergeIndexUpdateRawDifferential pins the capture-fed path — the
+// engine's merged view, and the P>1 partition export: raw captures fed
+// via UpdateRaw must yield the same union as their sorted exports do
+// through MergeSnapshots, whether a feed replays what the capture says
+// moved or, the source having gone unfed for longer than its analyzer's
+// discard ring remembers, reconciles in full; with sources removed and
+// fed again along the way, and the index read as unionReader says.
 func TestMergeIndexUpdateRawDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	mkAnalyzer := func() *Analyzer {
-		a, err := NewAnalyzer(Config{ItemCapacity: 256, PairCapacity: 256})
+	reader := &unionReader{rng: rng}
+	names := []string{"p0", "p1", "p2"}
+	analyzers := make([]*Analyzer, len(names))
+	raws := make([]*RawSnapshot, len(names))
+	for i := range analyzers {
+		a, err := NewAnalyzer(Config{ItemCapacity: 64, PairCapacity: 128})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		analyzers[i], raws[i] = a, &RawSnapshot{}
 	}
-	analyzers := []*Analyzer{mkAnalyzer(), mkAnalyzer(), mkAnalyzer()}
 	idx := NewMergeIndex()
-	raws := make([]*RawSnapshot, len(analyzers))
-	for i := range raws {
-		raws[i] = &RawSnapshot{}
-	}
-	names := []string{"p0", "p1", "p2"}
-	for round := 0; round < 30; round++ {
-		a := analyzers[rng.Intn(len(analyzers))]
-		for tx := 0; tx < 5; tx++ {
+	states := make(map[string]Snapshot, len(names))
+	var patched, lapped int
+	for round := 0; round < 600; round++ {
+		k := rng.Intn(len(names))
+		// Mostly a handful of transactions; now and then enough of them
+		// to evict more keys than the discard ring (C/4) holds.
+		txs := 1 + rng.Intn(5)
+		if rng.Intn(12) == 0 {
+			txs = 120
+		}
+		for tx := 0; tx < txs; tx++ {
 			n := 2 + rng.Intn(4)
 			exts := make([]blktrace.Extent, 0, n)
 			for len(exts) < n {
-				exts = append(exts, genExtent(rng.Intn(64)))
+				exts = append(exts, genExtent(rng.Intn(96)))
 			}
-			a.Process(exts)
+			analyzers[k].Process(exts)
 		}
-		states := make(map[string]Snapshot, len(analyzers))
-		for i, an := range analyzers {
-			an.CaptureSnapshot(raws[i])
-			idx.UpdateRaw(names[i], raws[i])
-			states[names[i]] = raws[i].Snapshot(0)
+		switch op := rng.Intn(10); {
+		case op < 7: // feed the capture
+			analyzers[k].CaptureSnapshot(raws[k])
+			_, fed := states[names[k]]
+			reader.feed(idx, func() {
+				switch ok := idx.UpdateRaw(names[k], raws[k]); {
+				case ok:
+					patched++
+				case fed:
+					lapped++
+				}
+			})
+			states[names[k]] = raws[k].Snapshot(0)
+		case op < 8: // the source goes away; its next feed is a first one
+			reader.feed(idx, func() { idx.Remove(names[k]) })
+			delete(states, names[k])
+		default: // a capture nobody feeds does not break the chain
+			analyzers[k].CaptureSnapshot(raws[k])
 		}
-		requireUnionEqual(t, round, idx, states)
+		reader.check(t, round, idx, states)
+	}
+	reader.requireEveryExportPath(t)
+	if patched == 0 || lapped == 0 {
+		t.Fatalf("walk fed %d patched and %d lapped captures: want both", patched, lapped)
+	}
+	if evictions := analyzers[0].Stats().PairEvictions; evictions == 0 {
+		t.Fatal("the walk never evicted a pair: capacities too large to exercise the discard log")
 	}
 }
 

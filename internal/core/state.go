@@ -40,6 +40,16 @@ type State struct {
 // Rules(minSupport, minConfidence) cut to top; top <= 0 keeps no
 // entries of either kind.
 func (g RawGroup) State(minSupport uint32, minConfidence float64, top int, want Want) State {
+	return scanState(top, want, func(pairs *topK[PairCount], rules *ruleSink) int {
+		return g.scan(minSupport, minConfidence, pairs, rules)
+	})
+}
+
+// scanState assembles a State from one pass of scan over a view's
+// pairs: scan returns the number of pairs at the read's support and
+// offers each to the sinks that are set — a sink is set only for a
+// part the read wants and top > 0 leaves room for.
+func scanState(top int, want Want, scan func(pairs *topK[PairCount], rules *ruleSink) int) State {
 	var (
 		st    State
 		pairs *topK[PairCount]
@@ -52,7 +62,7 @@ func (g RawGroup) State(minSupport uint32, minConfidence float64, top int, want 
 	if want&WantRules != 0 && top > 0 {
 		rules = newRuleSink(top)
 	}
-	total := g.scan(minSupport, minConfidence, pairs, rules)
+	total := scan(pairs, rules)
 	if want&WantPairs != 0 && total > 0 {
 		st.TotalPairs = total
 		st.Pairs = []PairCount{}
@@ -129,17 +139,38 @@ func (s Snapshot) pairPage(minSupport uint32, top int) (int, []PairCount) {
 	return len(s.Pairs), s.TopPairs(max(top, 0))
 }
 
-// State reads the union's bounded state: the pairs from the
-// materialized export (Snapshot, which also drains the change list),
-// the rules straight off the index, both describing the same union.
+// State reads the union's bounded state in one linear pass over the
+// pair arena, as RawGroup.State does over a device's captures: nothing
+// table-sized is sorted, patched or allocated, and the sorted export
+// (Snapshot) is neither built nor consulted. Pairs and rules describe
+// the same union.
 func (m *MergeIndex) State(minSupport uint32, minConfidence float64, top int, want Want) State {
-	var st State
-	full := m.Snapshot()
-	if want&WantPairs != 0 {
-		st.TotalPairs, st.Pairs = full.pairPage(minSupport, top)
+	return scanState(top, want, func(pairs *topK[PairCount], rules *ruleSink) int {
+		return m.scan(minSupport, minConfidence, pairs, rules)
+	})
+}
+
+// scan is RawGroup.scan over the union: the number of pairs whose
+// clamped sum is at or above minSupport, each offered to the sinks that
+// are set, antecedents resolved through the item union's index.
+func (m *MergeIndex) scan(minSupport uint32, minConfidence float64, pairs *topK[PairCount], rules *ruleSink) (total int) {
+	itemCount := m.items.lookup
+	for i := range m.pairs.arena {
+		e := &m.pairs.arena[i]
+		if e.refs <= 0 {
+			continue
+		}
+		count := clampCount(e.sum)
+		if count < minSupport {
+			continue
+		}
+		total++
+		if pairs != nil {
+			pairs.add(PairCount{Pair: e.key, Count: count, Tier: tierOfUnion(e.t2)})
+		}
+		if rules != nil {
+			rules.addPair(e.key, count, minConfidence, itemCount)
+		}
 	}
-	if want&WantRules != 0 && top > 0 {
-		st.Rules = m.TopRules(minSupport, minConfidence, top)
-	}
-	return st
+	return total
 }

@@ -80,8 +80,12 @@ func checkState(t *testing.T, label string, full Snapshot, read func(minSupport 
 // TestStateDifferential walks partitioned analyzers through random
 // transactions with tables small enough to evict, and at every
 // checkpoint holds the bounded one-pass read of the captures — and the
-// same read cut from the sorted export and from a merge index — to the
-// sort-everything oracle.
+// same read cut from the sorted export and from merge indexes — to the
+// sort-everything oracle. One index is rebuilt from the export each
+// time; the other lives through the walk and is fed the partition
+// captures one source each, the way the engine feeds its merged view,
+// and is only now and then asked for its sorted export, so its bounded
+// read is checked with and without a materialized export beside it.
 func TestStateDifferential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -90,9 +94,12 @@ func TestStateDifferential(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				txs := genTransactions(seed, 900, 6)
 				g := make(RawGroup, p)
+				names := make([]string, p)
 				for k := range g {
 					g[k] = new(RawSnapshot)
+					names[k] = fmt.Sprintf("part%d", k)
 				}
+				fed := NewMergeIndex()
 				var evictions uint64
 				for i, tx := range txs {
 					processPartitioned(parts, tx)
@@ -103,6 +110,7 @@ func TestStateDifferential(t *testing.T) {
 					for k, a := range parts {
 						a.CaptureSnapshot(g[k]) // reused: the item index must be rebuilt
 						evictions += a.Stats().PairEvictions
+						fed.UpdateRaw(names[k], g[k])
 					}
 					full := g.Snapshot(0)
 					label := fmt.Sprintf("step %d", i)
@@ -111,6 +119,16 @@ func TestStateDifferential(t *testing.T) {
 					idx := NewMergeIndex()
 					idx.Update("only", full)
 					checkState(t, label+" MergeIndex", full, idx.State)
+					checkState(t, label+" capture-fed MergeIndex", full, fed.State)
+					if rng.Intn(3) == 0 || i == len(txs)-1 {
+						if got := fed.Snapshot(); !reflect.DeepEqual(got, full) {
+							t.Fatalf("%s: capture-fed MergeIndex exports %d pairs / %d items, the group %d / %d",
+								label, len(got.Pairs), len(got.Items), len(full.Pairs), len(full.Items))
+						}
+					}
+					if err := fed.checkInvariants(); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
 				}
 				if evictions == 0 {
 					t.Fatal("the walk never evicted a pair: capacities too large to exercise the claim")
@@ -216,5 +234,44 @@ func TestStateAllocsBoundedByTop(t *testing.T) {
 	}
 	if large > 8 {
 		t.Errorf("State(top=64) allocates %.0f times per read, want a handful (result slices and sinks)", large)
+	}
+}
+
+// TestMergedStateAllocsBoundedByTop is TestStateAllocsBoundedByTop for
+// the merged view: a warm MergeIndex.State(top=64) allocates for its
+// K-entry results and nothing that grows with the union, and an index
+// that is fed and only ever read that way keeps no change list — there
+// is no sorted export for one to patch.
+func TestMergedStateAllocsBoundedByTop(t *testing.T) {
+	allocs := func(entries int) float64 {
+		idx := NewMergeIndex()
+		idx.Update("a", benchSourceSnapshot(rand.New(rand.NewSource(1)), entries/2))
+		idx.Update("b", benchSourceSnapshot(rand.New(rand.NewSource(2)), entries/2))
+		read := func() { idx.State(1, 0.5, 64, WantPairs|WantRules) }
+		read()
+		return testing.AllocsPerRun(10, read)
+	}
+	small, large := allocs(2<<10), allocs(128<<10)
+	if small != large {
+		t.Errorf("State(top=64) allocates %.0f times on a 2 Ki union and %.0f on a 128 Ki one, want equal", small, large)
+	}
+	if large > 8 {
+		t.Errorf("State(top=64) allocates %.0f times per read, want a handful (result slices and sinks)", large)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	idx := NewMergeIndex()
+	cur := genSnapshot(rng, 64)
+	idx.Update("s", cur)
+	for round := 0; round < 1000; round++ {
+		next := genSnapshot(rng, 64)
+		if err := idx.ApplyDelta("s", DiffSnapshots(cur, next)); err != nil {
+			t.Fatalf("round %d: ApplyDelta: %v", round, err)
+		}
+		cur = next
+		idx.State(1, 0.5, 64, WantPairs|WantRules)
+	}
+	if c := cap(idx.pairs.dirty) + cap(idx.items.dirty); c != 0 {
+		t.Errorf("an index only asked for bounded reads holds a change list of capacity %d, want none", c)
 	}
 }

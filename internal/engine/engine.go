@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -211,23 +212,32 @@ type Engine struct {
 	// register/unregister, which change the device count); see watch.go.
 	fleet *epochNotifier
 
-	// Epoch-gated merged-snapshot cache over an incrementally
-	// maintained merge index. The key is the sum of all device epochs
-	// plus the device count (epochs only advance, so an unchanged sum
-	// at an unchanged count means no device changed). On a miss, only
-	// devices whose own epoch moved since their last contribution are
-	// re-exported and reconciled into mergeIdx — the steady-state cost
-	// of a fleet read is O(changed entries), not O(fleet entries). As
-	// with the per-shard cache the key is read before the exports, so
-	// the cache can only under-claim freshness. mergeCached holds the
-	// full support-0 merged export; requested supports are suffix cuts.
+	// The fleet-wide view: a merge index kept current by feeding it the
+	// captures of the devices whose epoch moved since their last feed,
+	// one source per (device, partition) capture — sums are associative,
+	// so the union over partition captures is the union over device
+	// exports. A feed costs O(entries changed since the source's last
+	// one) and sorts nothing (core.MergeIndex.UpdateRaw); a bounded read
+	// is then one pass over the union, and only MergedSnapshot
+	// materializes the sorted export. (mergeEpoch, mergeDevices) is the
+	// sum of all device epochs and the device count the index was last
+	// brought up to: epochs only advance, so an unchanged sum at an
+	// unchanged count means no device changed and the refresh is
+	// skipped. The key is read before the captures, so it can only
+	// under-claim freshness. mergeMu is taken before any shard's snapMu.
 	mergeMu      sync.Mutex
 	mergeIdx     *core.MergeIndex
-	mergeSrc     map[string]uint64 // device -> epoch last fed into mergeIdx
-	mergeCached  core.Snapshot
+	mergeSrc     map[string]mergeFeed // device -> what it last fed into mergeIdx
 	mergeEpoch   uint64
 	mergeDevices int
 	mergeValid   bool
+}
+
+// mergeFeed is one device's standing in the merge index: the epoch its
+// sources were last fed at, and their names, one per partition.
+type mergeFeed struct {
+	epoch   uint64
+	sources []string
 }
 
 // New builds an engine from functional options — the one constructor
@@ -296,7 +306,7 @@ func New(opts ...Option) (*Engine, error) {
 		shards:       make(map[string]*shard),
 		fleet:        newEpochNotifier(),
 		mergeIdx:     core.NewMergeIndex(),
-		mergeSrc:     make(map[string]uint64),
+		mergeSrc:     make(map[string]mergeFeed),
 	}
 	// Monitor and analyzer counters are worker-owned; mirror them into
 	// the registry only when something actually scrapes.
@@ -608,64 +618,82 @@ func (e *Engine) WriteSnapshot(id string, w io.Writer) error {
 	})
 }
 
-// MergedSnapshot exports every device's synopsis and merges them
-// (core.MergeSnapshots) into one fleet-wide view at minSupport. Each
-// per-device export is a consistent point-in-time view; the merge is
-// not a cross-device atomic snapshot — ingestion continues while later
-// devices are exported. Failed devices are skipped rather than
-// poisoning the fleet view: their workers are gone, but the healthy
-// devices' correlations are still worth serving (the omission is
-// visible on /v1/healthz and in Stats).
-// Repeated fleet queries while no device changed are served from an
-// epoch-sum-gated cache; on a miss, only the devices whose epochs
-// moved are re-exported and reconciled into the engine's merge index,
-// so a fleet read after one device changed costs O(that device's
-// changed entries), not O(fleet entries). minSupport is applied to the
-// merged view (a suffix cut of the count-sorted export) rather than to
-// each device before merging: a fleet-wide counter that crosses the
+// MergedSnapshot merges every device's synopsis into one fleet-wide
+// sorted export at minSupport, equal to core.MergeSnapshots over the
+// devices' exports. Each device contributes a consistent point-in-time
+// capture; the merge is not a cross-device atomic snapshot — ingestion
+// continues while later devices are captured. Failed devices are
+// skipped rather than poisoning the fleet view: their workers are gone,
+// but the healthy devices' correlations are still worth serving (the
+// omission is visible on /v1/healthz and in Stats).
+// Only the devices whose epochs moved since the last merged read of any
+// kind are fed into the engine's merge index, and the export is patched
+// from the previous one where one exists, so a fleet read after one
+// device changed costs O(that device's changed entries) plus one linear
+// pass, not a merge of the fleet. minSupport is applied to the merged
+// view (a suffix cut of the count-sorted export) rather than to each
+// device before merging: a fleet-wide counter that crosses the
 // threshold is reported even when no single device's counter does. As
 // with Snapshot, callers must treat the result as read-only.
 func (e *Engine) MergedSnapshot(minSupport uint32) (core.Snapshot, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-	full, err := e.refreshMergedLocked()
-	if err != nil {
+	if err := e.refreshMergedLocked(); err != nil {
 		return core.Snapshot{}, err
 	}
-	return full.FilterSupport(minSupport), nil
+	return e.mergeIdx.Snapshot().FilterSupport(minSupport), nil
 }
 
-// refreshMergedLocked brings mergeIdx and mergeCached up to date with
-// the fleet, re-exporting only the devices whose epoch advanced since
-// their last contribution. Caller holds mergeMu.
-func (e *Engine) refreshMergedLocked() (core.Snapshot, error) {
-	sum, n := e.MergedEpoch() // before the exports: under-claims, never over-claims
+// refreshMergedLocked brings mergeIdx up to date with the fleet,
+// feeding it the captures of only the devices whose epoch advanced
+// since their last contribution. Caller holds mergeMu.
+func (e *Engine) refreshMergedLocked() error {
+	sum, n := e.MergedEpoch() // before the captures: under-claims, never over-claims
 	if e.mergeValid && e.mergeEpoch == sum && e.mergeDevices == n {
-		return e.mergeCached, nil
+		return nil
 	}
 	shards := e.orderedShards()
 	live := make(map[string]bool, len(shards))
 	for _, s := range shards {
 		live[s.id] = true
-		epoch := s.epoch.Load()
-		if rec, ok := e.mergeSrc[s.id]; ok && rec == epoch {
+		feed, fed := e.mergeSrc[s.id]
+		if fed && feed.epoch == s.epoch.Load() {
 			continue
 		}
-		snap, err := s.snapshot(0)
+		if !fed {
+			feed.sources = make([]string, s.parts)
+			for k := range feed.sources {
+				// Digits up to the first slash: unambiguous whatever
+				// bytes the device ID holds.
+				feed.sources[k] = strconv.Itoa(k) + "/" + s.id
+			}
+		}
+		patched := true
+		epoch, err := s.withCapture(func(g core.RawGroup) {
+			for k, raw := range g {
+				if !e.mergeIdx.UpdateRaw(feed.sources[k], raw) {
+					patched = false
+				}
+			}
+		})
 		if err != nil {
 			if errors.Is(err, ErrDeviceUnavailable) {
 				// Failed devices are dropped from the fleet view rather
 				// than poisoning it: their workers are gone, but the
 				// healthy devices' correlations are still worth serving
 				// (the omission is visible on /v1/healthz and in Stats).
-				e.mergeIdx.Remove(s.id)
-				delete(e.mergeSrc, s.id)
+				e.dropMergeFeedLocked(s.id)
 				continue
 			}
-			return core.Snapshot{}, err
+			return err
 		}
-		e.mergeIdx.Update(s.id, snap)
-		e.mergeSrc[s.id] = epoch
+		if patched {
+			s.metrics.mergePatched.Inc()
+		} else {
+			s.metrics.mergeReconciled.Inc()
+		}
+		feed.epoch = epoch
+		e.mergeSrc[s.id] = feed
 	}
 	// Unregistered devices: replay their last contribution out of the
 	// union. The live-set sweep catches same-count churn (one device
@@ -673,39 +701,47 @@ func (e *Engine) refreshMergedLocked() (core.Snapshot, error) {
 	// alone would mask only until the next epoch advance.
 	for id := range e.mergeSrc {
 		if !live[id] {
-			e.mergeIdx.Remove(id)
-			delete(e.mergeSrc, id)
+			e.dropMergeFeedLocked(id)
 		}
 	}
-	merged := e.mergeIdx.Snapshot()
-	e.mergeCached, e.mergeEpoch, e.mergeDevices, e.mergeValid = merged, sum, n, true
-	return merged, nil
+	e.mergeEpoch, e.mergeDevices, e.mergeValid = sum, n, true
+	return nil
+}
+
+// dropMergeFeedLocked removes every partition source of a device from
+// the merge index. Caller holds mergeMu.
+func (e *Engine) dropMergeFeedLocked(id string) {
+	for _, src := range e.mergeSrc[id].sources {
+		e.mergeIdx.Remove(src)
+	}
+	delete(e.mergeSrc, id)
 }
 
 // MergedRules derives fleet-wide directional rules from the merged
-// synopsis: per-device tables are exported in full, merged with summed
-// counters, and rules are extracted from the merged view. Confidences
-// are estimates over the summed counters. With one device this equals
-// that device's Rules. MergedState serves the bounded form.
+// synopsis: the devices' counters summed per key, rules extracted from
+// the sums. Confidences are estimates over the summed counters. With
+// one device this equals that device's Rules. MergedState serves the
+// bounded form.
 func (e *Engine) MergedRules(minSupport uint32, minConfidence float64) ([]core.Rule, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-	if _, err := e.refreshMergedLocked(); err != nil {
+	if err := e.refreshMergedLocked(); err != nil {
 		return nil, err
 	}
 	return e.mergeIdx.TopRules(minSupport, minConfidence, 0), nil
 }
 
 // MergedState is State for the fleet-wide view, returned with the
-// merged epoch (sum, devices) read before it: pairs from the merged
-// export, rules straight off the merge index (antecedent lookups hit
-// its item hash, selection is a bounded heap, so a top-K read allocates
-// O(K) however many rules the fleet could emit) — both under one hold
-// of the merge lock, so they describe the same merge.
+// merged epoch (sum, devices) read before it: one pass over the merge
+// index's pair union, counting, keeping the top best in a bounded heap
+// and resolving rule antecedents through its item hash, so a top-K read
+// allocates O(K) however large the fleet's tables are and no device is
+// exported or sorted on the way. Pairs and rules are read under one
+// hold of the merge lock, so they describe the same merge.
 func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, sum uint64, devices int, err error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
-	if _, err := e.refreshMergedLocked(); err != nil {
+	if err := e.refreshMergedLocked(); err != nil {
 		return core.State{}, 0, 0, err
 	}
 	return e.mergeIdx.State(minSupport, minConfidence, top, want), e.mergeEpoch, e.mergeDevices, nil

@@ -296,12 +296,13 @@ type shard struct {
 
 	// Epoch-gated read cache; see withCapture and snapshot. snapGroup
 	// is the one capture of epoch snapEpoch (snapValid), shared by
-	// bounded reads and the export. snapCached is the full (support-0)
-	// sorted export derived from it on first demand (snapSorted) — any requested
-	// support is a suffix cut of it (Snapshot.FilterSupport), so reads
-	// at different supports never thrash the cache. snapExport derives
-	// each export from the one before it, patching in what the capture
-	// says moved since, at every P.
+	// bounded reads, the merged-view feed and the export. snapCached is
+	// the full (support-0) sorted export derived from it on first demand
+	// (snapSorted) — any requested support is a suffix cut of it
+	// (Snapshot.FilterSupport), so reads at different supports never
+	// thrash the cache. snapExport derives each export from the one
+	// before it, patching in what the capture says moved since, at
+	// every P.
 	snapMu     sync.Mutex
 	snapGroup  core.RawGroup
 	snapEpoch  uint64
@@ -973,14 +974,16 @@ func (s *shard) ask(q query) (queryReply, error) {
 // withCapture runs fn against the device's capture of the current
 // epoch and returns the epoch it was taken for. There is exactly one
 // such capture per epoch, shared under snapMu by bounded reads
-// (Engine.State) and the sorted export (snapshot), and by every repeat
-// of them while the synopsis is unchanged, so a read storm against an
-// idle device costs the worker one capture in total. The epoch is read
-// before the worker is asked, so it may under-claim the capture's
-// freshness and never over-claims it. fn runs with snapMu held — reads
-// of one device serialise for the length of its scan, which is why
-// only K-bounded scans belong here — and must not retain the group:
-// the next epoch's capture overwrites it in place.
+// (Engine.State), the engine's merged-view feed and the sorted export
+// (snapshot), and by every repeat of them while the synopsis is
+// unchanged, so a read storm against an idle device costs the worker
+// one capture in total. The epoch is read before the worker is asked,
+// so it may under-claim the capture's freshness and never over-claims
+// it. fn runs with snapMu held — reads of one device serialise for the
+// length of its pass, which is why only K-bounded scans and the merged
+// feed (O(changed) but for a first or lapped one, which costs about
+// what the export's sort does) belong here — and must not retain the
+// group: the next epoch's capture overwrites it in place.
 func (s *shard) withCapture(fn func(core.RawGroup)) (uint64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()

@@ -173,12 +173,13 @@ type Aggregator struct {
 
 	// idx incrementally maintains the union of every live mirror, one
 	// source per (collector, device). Apply feeds it O(delta) work as
-	// sections land; merged reads materialize it without re-merging
-	// unchanged mirrors and without holding mu — ingest and fan-in
-	// reads only contend for the brief index mutation, never for a
-	// full merge. The index caches its own export (an unchanged read
-	// returns the previous value; requested supports are suffix cuts of
-	// it), so there is no second cache here to key. idxExcluded marks
+	// sections land; bounded merged reads scan it as it stands and only
+	// MergedSnapshot materializes it, without re-merging unchanged
+	// mirrors and without holding mu — ingest and fan-in reads only
+	// contend for the brief index mutation, never for a full merge. The
+	// index caches its own export (an unchanged read returns the
+	// previous value; requested supports are suffix cuts of it), so
+	// there is no second cache here to key. idxExcluded marks
 	// collectors whose sources were replayed out of the union because
 	// they crossed FailAfter — a change of the merge without a version
 	// bump; their next accepted frame folds them back in. idxMu nests
@@ -534,24 +535,25 @@ func (a *Aggregator) Devices() []string {
 // merge is incrementally maintained — Apply feeds each section's
 // changes into the union as it lands, so a read after one device's
 // delta re-sorts only that device's changed entries and never holds
-// the ingest mutex across a merge.
+// the ingest mutex across a merge. This is the one read that
+// materializes the sorted export; MergedState and TopRules scan the
+// union as it stands.
 func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
-	a.readIndex(func(_ *core.MergeIndex, full core.Snapshot) {
-		snap = full.FilterSupport(minSupport)
+	a.readIndex(func(idx *core.MergeIndex) {
+		snap = idx.Snapshot().FilterSupport(minSupport)
 	})
 	return snap
 }
 
 // readIndex is the one way a merged read reaches the union: Failed
 // collectors are reconciled out, then fn runs under idxMu against the
-// index and its materialized export. Materializing first is what
-// drains the index's change list, so a fleet that is only ever asked
-// for rules does not accumulate one.
-func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex, full core.Snapshot)) {
+// index, which Apply has already brought up to date in O(delta) —
+// nothing is materialized on the way to a read.
+func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex)) {
 	a.reconcileIndex()
 	a.idxMu.Lock()
 	defer a.idxMu.Unlock()
-	fn(a.idx, a.idx.Snapshot())
+	fn(a.idx)
 }
 
 // reconcileIndex replays the sources of collectors that crossed
@@ -615,17 +617,17 @@ func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snap
 // MergedState; this form remains for the repository benchmark's
 // layer probe.
 func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) (rules []core.Rule) {
-	a.readIndex(func(idx *core.MergeIndex, _ core.Snapshot) {
+	a.readIndex(func(idx *core.MergeIndex) {
 		rules = idx.TopRules(minSupport, minConfidence, limit)
 	})
 	return rules
 }
 
 // MergedState is the bounded read of the merged mirror (core.State):
-// pairs and rules are taken under one hold of the index lock, so they
-// describe the same merge.
+// one pass over the union, pairs and rules taken under one hold of the
+// index lock, so they describe the same merge.
 func (a *Aggregator) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State) {
-	a.readIndex(func(idx *core.MergeIndex, _ core.Snapshot) {
+	a.readIndex(func(idx *core.MergeIndex) {
 		st = idx.State(minSupport, minConfidence, top, want)
 	})
 	return st

@@ -13,12 +13,12 @@ import (
 )
 
 // The aggregator's merged view is incrementally maintained: Apply
-// feeds each section straight into the merge index and reads
-// materialize it, so the from-scratch answer — core.MergeSnapshots
-// over the live mirrors — is never computed in production. This suite
-// recomputes it after every mutation and demands equality, across
-// deltas, fulls (anti-entropy repairs), removes, retransmits, failed
-// collectors, recovery, and state restore.
+// feeds each section straight into the merge index, bounded reads scan
+// it and only MergedSnapshot materializes it, so the from-scratch
+// answer — core.MergeSnapshots over the live mirrors — is never
+// computed in production. This suite recomputes it after every mutation
+// and demands equality, across deltas, fulls (anti-entropy repairs),
+// removes, retransmits, failed collectors, recovery, and state restore.
 
 type fleetModel struct {
 	t   *testing.T
@@ -137,11 +137,8 @@ func (m *fleetModel) heartbeat(c string) {
 	m.apply(Frame{Collector: c, Instance: 1, Seq: m.nextSeq(c)})
 }
 
-// check asserts the incremental merged view equals the from-scratch
-// merge over the live mirrors, at several supports, plus the top-K
-// rules identity.
-func (m *fleetModel) check() {
-	m.t.Helper()
+// scratch is the from-scratch merge over the live mirrors.
+func (m *fleetModel) scratch() core.Snapshot {
 	var snaps []core.Snapshot
 	for _, cs := range m.a.Collectors() {
 		if cs.State == Failed {
@@ -151,7 +148,34 @@ func (m *fleetModel) check() {
 			snaps = append(snaps, snap)
 		}
 	}
-	want := core.MergeSnapshots(snaps...)
+	return core.MergeSnapshots(snaps...)
+}
+
+// checkBounded asserts the bounded merged read equals the same cut of
+// the from-scratch merge. It never asks the aggregator for its sorted
+// export, so a run of these between applies leaves the index with
+// nothing materialized.
+func (m *fleetModel) checkBounded() {
+	m.t.Helper()
+	want := m.scratch()
+	for _, minSupport := range []uint32{0, 3} {
+		for _, top := range []int{0, 4, 10_000} {
+			got := m.a.MergedState(minSupport, 0.1, top, core.WantPairs|core.WantRules)
+			if !reflect.DeepEqual(got, want.State(minSupport, 0.1, top, core.WantPairs|core.WantRules)) {
+				m.t.Fatalf("MergedState(%d, 0.1, %d) diverged from the cut of the scratch merge: %d pairs of %d / %d rules",
+					minSupport, top, len(got.Pairs), got.TotalPairs, len(got.Rules))
+			}
+		}
+	}
+}
+
+// check asserts the incremental merged view equals the from-scratch
+// merge over the live mirrors, at several supports and as a bounded
+// read, plus the top-K rules identity.
+func (m *fleetModel) check() {
+	m.t.Helper()
+	m.checkBounded()
+	want := m.scratch()
 	for _, minSupport := range []uint32{0, 3} {
 		got := m.a.MergedSnapshot(minSupport)
 		if !reflect.DeepEqual(got, want.FilterSupport(minSupport)) {
@@ -214,6 +238,30 @@ func TestAggregatorIncrementalEqualsScratch(t *testing.T) {
 			m.delta(c, d)
 		}
 		m.check()
+	}
+
+	// Long stretches of applies read only through the bounded path (the
+	// export check()'s reads left behind goes stale and is given up on
+	// the way), then one unbounded read: it has no predecessor to patch
+	// and must still equal the scratch merge.
+	for stretch := 0; stretch < 3; stretch++ {
+		for round := 0; round < 40; round++ {
+			c := collectors[m.rng.Intn(len(collectors))]
+			d := devices[m.rng.Intn(len(devices))]
+			switch m.rng.Intn(10) {
+			case 0:
+				m.full(c, d)
+			case 1:
+				m.remove(c, d)
+			default:
+				m.delta(c, d)
+			}
+			m.checkBounded()
+		}
+		if got, want := m.a.MergedSnapshot(0), m.scratch(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("MergedSnapshot(0) after bounded-only reads diverged from scratch merge: %d/%d pairs/items, want %d/%d",
+				len(got.Pairs), len(got.Items), len(want.Pairs), len(want.Items))
+		}
 	}
 
 	// A delta that names the right base but cannot patch the mirror is
