@@ -10,9 +10,9 @@ GO ?= go
 # bench-diff / alloc-check hold against BENCH_baseline.json.
 BENCH_CUR ?= BENCH_pr10.json
 
-.PHONY: ci fmt vet test test-matrix race bench-unit bench-repo bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
+.PHONY: ci fmt vet deps test test-matrix race flake bench-unit bench-repo bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
 
-ci: fmt vet race bench-unit test-matrix alloc-guard alloc-check fault fleet-smoke soak-smoke soak-smoke-p4
+ci: fmt vet deps race bench-unit test-matrix alloc-guard alloc-check fault fleet-smoke soak-smoke soak-smoke-p4
 
 # Fail if any file is not gofmt-clean.
 fmt:
@@ -23,6 +23,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# The engine has one ingest spine of its own (router-owned monitor,
+# inline or fanned-out sink); the library pipeline is the oracle its
+# tests compare against, not something it may be built on again.
+deps:
+	! $(GO) list -deps ./internal/engine | grep -q daccor/internal/pipeline
 
 test:
 	$(GO) test ./...
@@ -39,6 +45,13 @@ test-matrix:
 
 race:
 	$(GO) test -race ./...
+
+# Lifecycle orderings that once depended on the scheduler (a periodic
+# checkpoint save outliving Stop, the StopTimeout drain, a restore
+# beside a save in flight): fifty runs under the race detector,
+# zero-failure budget.
+flake:
+	$(GO) test -race -count=50 -run 'TestFaultPanicRecoveryFromCheckpoint|TestStop|TestRestoreBesideInFlightSave' ./internal/engine ./internal/checkpoint
 
 # bench/ is its own module, so ./... never reaches it: vet it and run
 # its unit tests here, or a root-module refactor that renames something

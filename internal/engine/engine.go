@@ -1,19 +1,18 @@
 // Package engine runs the characterization framework for a fleet of
-// block devices. Each registered device gets its own
-// pipeline.Pipeline (monitor + synopsis) owned by a dedicated worker
-// goroutine and fed through a bounded event queue with an explicit
-// drop-oldest backpressure policy — a live characterizer must never
-// stall the I/O path it observes, so when a device falls behind the
-// oldest unprocessed events are discarded and counted rather than
-// blocking the producer. Per-device drop and lag counters expose that
-// behaviour to operators.
+// block devices. Each registered device gets its own monitor and
+// synopsis, owned by a dedicated router goroutine (see shard) and fed
+// through a bounded event queue with an explicit drop-oldest
+// backpressure policy — a live characterizer must never stall the I/O
+// path it observes, so when a device falls behind the oldest
+// unprocessed events are discarded and counted rather than blocking
+// the producer. Per-device drop and lag counters expose that behaviour
+// to operators.
 //
 // On top of the per-device shards sits cross-device aggregation:
 // MergedSnapshot and MergedRules union the per-device synopses
 // (core.MergeSnapshots) so callers can ask both "what correlates on
-// volume 3" and "what correlates fleet-wide". The single-device
-// deployment (internal/realtime.Collector) is the N=1 case of this
-// engine.
+// volume 3" and "what correlates fleet-wide". A single-device
+// deployment is the N=1 case: an engine with one registered device.
 package engine
 
 import (
@@ -30,7 +29,6 @@ import (
 	"daccor/internal/core"
 	"daccor/internal/monitor"
 	"daccor/internal/obs"
-	"daccor/internal/pipeline"
 )
 
 // DefaultQueueSize is the per-device event queue capacity used when no
@@ -73,7 +71,8 @@ var (
 
 // settings collects what the functional options configure.
 type settings struct {
-	tmpl         pipeline.Config
+	mon          monitor.Config
+	an           core.Config
 	queueSize    int
 	policy       Backpressure
 	parts        int
@@ -89,24 +88,19 @@ type settings struct {
 // Option configures an Engine under construction; see With*.
 type Option func(*settings)
 
-// WithPipeline sets the whole per-device pipeline template at once.
-// Later WithMonitor/WithAnalyzer options override its fields.
-func WithPipeline(cfg pipeline.Config) Option {
-	return func(s *settings) { s.tmpl = cfg }
-}
-
 // WithMonitor sets the monitoring-module template (window policy,
-// transaction cap, PID filter) every registered device's pipeline is
-// built from. A nil Window selects the paper's dynamic window.
+// transaction cap, PID filter) every registered device's monitor is
+// built from. A nil Window selects the paper's dynamic window
+// (monitor.DefaultWindow), one instance per device.
 func WithMonitor(cfg monitor.Config) Option {
-	return func(s *settings) { s.tmpl.Monitor = cfg }
+	return func(s *settings) { s.mon = cfg }
 }
 
 // WithAnalyzer sets the synopsis configuration (table capacities,
-// promotion threshold) every registered device's pipeline is built
+// promotion threshold) every registered device's synopsis is built
 // from.
 func WithAnalyzer(cfg core.Config) Option {
-	return func(s *settings) { s.tmpl.Analyzer = cfg }
+	return func(s *settings) { s.an = cfg }
 }
 
 // WithQueueSize sets the per-device event queue capacity (default
@@ -126,9 +120,9 @@ func WithBackpressure(p Backpressure) Option {
 // its own worker goroutine, so one hot device can use n cores. Pair
 // ownership goes to the canonical minimum extent of the pair, keeping
 // membership lists partition-local; device-level snapshots, rules,
-// stats, and checkpoints are merged views over the n slices. The
-// default (and n = 1) is the classic single-worker pipeline.
-// Partitioning is incompatible with pipeline KeepTransactions.
+// stats, and checkpoints are merged views over the n slices. At the
+// default, n = 1, there are no partition workers: the device's router
+// applies each transaction to the one synopsis itself.
 func WithPartitions(n int) Option {
 	return func(s *settings) { s.parts = n }
 }
@@ -191,7 +185,8 @@ func WithProcessHook(fn func(device string, ev blktrace.Event)) Option {
 // Engine is the multi-device collection engine. All methods are safe
 // for concurrent use.
 type Engine struct {
-	tmpl         pipeline.Config
+	mon          monitor.Config
+	an           core.Config
 	queueSize    int
 	policy       Backpressure
 	parts        int
@@ -202,11 +197,10 @@ type Engine struct {
 	ckptInterval time.Duration
 	procHook     func(device string, ev blktrace.Event)
 
-	mu           sync.Mutex
-	shards       map[string]*shard
-	order        []string // sorted by device ID, for deterministic listings
-	stopped      bool
-	restoredUsed bool
+	mu      sync.Mutex
+	shards  map[string]*shard
+	order   []string // sorted by device ID, for deterministic listings
+	stopped bool
 
 	// fleet wakes merged-epoch waiters on any device advance (and on
 	// register/unregister, which change the device count); see watch.go.
@@ -240,9 +234,7 @@ type mergeFeed struct {
 	sources []string
 }
 
-// New builds an engine from functional options — the one constructor
-// callers use instead of hand-assembling nested monitor/analyzer/
-// pipeline structs:
+// New builds an engine from functional options:
 //
 //	e, err := engine.New(
 //	        engine.WithAnalyzer(core.Config{ItemCapacity: 32 << 10, PairCapacity: 32 << 10}),
@@ -250,8 +242,9 @@ type mergeFeed struct {
 //	        engine.WithDevices("vol0", "vol1"),
 //	)
 //
-// The pipeline template is validated up front (pipeline.Config.Validate)
-// so misconfiguration fails at construction, not at first Register.
+// The monitor and analyzer templates are validated up front, partition
+// sizing included, so misconfiguration fails at construction, not at
+// first Register.
 func New(opts ...Option) (*Engine, error) {
 	s := settings{queueSize: DefaultQueueSize, policy: DropOldest, parts: 1, reorder: DefaultReorderBuffer}
 	for _, o := range opts {
@@ -269,19 +262,14 @@ func New(opts ...Option) (*Engine, error) {
 	if s.reorder < 0 {
 		return nil, fmt.Errorf("engine: reorder buffer must be >= 0 (got %d)", s.reorder)
 	}
-	if err := s.tmpl.Validate(); err != nil {
+	if err := withWindow(s.mon).Validate(); err != nil {
 		return nil, err
 	}
-	if s.parts > 1 {
-		if s.tmpl.KeepTransactions {
-			return nil, fmt.Errorf("engine: KeepTransactions is not supported with %d partitions", s.parts)
-		}
-		// Fail partition sizing at construction, not at first Register.
-		if s.tmpl.Restored == nil {
-			if _, err := s.tmpl.Analyzer.Split(s.parts); err != nil {
-				return nil, err
-			}
-		}
+	if err := s.an.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := s.an.Split(s.parts); err != nil {
+		return nil, err
 	}
 	if err := s.super.Validate(); err != nil {
 		return nil, err
@@ -293,7 +281,8 @@ func New(opts ...Option) (*Engine, error) {
 		s.metrics = obs.NewRegistry()
 	}
 	e := &Engine{
-		tmpl:         s.tmpl,
+		mon:          s.mon,
+		an:           s.an,
 		queueSize:    s.queueSize,
 		policy:       s.policy,
 		parts:        s.parts,
@@ -320,9 +309,9 @@ func New(opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Register adds a device, building its pipeline from the engine's
-// template and starting its supervised worker. When a checkpoint
-// store is attached, the device restores its freshest valid
+// Register adds a device, building its monitor and synopsis from the
+// engine's templates and starting its supervised worker. When a
+// checkpoint store is attached, the device restores its freshest valid
 // checkpoint generation instead of starting cold. Devices can be
 // registered while the engine is live; registering after Stop returns
 // ErrStopped.
@@ -338,25 +327,14 @@ func (e *Engine) Register(id string) error {
 	if _, ok := e.shards[id]; ok {
 		return fmt.Errorf("%w: %q", ErrDuplicateDevice, id)
 	}
-	if e.tmpl.Restored != nil {
-		// A restored analyzer is a single concrete instance; sharing it
-		// across shards would race. It may seed exactly one device.
-		if e.restoredUsed {
-			return fmt.Errorf("engine: a Restored analyzer can seed only one device (device %q rejected)", id)
-		}
-		e.restoredUsed = true
-	}
 	sh := newShard(id, e.queueSize, e.parts, e.policy)
 	sh.super = e.super
 	sh.ckpt = e.ckptStore
 	sh.hook = e.procHook
 	sh.rebuild = func() (*deviceState, checkpoint.Generation, error) {
-		// A restart never reuses the template's Restored instance (the
-		// dying worker may have corrupted it); it restores from the
-		// checkpoint store, or starts fresh from the analyzer config.
-		return e.buildState(sh, false)
+		return e.buildState(sh)
 	}
-	st, gen, err := e.buildState(sh, true)
+	st, gen, err := e.buildState(sh)
 	if err != nil {
 		return err
 	}
@@ -378,6 +356,7 @@ func (e *Engine) Register(id string) error {
 	e.order[at] = id
 	go sh.supervise()
 	if e.ckptStore != nil {
+		sh.ckptLoop.Add(1)
 		go sh.checkpointLoop(e.ckptInterval)
 	}
 	// A new device changes the merged epoch's device count; wake fleet
@@ -386,60 +365,75 @@ func (e *Engine) Register(id string) error {
 	return nil
 }
 
-// buildState constructs one device's worker-side state from the
-// engine template, preferring (in order): the template's explicit
-// Restored analyzer (initial registration only), the freshest valid
-// checkpoint generation, a cold analyzer from the config. Checkpoints
-// of partitioned devices are single merged files (see
-// core.RawGroup.EncodeMerged): they restore as one analyzer and are
-// re-split across the current partition count here. The returned
-// generation is zero unless a checkpoint was restored.
-func (e *Engine) buildState(sh *shard, useTemplateRestored bool) (*deviceState, checkpoint.Generation, error) {
-	cfg := e.tmpl
-	if !useTemplateRestored {
-		cfg.Restored = nil
+// withWindow fills a template's nil window policy with the monitor
+// default. The policy is stateful, so this runs once per monitor built.
+func withWindow(c monitor.Config) monitor.Config {
+	if c.Window == nil {
+		c.Window = monitor.DefaultWindow()
 	}
+	return c
+}
+
+// buildState constructs one device's worker-side state from the engine
+// templates: the synopsis restored from the freshest valid checkpoint
+// generation if there is one, cold from the analyzer config otherwise,
+// in P partition slices either way — a checkpoint is one device-level
+// file whatever P wrote it (see core.RawGroup.EncodeMerged) and is
+// re-split across the current partition count here. P decides the
+// monitor's sink: with one slice the router applies each transaction to
+// it inline; with more it routes them down per-partition rings to the
+// workers runOnce starts. The returned generation is zero unless a
+// checkpoint was restored.
+func (e *Engine) buildState(sh *shard) (*deviceState, checkpoint.Generation, error) {
+	st := &deviceState{devCfg: e.an, rb: newReorderBuffer(e.reorder)}
 	var gen checkpoint.Generation
-	if cfg.Restored == nil && e.ckptStore != nil {
-		a, g, err := e.ckptStore.Restore(sh.id)
+	var err error
+	if e.ckptStore != nil {
+		var restored *core.Analyzer
+		restored, gen, err = e.ckptStore.Restore(sh.id)
 		switch {
 		case err == nil:
-			cfg.Restored = a
-			gen = g
+			st.devCfg = restored.Config()
+			st.analyzers, _, err = core.SplitAnalyzer(restored, e.parts)
+			if err != nil {
+				return nil, gen, err
+			}
 		case errors.Is(err, checkpoint.ErrNoCheckpoint):
 			// Cold start: nothing restorable, build from config.
 		default:
 			return nil, gen, err
 		}
 	}
-	st := &deviceState{parts: e.parts, rb: newReorderBuffer(e.reorder)}
-	if e.parts == 1 {
-		p, err := pipeline.New(cfg)
-		if err != nil {
+	if st.analyzers == nil {
+		var sub core.Config
+		if sub, err = e.an.Split(e.parts); err != nil {
 			return nil, gen, err
 		}
-		st.pipe = p
-		st.devCfg = p.Analyzer().Config()
-		return st, gen, nil
+		st.analyzers = make([]*core.Analyzer, e.parts)
+		for k := range st.analyzers {
+			if st.analyzers[k], err = core.NewAnalyzer(sub); err != nil {
+				return nil, gen, err
+			}
+		}
 	}
-	st.devCfg = cfg.Analyzer
-	if cfg.Restored != nil {
-		st.devCfg = cfg.Restored.Config()
+	mc := withWindow(e.mon)
+	sink := sh.routeTx
+	if len(st.analyzers) == 1 {
+		a := st.analyzers[0]
+		sink = func(tx monitor.Transaction) { a.Process(tx.Extents) }
+	} else {
+		maxReq := mc.MaxRequests
+		if maxReq <= 0 {
+			maxReq = monitor.DefaultMaxRequests
+		}
+		st.sortBuf = make([]blktrace.Extent, 0, maxReq)
+		st.txRings = make([]*txRing, len(st.analyzers))
+		for k := range st.txRings {
+			st.txRings[k] = newTxRing(maxReq)
+		}
 	}
-	mon, analyzers, _, err := pipeline.NewPartitioned(cfg, e.parts, sh.routeTx)
-	if err != nil {
+	if st.mon, err = monitor.New(mc, sink); err != nil {
 		return nil, gen, err
-	}
-	st.mon = mon
-	st.analyzers = analyzers
-	maxReq := cfg.Monitor.MaxRequests
-	if maxReq <= 0 {
-		maxReq = monitor.DefaultMaxRequests
-	}
-	st.sortBuf = make([]blktrace.Extent, 0, maxReq)
-	st.txRings = make([]*txRing, e.parts)
-	for k := range st.txRings {
-		st.txRings[k] = newTxRing(maxReq)
 	}
 	return st, gen, nil
 }
@@ -614,7 +608,8 @@ func (e *Engine) WriteSnapshot(id string, w io.Writer) error {
 		return err
 	}
 	return s.capture(func(g core.RawGroup) error {
-		return s.writeTo(w, g)
+		_, err := s.encoding(g).WriteTo(w)
+		return err
 	})
 }
 
@@ -906,9 +901,10 @@ func (e *Engine) Dropped(id string) (uint64, error) {
 }
 
 // Stop shuts every device down: no new events or queries are accepted,
-// queued events are drained into the pipelines, open transactions are
-// flushed, and the workers exit. Stop is idempotent, safe to call
-// concurrently, and returns once every worker has exited.
+// queued events are drained into the synopses, open transactions are
+// flushed, a final checkpoint is written, and the workers exit. Stop is
+// idempotent, safe to call concurrently, and returns once every
+// goroutine of every device — checkpoint loops included — has exited.
 func (e *Engine) Stop() { e.stopWithin(0) }
 
 // StopTimeout is Stop with a drain deadline: devices get up to d to
@@ -939,7 +935,7 @@ func (e *Engine) stopWithin(d time.Duration) (forced bool) {
 		all := make(chan struct{})
 		go func() {
 			for _, s := range shards {
-				<-s.done
+				s.wait()
 			}
 			close(all)
 		}()
@@ -956,7 +952,7 @@ func (e *Engine) stopWithin(d time.Duration) (forced bool) {
 		}
 	} else {
 		for _, s := range shards {
-			<-s.done
+			s.wait()
 		}
 	}
 	// Every shard has flushed and ended its own waiters; end the

@@ -9,18 +9,34 @@ import (
 	"time"
 
 	"daccor/internal/blktrace"
+	"daccor/internal/checkpoint"
 	"daccor/internal/core"
 	"daccor/internal/monitor"
 	"daccor/internal/pipeline"
 	"daccor/internal/workload"
 )
 
+// testConfig is the monitor and analyzer configuration the suite runs
+// under, in the library pipeline's shape.
+var testConfig = pipeline.Config{
+	Monitor:  monitor.Config{Window: monitor.StaticWindow(10 * time.Millisecond)},
+	Analyzer: core.Config{ItemCapacity: 4096, PairCapacity: 4096},
+}
+
 func testOptions(extra ...Option) []Option {
-	opts := []Option{
-		WithMonitor(monitor.Config{Window: monitor.StaticWindow(10 * time.Millisecond)}),
-		WithAnalyzer(core.Config{ItemCapacity: 4096, PairCapacity: 4096}),
-	}
+	opts := []Option{WithMonitor(testConfig.Monitor), WithAnalyzer(testConfig.Analyzer)}
 	return append(opts, extra...)
+}
+
+// testPipeline is the single-threaded library pipeline under testConfig:
+// the oracle engine state is compared to.
+func testPipeline(t *testing.T) *pipeline.Pipeline {
+	t.Helper()
+	p, err := pipeline.New(testConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func mustEngine(t *testing.T, extra ...Option) *Engine {
@@ -209,9 +225,12 @@ func TestTwoDevicesConcurrent(t *testing.T) {
 }
 
 // TestMergedEqualsSingleAnalyzerN1 is the regression check for the
-// aggregation layer: with one device, the engine's merged output must
-// be identical to running the same trace through a bare single-analyzer
-// pipeline.
+// aggregation layer and for the one-analyzer ingest spine under it: with
+// one device, the engine's merged output must be identical to running
+// the same trace through a bare single-analyzer pipeline, and its
+// WriteSnapshot byte-identical to that analyzer's WriteTo — before a
+// Stop, and again on a second engine that restored the first one's final
+// checkpoint and took the rest of the trace (restore ≡ never-crashed).
 func TestMergedEqualsSingleAnalyzerN1(t *testing.T) {
 	syn, err := workload.Generate(workload.SyntheticConfig{
 		Kind: workload.ManyToMany, Occurrences: 500, Seed: 7,
@@ -219,49 +238,60 @@ func TestMergedEqualsSingleAnalyzerN1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := pipeline.Config{
-		Monitor:  monitor.Config{Window: monitor.StaticWindow(10 * time.Millisecond)},
-		Analyzer: core.Config{ItemCapacity: 4096, PairCapacity: 4096},
+	store, err := checkpoint.Open(checkpoint.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	// Reference: the plain single-threaded pipeline, fed the same
 	// events without a final Flush (the engine flushes on Stop, which
-	// is after the snapshot we compare — both sides hold the same open
+	// is after the state we compare — both sides hold the same open
 	// transaction).
-	ref, err := pipeline.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range syn.Trace.Events {
-		if err := ref.HandleIssue(ev); err != nil {
+	ref := testPipeline(t)
+	// feed runs evs through the reference and through a fresh N=1 engine
+	// on the store, and compares the two.
+	feed := func(label string, evs []blktrace.Event) *Engine {
+		t.Helper()
+		for _, ev := range evs {
+			if err := ref.HandleIssue(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := ref.Snapshot(1)
+		e := mustEngine(t, WithDevices("only"), WithBackpressure(Block), WithCheckpoints(store, time.Hour))
+		dev, err := e.Device("only")
+		if err != nil {
 			t.Fatal(err)
 		}
+		for _, ev := range evs {
+			if err := dev.Submit(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitDrained(t, e, "only", uint64(len(evs)))
+		got, err := e.MergedSnapshot(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: N=1 merged snapshot diverges from single-analyzer run: %d vs %d pairs",
+				label, len(got.Pairs), len(want.Pairs))
+		}
+		var gotBytes, wantBytes bytes.Buffer
+		if err := e.WriteSnapshot("only", &gotBytes); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Analyzer().WriteTo(&wantBytes); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+			t.Fatalf("%s: WriteSnapshot (%d bytes) is not the reference analyzer's WriteTo (%d bytes)",
+				label, gotBytes.Len(), wantBytes.Len())
+		}
+		return e
 	}
-	want := ref.Snapshot(1)
 
-	// Engine with N=1: same events through one shard, then merged.
-	e, err := New(WithPipeline(cfg), WithDevices("only"), WithBackpressure(Block))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dev, err := e.Device("only")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range syn.Trace.Events {
-		if err := dev.Submit(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitDrained(t, e, "only", uint64(syn.Trace.Len()))
-	got, err := e.MergedSnapshot(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("N=1 merged snapshot diverges from single-analyzer run: %d vs %d pairs",
-			len(got.Pairs), len(want.Pairs))
-	}
+	half := syn.Trace.Len() / 2
+	e := feed("first half", syn.Trace.Events[:half])
 	// MergeSnapshots over one export must also be the identity.
 	single, err := e.Snapshot("only", 1)
 	if err != nil {
@@ -270,7 +300,11 @@ func TestMergedEqualsSingleAnalyzerN1(t *testing.T) {
 	if !reflect.DeepEqual(core.MergeSnapshots(single), single) {
 		t.Error("MergeSnapshots(s) != s for a single snapshot")
 	}
+	// Stop flushes the open transaction into the final checkpoint; the
+	// reference closes its own at the same event.
 	e.Stop()
+	ref.Flush()
+	feed("restored, second half", syn.Trace.Events[half:]).Stop()
 }
 
 func TestDropOldestAccounting(t *testing.T) {

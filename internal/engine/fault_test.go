@@ -5,8 +5,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,12 +124,16 @@ func TestFaultPanicRecoveryFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for a checkpoint generation written after the drain, so it
-	// provably contains every event fed so far.
+	// Wait for a checkpoint generation that provably contains every
+	// event fed so far. A generation says when it was committed, not when
+	// its state was captured: the first one past the drain may be a save
+	// that was already in flight, holding an older capture. The device's
+	// saves run one after another, so the second one's capture was taken
+	// after the first committed — after the drain.
 	atDrain := ds0.Health.CheckpointSeq
 	waitHealth(t, e, "dev0", func(h DeviceHealthStatus) bool {
-		return h.CheckpointSeq > atDrain
-	}, "post-drain checkpoint")
+		return h.CheckpointSeq >= atDrain+2
+	}, "second post-drain checkpoint")
 
 	// Poison the worker and wait for the supervisor to bring it back.
 	if err := e.Submit("dev0", readEvent(poison, 60)); err != nil {
@@ -316,6 +324,123 @@ func TestFaultCheckpointWriteFailure(t *testing.T) {
 	}
 	if _, _, err := store.Restore("dev0"); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		t.Errorf("restore = %v, want ErrNoCheckpoint (no save ever committed)", err)
+	}
+}
+
+// storeListing renders every file under the store directory with its
+// size and modification time, the directories' own times included — any
+// create, rename, remove or write under it changes the rendering.
+func storeListing(t *testing.T, root string) string {
+	t.Helper()
+	var b strings.Builder
+	err := filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", path, info.Size(), info.ModTime().Format(time.RFC3339Nano))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestStopWaitsForParkedCheckpointSave forces the ordering that let a
+// periodic save outlive Stop: the checkpoint loop's save is parked on the
+// FaultHook between temp close and rename, the device ingests on, and
+// Stop is called. Stop must neither return nor bring its final flush to
+// its own commit point while that save is in flight; once it has
+// returned, the newest generation is the final state and nothing touches
+// the store directory again.
+func TestStopWaitsForParkedCheckpointSave(t *testing.T) {
+	parked, release := make(chan struct{}), make(chan struct{})
+	second := make(chan struct{}, 1)
+	var calls atomic.Int32
+	store, err := checkpoint.Open(checkpoint.Config{
+		Dir: t.TempDir(),
+		FaultHook: func(device string, seq uint64) error {
+			if calls.Add(1) == 1 {
+				close(parked)
+				<-release
+				return nil
+			}
+			select {
+			case <-release:
+			default:
+				second <- struct{}{} // a save at its commit point beside the parked one
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := mustEngine(t,
+		WithDevices("dev0"),
+		WithBackpressure(Block),
+		WithCheckpoints(store, time.Millisecond),
+	)
+	// The oracle for the final state: the library pipeline fed the same
+	// events and flushed, as Stop flushes.
+	ref := testPipeline(t)
+	for _, base := range []int{0, 40} { // the two feedN calls below
+		for i := 0; i < 40; i++ {
+			if err := ref.HandleIssue(readEvent(uint64(1+i%16), base+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref.Flush()
+
+	feedN(t, e, "dev0", 40, 0)
+	waitDrained(t, e, "dev0", 40)
+	<-parked
+	// The parked save holds a capture of at most the first 40 events and
+	// the device's lowest sequence; everything below happens after it.
+	feedN(t, e, "dev0", 40, 40)
+	last := waitDrained(t, e, "dev0", 80)
+
+	stopped := make(chan struct{})
+	go func() { e.Stop(); close(stopped) }()
+	// No event can say "Stop is still waiting": give a Stop that does not
+	// wait ample time to show itself.
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a periodic checkpoint save was still in flight")
+	case <-second:
+		t.Fatal("the final flush reached its commit point beside an in-flight periodic save")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-stopped
+	select {
+	case <-second:
+		t.Error("a save reached its commit point while the periodic save was parked")
+	default:
+	}
+
+	before := storeListing(t, store.Dir())
+	restored, gen, err := store.Restore("dev0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newest, ok := store.Latest("dev0"); !ok || newest.Seq != gen.Seq || gen.Seq < 2 {
+		t.Errorf("restored generation %d, newest on disk %d (ok=%v); want the final flush, after the parked save's",
+			gen.Seq, newest.Seq, ok)
+	}
+	// The stop flush closes the one transaction the last read saw open.
+	if got, want := restored.Stats().Transactions, last.Analyzer.Transactions+1; got != want {
+		t.Errorf("newest generation holds %d transactions, want %d (last pre-stop read + the flushed one)", got, want)
+	}
+	if restored.Stats() != ref.Analyzer().Stats() {
+		t.Errorf("newest generation stats = %+v, want the final state's %+v", restored.Stats(), ref.Analyzer().Stats())
+	}
+	if !reflect.DeepEqual(restored.Snapshot(0), ref.Snapshot(0)) {
+		t.Error("newest generation does not restore to the final state")
+	}
+	if after := storeListing(t, store.Dir()); after != before {
+		t.Errorf("store directory changed after Stop returned:\n%s\nthen\n%s", before, after)
 	}
 }
 

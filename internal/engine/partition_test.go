@@ -13,7 +13,6 @@ import (
 	"daccor/internal/checkpoint"
 	"daccor/internal/core"
 	"daccor/internal/monitor"
-	"daccor/internal/pipeline"
 	"daccor/internal/workload"
 )
 
@@ -79,6 +78,21 @@ func TestPartitionedMatchesSingle(t *testing.T) {
 	if len(wantSnap.Pairs) == 0 || len(wantRules) == 0 {
 		t.Fatalf("degenerate reference: %d pairs, %d rules", len(wantSnap.Pairs), len(wantRules))
 	}
+	// The P=1 stats are themselves checked against the library pipeline
+	// fed the same events (no Flush: the engine's transaction is open
+	// too), so the loop below holds every P to that oracle.
+	ref := testPipeline(t)
+	for _, ev := range trace.Events {
+		if err := ref.HandleIssue(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if wantStats.Monitor != ref.Monitor().Stats() || wantStats.Window != ref.WindowDuration() ||
+		wantStats.Analyzer.Transactions != ref.Analyzer().Stats().Transactions {
+		t.Errorf("P=1 stats = monitor %+v, window %v, %d transactions; pipeline has %+v, %v, %d",
+			wantStats.Monitor, wantStats.Window, wantStats.Analyzer.Transactions,
+			ref.Monitor().Stats(), ref.WindowDuration(), ref.Analyzer().Stats().Transactions)
+	}
 	for _, parts := range []int{2, 4, 7} {
 		snap, rules, stats := runTraceThrough(t, parts, trace)
 		if !reflect.DeepEqual(snap, wantSnap) {
@@ -98,6 +112,9 @@ func TestPartitionedMatchesSingle(t *testing.T) {
 		}
 		if stats.Monitor != wantStats.Monitor {
 			t.Errorf("P=%d monitor stats = %+v, want %+v", parts, stats.Monitor, wantStats.Monitor)
+		}
+		if stats.Window != wantStats.Window {
+			t.Errorf("P=%d window = %v, want %v", parts, stats.Window, wantStats.Window)
 		}
 	}
 }
@@ -203,8 +220,8 @@ func TestPartitionedCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionedValidation: partition-count bounds and the
-// KeepTransactions conflict fail at construction.
+// TestPartitionedValidation: partition-count bounds and unsplittable
+// capacities fail at construction.
 func TestPartitionedValidation(t *testing.T) {
 	if _, err := New(testOptions(WithPartitions(0))...); err == nil {
 		t.Error("want error for 0 partitions")
@@ -214,14 +231,6 @@ func TestPartitionedValidation(t *testing.T) {
 	}
 	if _, err := New(testOptions(WithReorderBuffer(-1))...); err == nil {
 		t.Error("want error for negative reorder buffer")
-	}
-	cfg := pipeline.Config{
-		Monitor:          monitor.Config{Window: monitor.StaticWindow(10 * time.Millisecond)},
-		Analyzer:         core.Config{ItemCapacity: 4096, PairCapacity: 4096},
-		KeepTransactions: true,
-	}
-	if _, err := New(WithPipeline(cfg), WithPartitions(2)); err == nil {
-		t.Error("want error for KeepTransactions with partitions")
 	}
 	// Capacities too small to split across the partitions fail early.
 	if _, err := New(

@@ -14,7 +14,6 @@ import (
 	"daccor/internal/checkpoint"
 	"daccor/internal/core"
 	"daccor/internal/monitor"
-	"daccor/internal/pipeline"
 )
 
 type queryKind int
@@ -33,8 +32,9 @@ const (
 type query struct {
 	kind queryKind
 	// raws receives the capture for queryCapture: one RawSnapshot per
-	// partition (length 1 at P=1). Owned by the asker, written by the
-	// partition workers before the reply is sent.
+	// partition. Owned by the asker, written by whoever owns the
+	// analyzers (the partition workers, or the router when there are
+	// none) before the reply is sent.
 	raws  core.RawGroup
 	reply chan queryReply
 }
@@ -57,20 +57,18 @@ type queryReply struct {
 var errRunBroken = errors.New("engine: partition worker died")
 
 // deviceState is the worker-side state of one run of a device: the
-// analyzer(s), the monitor, the reorder buffer, and (at P>1) the
-// per-partition transaction rings. The supervisor rebuilds it from the
-// freshest checkpoint on every restart, so a dying run can never leak
-// corrupt state — or stale ring tokens — into the next one.
+// monitor, the P analyzers, the reorder buffer, and the per-partition
+// transaction rings. The supervisor rebuilds it from the freshest
+// checkpoint on every restart, so a dying run can never leak corrupt
+// state — or stale ring tokens — into the next one.
 type deviceState struct {
-	parts int
-
-	// parts == 1: the classic single-worker pipeline.
-	pipe *pipeline.Pipeline
-
-	// parts > 1: the router owns the monitor (transaction assembly is
-	// inherently sequential — it is a stateful scan of the timestamp
-	// order) and fans completed transactions out to P partition-local
-	// analyzers, each owned by its own worker goroutine.
+	// The router owns the monitor (transaction assembly is inherently
+	// sequential — it is a stateful scan of the timestamp order) and the
+	// monitor's sink decides where a completed transaction goes: with
+	// one analyzer the router applies it inline and there are no rings
+	// and no run; with P > 1 partition-local analyzers routeTx fans it
+	// out down txRings (one per analyzer) to the workers of run, each of
+	// which owns its analyzer for as long as run is live.
 	mon       *monitor.Monitor
 	analyzers []*core.Analyzer
 	txRings   []*txRing
@@ -81,16 +79,8 @@ type deviceState struct {
 	// checkpoint of the P partitions is encoded (and re-split) under.
 	devCfg core.Config
 
-	rb        *reorderBuffer
-	lastLate  uint64 // rb.late already mirrored into metrics
-	processed uint64 // events released into analysis this run
-}
-
-func (st *deviceState) monitor() *monitor.Monitor {
-	if st.parts == 1 {
-		return st.pipe.Monitor()
-	}
-	return st.mon
+	rb       *reorderBuffer
+	lastLate uint64 // rb.late already mirrored into metrics
 }
 
 // txKind discriminates the tokens the router pushes down a partition's
@@ -208,9 +198,10 @@ func (r *partRun) cause() any {
 }
 
 // shard is one device's slice of the engine: a lock-free MPSC ingest
-// ring drained by a router goroutine that owns the monitor and — at
-// P>1 — fans completed transactions out to P partition workers, each
-// owning 1/P of the synopsis (see core.PartitionOf). Producers never
+// ring drained by a router goroutine that owns the monitor and either
+// applies completed transactions to the synopsis itself or — at P>1 —
+// fans them out to P partition workers, each owning 1/P of the synopsis
+// (see core.PartitionOf). Producers never
 // take a lock on the event path: submit is a CAS into the ring plus an
 // eventcount wake, and the drop/lag counters are atomics, so metrics
 // scrapes never serialize against ingest either.
@@ -244,14 +235,16 @@ type shard struct {
 	discard atomic.Bool
 
 	// st is owned by the router goroutine; the supervisor swaps it only
-	// between runs (same goroutine ordering as the old pipe field).
+	// between runs.
 	st *deviceState
 
-	// txCount counts transactions the router formed since the current
-	// state was installed. Partition analyzers never count transactions
-	// (the transaction is shared across them); device-level stats and
-	// checkpoints add this on top of the summed partition stats. Reset
-	// on restore — the restored state already carries its own total.
+	// txCount counts transactions the router fanned out to partition
+	// workers since the current state was installed. Partition analyzers
+	// never count transactions (the transaction is shared across them);
+	// device-level stats and checkpoints add this on top of the summed
+	// partition stats. A lone analyzer fed inline counts its own, and
+	// this stays zero. Reset on restore — the restored state already
+	// carries its own total.
 	txCount atomic.Uint64
 
 	// rbDepth mirrors the reorder buffer's depth for the lock-free lag
@@ -279,6 +272,17 @@ type shard struct {
 
 	stopCh chan struct{} // closed by requestStop: interrupts backoff, parked producers, the checkpoint loop
 	done   chan struct{} // closed when the supervisor goroutine exits
+
+	// ckptLoop is the device's checkpoint loop (see checkpointLoop);
+	// wait joins it. ckptMu serialises the device's saves, and
+	// ckptClosed, set under it by the final flush of a stop, turns away
+	// any periodic save that has not started yet: the store hands out a
+	// generation's sequence when its save starts, so a periodic save
+	// starting after the final flush would commit an older capture as
+	// the newest generation.
+	ckptLoop   sync.WaitGroup
+	ckptMu     sync.Mutex
+	ckptClosed bool
 
 	// notify wakes epoch waiters (see watch.go); onEpoch forwards each
 	// advance to the engine's fleet-level notifier.
@@ -352,26 +356,23 @@ func (s *shard) putGroup(g core.RawGroup) { s.groupPool.Put(g) }
 // tear down the process or its sibling devices.
 func (s *shard) runOnce() (panicked any) {
 	st := s.st
-	if st.parts == 1 {
-		defer func() { panicked = recover() }()
-		s.routerLoop(st, nil)
-		return nil
-	}
-	run := newPartRun()
-	st.run = run
-	for k := 0; k < st.parts; k++ {
-		run.wg.Add(1)
-		go s.partWorker(k, st, run)
+	var run *partRun // stays nil for one analyzer, fed inline: no workers to start
+	if len(st.txRings) > 0 {
+		run = newPartRun()
+		st.run = run
+		for k := range st.txRings {
+			run.wg.Add(1)
+			go s.partWorker(k, st, run)
+		}
 	}
 	v := func() (v any) {
-		defer func() {
-			if r := recover(); r != nil {
-				v = r
-			}
-		}()
+		defer func() { v = recover() }()
 		s.routerLoop(st, run)
 		return nil
 	}()
+	if run == nil {
+		return v
+	}
 	run.abort()
 	run.wg.Wait()
 	if v == nil || v == errRunBroken {
@@ -383,14 +384,22 @@ func (s *shard) runOnce() (panicked any) {
 }
 
 // routerLoop is the device's sequential spine: drain the ingest ring
-// through the reorder buffer into the monitor, fan transactions out to
-// partition workers (P>1) or the pipeline (P=1), and answer queries
-// in-band. It returns on clean stop or when the run breaks (worker
+// through the reorder buffer into the monitor — whose sink applies each
+// transaction to the synopsis or fans it out to the partition workers of
+// run — and answer queries in-band. run is nil when there are no
+// workers. It returns on clean stop or when the run breaks (worker
 // death); its own panics propagate to runOnce's recover.
 func (s *shard) routerLoop(st *deviceState, run *partRun) {
 	var ev blktrace.Event
 	var ts int64
 	var lats []int64
+	// released counts the events the current iteration let into analysis.
+	// Keep it on the router's stack (emit does not escape), not in
+	// deviceState: a store per event into that small heap object shares a
+	// cache line with whatever the allocator put beside it — another
+	// device's state, read per event by that device's router — which
+	// costs ingest-saturate 7 % of its events/s.
+	var released int
 	// emit is the one point where the router releases an event, so it is
 	// the one point that honours a forced drain: discard is loaded fresh
 	// per event (never a value sampled before a blocking analysis), and
@@ -402,6 +411,7 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 			return
 		}
 		s.processEvent(st, ev, ts)
+		released++
 	}
 	for {
 		if run != nil && run.isBroken() {
@@ -410,9 +420,9 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 		stopping := s.stopping.Load()
 		s.claimWork(&lats)
 		for _, ns := range lats {
-			st.monitor().ObserveLatency(ns)
+			st.mon.ObserveLatency(ns)
 		}
-		before := st.processed
+		released = 0
 		drained := 0
 		for s.ring.pop(&ev, &ts) {
 			drained++
@@ -429,8 +439,10 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 			st.rb.flush(emit)
 		}
 		s.mirrorReorder(st)
-		if released := int(st.processed - before); released > 0 {
-			if st.parts == 1 {
+		if released > 0 {
+			if run == nil {
+				// Workers bump the epoch as their slices advance; without
+				// them the synopsis advanced right here.
 				s.bumpEpoch()
 			}
 			s.noteProcessed(released)
@@ -463,23 +475,18 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 }
 
 // processEvent releases one reordered event into analysis: the process
-// hook, then the monitor (whose sink routes the resulting transactions
-// at P>1), then the sampled submit→analyze latency observation.
+// hook, then the monitor (whose sink applies or routes the resulting
+// transactions), then the sampled submit→analyze latency observation.
 func (s *shard) processEvent(st *deviceState, ev blktrace.Event, ts int64) {
 	if s.hook != nil {
 		s.hook(s.id, ev)
 	}
 	// Events were validated in Submit; the monitor re-validates and
 	// cannot fail here.
-	if st.parts == 1 {
-		_ = st.pipe.HandleIssue(ev)
-	} else {
-		_ = st.mon.HandleEvent(ev)
-	}
+	_ = st.mon.HandleEvent(ev)
 	if ts != 0 {
 		s.metrics.observeSubmitLatency(ts)
 	}
-	st.processed++
 }
 
 // routeTx is the monitor sink at P>1: count the transaction, sort its
@@ -497,13 +504,13 @@ func (s *shard) routeTx(tx monitor.Transaction) {
 	slices.SortFunc(st.sortBuf, blktrace.Extent.Compare)
 	var mask uint64
 	for _, e := range st.sortBuf {
-		mask |= 1 << uint(core.PartitionOf(e, st.parts))
+		mask |= 1 << uint(core.PartitionOf(e, len(st.txRings)))
 	}
-	for k := 0; k < st.parts; k++ {
+	for k, r := range st.txRings {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
-		if !s.txPush(st.txRings[k], run, txProcess, st.sortBuf, nil) {
+		if !s.txPush(r, run, txProcess, st.sortBuf, nil) {
 			return
 		}
 	}
@@ -555,8 +562,9 @@ func (s *shard) partWorker(k int, st *deviceState, run *partRun) {
 			run.fail(v)
 		}
 	}()
-	r := st.txRings[k]
-	a := st.analyzers[k]
+	// Locals: the router rewrites st.sortBuf's header per transaction, so
+	// a worker that read st in its loop would contend for that line.
+	r, a, parts := st.txRings[k], st.analyzers[k], len(st.analyzers)
 	dirty := false
 	for {
 		if run.isBroken() {
@@ -567,19 +575,13 @@ func (s *shard) partWorker(k int, st *deviceState, run *partRun) {
 			slot := &r.slots[pos&r.mask]
 			switch slot.kind {
 			case txProcess:
-				a.ProcessPartitionSorted(slot.extents, k, st.parts)
+				a.ProcessPartitionSorted(slot.extents, k, parts)
 				dirty = true
 			case txCapture:
-				start := time.Now()
-				a.CaptureSnapshot(slot.req.raws[k])
-				s.metrics.captureSeconds.Observe(time.Since(start).Seconds())
+				s.captureInto(a, slot.req.raws[k])
 				slot.req.finish()
 			case txStats:
-				slot.req.stats[k] = partStats{
-					an:    a.Stats(),
-					items: a.Items().IndexStats(),
-					pairs: a.Pairs().IndexStats(),
-				}
+				slot.req.stats[k] = partStatsOf(a)
 				slot.req.finish()
 			case txStop:
 				if dirty {
@@ -655,10 +657,8 @@ func (s *shard) finishStop(st *deviceState, run *partRun, emit func(blktrace.Eve
 	// unboundedly.
 	st.rb.flush(emit)
 	s.mirrorReorder(st)
-	if st.parts == 1 {
-		st.pipe.Flush()
-	} else {
-		st.mon.Flush()
+	st.mon.Flush()
+	if run != nil {
 		if err := s.stopWorkers(st, run); err != nil {
 			return err
 		}
@@ -667,7 +667,7 @@ func (s *shard) finishStop(st *deviceState, run *partRun, emit func(blktrace.Eve
 	// Final flush: persist the drained state so a restart does not pay
 	// the cold-start transient. An error is recorded in the checkpoint
 	// metrics; shutdown proceeds regardless.
-	_ = s.commitCheckpointState(st)
+	_ = s.commitFinalCheckpoint(st)
 	var none []int64
 	s.claimWork(&none)
 	return s.answerInflight(st, nil)
@@ -704,13 +704,13 @@ func (s *shard) answerInflight(st *deviceState, run *partRun) error {
 	return nil
 }
 
-// answer computes one query reply. With run == nil the router touches
-// the analyzers directly (P=1 always; P>1 only after the workers
-// exited on the stop path); otherwise partition state is reached via
-// in-band barrier tokens. If the computation panics (corrupt synopsis
-// state), the asker still gets a reply — a typed ErrDeviceUnavailable
-// — before the panic propagates to the supervisor; queries must fail
-// fast, never hang.
+// answer computes one query reply. With run == nil no partition worker
+// is running — there are none at P=1, and at P>1 they have exited on the
+// stop path — so the router touches the analyzers directly; otherwise
+// partition state is reached via in-band barrier tokens. If the
+// computation panics (corrupt synopsis state), the asker still gets a
+// reply — a typed ErrDeviceUnavailable — before the panic propagates to
+// the supervisor; queries must fail fast, never hang.
 func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 	defer func() {
 		if r := recover(); r != nil {
@@ -721,62 +721,60 @@ func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 	var r queryReply
 	switch q.kind {
 	case queryCapture:
-		if st.parts == 1 {
-			// The capture is the only read-side work charged to the
-			// worker; its duration is the ingest stall a reader causes,
-			// so it is what the capture-seconds histogram measures.
-			start := time.Now()
-			st.pipe.Analyzer().CaptureSnapshot(q.raws[0])
-			s.metrics.captureSeconds.Observe(time.Since(start).Seconds())
-		} else if run != nil {
+		if run != nil {
 			req := &partReq{kind: queryCapture, raws: q.raws, done: make(chan struct{})}
 			if err := s.fanout(st, run, req); err != nil {
 				return err
 			}
 		} else {
 			for k, a := range st.analyzers {
-				a.CaptureSnapshot(q.raws[k])
+				s.captureInto(a, q.raws[k])
 			}
 		}
 	case queryStats:
-		if st.parts == 1 {
-			a := st.pipe.Analyzer()
-			r.monStats = st.pipe.Monitor().Stats()
-			r.anStats = a.Stats()
-			r.window = st.pipe.WindowDuration()
-			r.itemIdx = a.Items().IndexStats()
-			r.pairIdx = a.Pairs().IndexStats()
+		ps := make([]partStats, len(st.analyzers))
+		if run != nil {
+			req := &partReq{kind: queryStats, stats: ps, done: make(chan struct{})}
+			if err := s.fanout(st, run, req); err != nil {
+				return err
+			}
 		} else {
-			ps := make([]partStats, st.parts)
-			if run != nil {
-				req := &partReq{kind: queryStats, stats: ps, done: make(chan struct{})}
-				if err := s.fanout(st, run, req); err != nil {
-					return err
-				}
-			} else {
-				for k, a := range st.analyzers {
-					ps[k] = partStats{an: a.Stats(), items: a.Items().IndexStats(), pairs: a.Pairs().IndexStats()}
-				}
+			for k, a := range st.analyzers {
+				ps[k] = partStatsOf(a)
 			}
-			for _, p := range ps {
-				r.anStats = sumCoreStats(r.anStats, p.an)
-				r.itemIdx = sumIndexStats(r.itemIdx, p.items)
-				r.pairIdx = sumIndexStats(r.pairIdx, p.pairs)
-			}
-			r.anStats.Transactions += s.txCount.Load()
-			r.monStats = st.mon.Stats()
-			r.window = st.mon.WindowDuration()
 		}
+		for _, p := range ps {
+			r.anStats = sumCoreStats(r.anStats, p.an)
+			r.itemIdx = sumIndexStats(r.itemIdx, p.items)
+			r.pairIdx = sumIndexStats(r.pairIdx, p.pairs)
+		}
+		r.anStats.Transactions += s.txCount.Load()
+		r.monStats = st.mon.Stats()
+		r.window = st.mon.WindowDuration()
 	}
 	q.reply <- r
 	return nil
+}
+
+// captureInto copies one analyzer's state into a reader's RawSnapshot.
+// The capture is the only read-side work charged to the goroutine that
+// owns the analyzer; its duration is the ingest stall a reader causes,
+// so it is what the capture-seconds histogram measures.
+func (s *shard) captureInto(a *core.Analyzer, raw *core.RawSnapshot) {
+	start := time.Now()
+	a.CaptureSnapshot(raw)
+	s.metrics.captureSeconds.Observe(time.Since(start).Seconds())
+}
+
+func partStatsOf(a *core.Analyzer) partStats {
+	return partStats{an: a.Stats(), items: a.Items().IndexStats(), pairs: a.Pairs().IndexStats()}
 }
 
 // fanout pushes one barrier token per partition ring and waits for all
 // workers to fill their slice. In-band delivery means every worker
 // answers strictly after the transactions routed before the token.
 func (s *shard) fanout(st *deviceState, run *partRun, req *partReq) error {
-	req.pending.Store(int32(st.parts))
+	req.pending.Store(int32(len(st.txRings)))
 	for k := range st.txRings {
 		if !s.txPush(st.txRings[k], run, kindToken(req.kind), nil, req) {
 			return errRunBroken
@@ -1069,19 +1067,30 @@ func (s *shard) capture(fn func(core.RawGroup) error) error {
 	return fn(g)
 }
 
-// writeTo serialises a capture group as the device's single synopsis
-// file: the plain RawSnapshot encoding at P=1, the combined
-// (EncodeMerged) encoding under the device-level config at P>1 — one
-// loadable file per device regardless of P.
-func (s *shard) writeTo(w io.Writer, g core.RawGroup) error {
+// encoding returns a capture group in the form of the device's single
+// synopsis file: the plain RawSnapshot encoding at P=1 (byte-for-byte
+// what a lone core.Analyzer writes), the combined (EncodeMerged) encoding
+// under the device-level config at P>1 — one file per device, loadable,
+// and re-splittable across a different P, however it was captured.
+func (s *shard) encoding(g core.RawGroup) io.WriterTo {
 	if len(g) == 1 {
-		_, err := g[0].WriteTo(w)
-		return err
+		return g[0]
 	}
 	st := g.Stats()
 	st.Transactions += s.txCount.Load()
-	_, _, err := g.EncodeMerged(w, s.deviceConfig(), st)
-	return err
+	return mergedEncoding{g: g, cfg: s.deviceConfig(), stats: st}
+}
+
+// mergedEncoding adapts a multi-partition capture group to io.WriterTo.
+type mergedEncoding struct {
+	g     core.RawGroup
+	cfg   core.Config
+	stats core.Stats
+}
+
+func (m mergedEncoding) WriteTo(w io.Writer) (int64, error) {
+	n, _, err := m.g.EncodeMerged(w, m.cfg, m.stats)
+	return n, err
 }
 
 func (s *shard) deviceConfig() core.Config {
@@ -1106,13 +1115,22 @@ func (s *shard) counters() (dropped uint64, lag int) {
 }
 
 // requestStop asks the device to drain, flush, checkpoint, and exit.
-// The caller waits on s.done.
+// The caller follows it with wait.
 func (s *shard) requestStop() {
 	if s.stopping.CompareAndSwap(false, true) {
 		close(s.stopCh)
 		s.wake.wake()
 		s.notFull.open()
 	}
+}
+
+// wait returns once the device's goroutines have exited: the supervisor
+// (and with it the router and partition workers), then the checkpoint
+// loop, which may be finishing a save or be an asker the closing of done
+// releases. Only meaningful after requestStop.
+func (s *shard) wait() {
+	<-s.done
+	s.ckptLoop.Wait()
 }
 
 // forceDiscard flips the stopping drain into discard mode (see

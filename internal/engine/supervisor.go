@@ -3,7 +3,6 @@ package engine
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -296,15 +295,23 @@ func (s *shard) parkFailed() {
 // disk no longer holds up ingest for the duration of a write. Errors
 // are counted (checkpoint_errors metric); a failed or stopped device
 // makes the capture fail immediately, keeping the loop cheap until
-// Stop ends it.
+// Stop ends it. A save takes ckptMu and is skipped once the stop path's
+// final flush has been written: that one is the newest generation, and
+// whatever this loop still holds was captured before it.
 func (s *shard) checkpointLoop(interval time.Duration) {
+	defer s.ckptLoop.Done()
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			_ = s.capture(func(g core.RawGroup) error {
-				return s.commitCheckpointGroup(g)
+				s.ckptMu.Lock()
+				defer s.ckptMu.Unlock()
+				if s.ckptClosed {
+					return nil
+				}
+				return s.commitCheckpoint(g)
 			})
 		case <-s.stopCh:
 			return
@@ -312,58 +319,30 @@ func (s *shard) checkpointLoop(interval time.Duration) {
 	}
 }
 
-// commitCheckpointState saves the device's final state on the stop
-// path, where the router is done ingesting (and at P>1 the partition
-// workers have exited) so touching the analyzers directly is safe and
-// encoding inline cannot stall anything.
-func (s *shard) commitCheckpointState(st *deviceState) error {
-	if st.parts == 1 {
-		return s.commitCheckpoint(st.pipe.Analyzer())
+// commitFinalCheckpoint saves the device's final state on the stop
+// path, where the router is done ingesting and any partition workers
+// have exited, so touching the analyzers directly is safe and encoding
+// inline cannot stall anything. It waits out a periodic save in flight
+// and closes the device's checkpoints behind itself (see shard.ckptMu).
+func (s *shard) commitFinalCheckpoint(st *deviceState) error {
+	if s.ckpt == nil {
+		return nil
 	}
 	g := s.newGroup()
 	for k, a := range st.analyzers {
 		a.CaptureSnapshot(g[k])
 	}
-	return s.commitCheckpointGroup(g)
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
+	s.ckptClosed = true
+	return s.commitCheckpoint(g)
 }
 
-// commitCheckpointGroup persists a capture group as one checkpoint
-// generation: the plain single-snapshot encoding at P=1 (byte-for-byte
-// the legacy format), the combined encoding under the device-level
-// config at P>1 — so a device's checkpoint is loadable, and
-// re-splittable across a different P, regardless of how it was
-// captured.
-func (s *shard) commitCheckpointGroup(g core.RawGroup) error {
-	if len(g) == 1 {
-		return s.commitCheckpoint(g[0])
-	}
-	st := g.Stats()
-	st.Transactions += s.txCount.Load()
-	return s.commitCheckpoint(mergedCheckpoint{g: g, cfg: s.deviceConfig(), stats: st})
-}
-
-// mergedCheckpoint adapts a multi-partition capture group to the
-// io.WriterTo shape the checkpoint store consumes.
-type mergedCheckpoint struct {
-	g     core.RawGroup
-	cfg   core.Config
-	stats core.Stats
-}
-
-func (m mergedCheckpoint) WriteTo(w io.Writer) (int64, error) {
-	n, _, err := m.g.EncodeMerged(w, m.cfg, m.stats)
-	return n, err
-}
-
-// commitCheckpoint persists one serializable state as a new checkpoint
-// generation and records it in the health view and metrics. src is
-// either a live analyzer (worker stop path) or an off-worker capture
-// (periodic path).
-func (s *shard) commitCheckpoint(src io.WriterTo) error {
-	if s.ckpt == nil {
-		return nil
-	}
-	gen, err := s.ckpt.Save(s.id, src)
+// commitCheckpoint persists a capture group as a new checkpoint
+// generation and records it in the health view and metrics. The caller
+// holds ckptMu.
+func (s *shard) commitCheckpoint(g core.RawGroup) error {
+	gen, err := s.ckpt.Save(s.id, s.encoding(g))
 	if err != nil {
 		s.metrics.ckptErrors.Inc()
 		return err

@@ -219,7 +219,7 @@ func (e *Engine) Unregister(id string) error {
 	// instruments harmlessly.
 	e.metrics.DropSeries(obs.L("device", id))
 	s.requestStop()
-	<-s.done
+	s.wait()
 	e.fleetWake()
 	return nil
 }

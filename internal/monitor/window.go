@@ -68,6 +68,15 @@ func NewDynamicWindow(min, max time.Duration) (*DynamicWindow, error) {
 	}, nil
 }
 
+// DefaultWindow returns the policy a deployment gets when its
+// configuration names none: the paper's dynamic window clamped to
+// [50 µs, 100 ms]. The policy is stateful, so every monitor needs its
+// own.
+func DefaultWindow() *DynamicWindow {
+	w, _ := NewDynamicWindow(50*time.Microsecond, 100*time.Millisecond) // the clamp is valid
+	return w
+}
+
 // ObserveLatency implements WindowPolicy.
 func (w *DynamicWindow) ObserveLatency(d time.Duration) {
 	if d <= 0 {

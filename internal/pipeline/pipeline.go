@@ -8,7 +8,6 @@
 package pipeline
 
 import (
-	"fmt"
 	"time"
 
 	"daccor/internal/blktrace"
@@ -64,17 +63,13 @@ func (c Config) Validate() error {
 
 // New builds a pipeline. If cfg.Monitor.Window is nil, the paper's
 // dynamic 2×-average-latency window is used with a [50 µs, 100 ms]
-// clamp.
+// clamp (monitor.DefaultWindow).
 func New(cfg Config) (*Pipeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Monitor.Window == nil {
-		w, err := monitor.NewDynamicWindow(50*time.Microsecond, 100*time.Millisecond)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Monitor.Window = w
+		cfg.Monitor.Window = monitor.DefaultWindow()
 	}
 	analyzer := cfg.Restored
 	if analyzer == nil {
@@ -96,59 +91,6 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p.mon = mon
 	return p, nil
-}
-
-// NewPartitioned builds the components of a partitioned pipeline: one
-// monitor (transaction assembly is a sequential scan of the timestamp
-// order, so it stays singular) whose completed transactions go to
-// sink, plus parts analyzers each sized to own 1/P of the extent space
-// (core.Config.Split; see core.PartitionOf for the ownership hash). A
-// Restored analyzer is redistributed across the partitions
-// (core.SplitAnalyzer); shed reports entries that did not fit the
-// per-partition tiers during redistribution. The caller owns routing
-// sink's transactions to the analyzers.
-func NewPartitioned(cfg Config, parts int, sink func(monitor.Transaction)) (*monitor.Monitor, []*core.Analyzer, int, error) {
-	if parts < 2 {
-		return nil, nil, 0, fmt.Errorf("pipeline: partitioned build needs >= 2 partitions (got %d)", parts)
-	}
-	if cfg.KeepTransactions {
-		return nil, nil, 0, fmt.Errorf("pipeline: KeepTransactions is not supported with %d partitions", parts)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, 0, err
-	}
-	if cfg.Monitor.Window == nil {
-		w, err := monitor.NewDynamicWindow(50*time.Microsecond, 100*time.Millisecond)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		cfg.Monitor.Window = w
-	}
-	var analyzers []*core.Analyzer
-	shed := 0
-	if cfg.Restored != nil {
-		var err error
-		analyzers, shed, err = core.SplitAnalyzer(cfg.Restored, parts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-	} else {
-		sub, err := cfg.Analyzer.Split(parts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		analyzers = make([]*core.Analyzer, parts)
-		for k := range analyzers {
-			if analyzers[k], err = core.NewAnalyzer(sub); err != nil {
-				return nil, nil, 0, err
-			}
-		}
-	}
-	mon, err := monitor.New(cfg.Monitor, sink)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return mon, analyzers, shed, nil
 }
 
 // HandleIssue feeds one block-layer issue event.

@@ -1,3 +1,12 @@
+// Package realtime serves a live characterization engine over HTTP:
+// block-layer events stream in on the ingest route while consumers ask
+// for snapshots, rules, or statistics — or hold a watch open — at any
+// moment. This is the deployment shape the paper sketches:
+// characterization running alongside the workload, feeding optimization
+// modules continuously. The engine (internal/engine) owns the workers,
+// queues, and backpressure; this package is its ops surface
+// (NewEngineHandler) and its adapter to the read routes internal/api
+// shares with the aggregator (engineSource).
 package realtime
 
 import (
@@ -43,7 +52,7 @@ func engineError(err error) *api.Error {
 	switch {
 	case errors.Is(err, engine.ErrUnknownDevice):
 		return api.Errorf(http.StatusNotFound, api.ErrCodeUnknownDevice, "%v", err)
-	case errors.Is(err, engine.ErrStopped), errors.Is(err, ErrStopped):
+	case errors.Is(err, engine.ErrStopped):
 		return api.Errorf(http.StatusServiceUnavailable, ErrCodeStopped, "%v", err)
 	case errors.Is(err, engine.ErrDeviceUnavailable):
 		// The device's worker failed permanently; the caller should
@@ -53,12 +62,6 @@ func engineError(err error) *api.Error {
 	default:
 		return api.Errorf(http.StatusInternalServerError, api.ErrCodeInternal, "%v", err)
 	}
-}
-
-// NewHTTPHandler exposes a single-device collector's live state over
-// HTTP. It serves the versioned v1 API; see NewEngineHandler.
-func NewHTTPHandler(c *Collector) http.Handler {
-	return NewEngineHandler(c.Engine())
 }
 
 // NewEngineHandler exposes a multi-device engine's live state over

@@ -9,42 +9,28 @@ import (
 
 	"daccor/internal/api"
 	"daccor/internal/blktrace"
+	"daccor/internal/engine"
 	"daccor/pkg/client"
 )
 
-// servedCollector starts a one-device collector with a learned pair
-// and serves the v1 API over httptest. These tests consume it through
-// the typed pkg/client, so the client's envelope handling, error
-// mapping, and ETag cache are exercised against the real handler.
-func servedCollector(t *testing.T) (*Collector, *client.Client) {
+// servedCollector starts a one-device engine with a learned pair and
+// serves the v1 API over httptest. These tests consume it through the
+// typed pkg/client, so the client's envelope handling, error mapping,
+// and ETag cache are exercised against the real handler.
+func servedCollector(t *testing.T) (*engine.Engine, *client.Client) {
 	t.Helper()
-	c, err := Start(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := startOne(t)
 	a := blktrace.Extent{Block: 10, Len: 1}
 	b := blktrace.Extent{Block: 20, Len: 1}
 	for i := 0; i < 8; i++ {
 		base := int64(i) * int64(time.Second)
-		must(t, c.Submit(blktrace.Event{Time: base, Op: blktrace.OpRead, Extent: a}))
-		must(t, c.Submit(blktrace.Event{Time: base + 1000, Op: blktrace.OpRead, Extent: b}))
+		must(t, e.Submit(deviceID, blktrace.Event{Time: base, Op: blktrace.OpRead, Extent: a}))
+		must(t, e.Submit(deviceID, blktrace.Event{Time: base + 1000, Op: blktrace.OpRead, Extent: b}))
 	}
-	// Wait for ingestion.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mon, _, err := c.Stats()
-		must(t, err)
-		if mon.Events >= 16 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("ingestion timeout")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	srv := httptest.NewServer(NewHTTPHandler(c))
+	waitEvents(t, e, 16)
+	srv := httptest.NewServer(NewEngineHandler(e))
 	t.Cleanup(srv.Close)
-	return c, client.New(srv.URL)
+	return e, client.New(srv.URL)
 }
 
 func TestClientStats(t *testing.T) {
