@@ -26,9 +26,13 @@ vet:
 
 # The engine has one ingest spine of its own (router-owned monitor,
 # inline or fanned-out sink); the library pipeline is the oracle its
-# tests compare against, not something it may be built on again.
+# tests compare against, not something it may be built on again. Nor
+# may the from-scratch merge serve production again: core.MergeSnapshots
+# is the oracle the tests and bench/ hold MergeIndex and the exports to,
+# so no non-test file but its own definition may call it.
 deps:
 	! $(GO) list -deps ./internal/engine | grep -q daccor/internal/pipeline
+	! grep -rl --include='*.go' --exclude='*_test.go' 'MergeSnapshots(' internal cmd pkg examples | grep -vx internal/core/merge.go
 
 test:
 	$(GO) test ./...
@@ -51,7 +55,7 @@ race:
 # beside a save in flight): fifty runs under the race detector,
 # zero-failure budget.
 flake:
-	$(GO) test -race -count=50 -run 'TestFaultPanicRecoveryFromCheckpoint|TestStop|TestRestoreBesideInFlightSave' ./internal/engine ./internal/checkpoint
+	$(GO) test -race -count=50 -run 'TestFaultPanicRecoveryFromCheckpoint|TestFaultPartitionedPanicRecovery|TestStop|TestRestoreBesideInFlightSave' ./internal/engine ./internal/checkpoint
 
 # bench/ is its own module, so ./... never reaches it: vet it and run
 # its unit tests here, or a root-module refactor that renames something

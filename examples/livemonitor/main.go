@@ -120,17 +120,13 @@ poll:
 
 	// Final fleet-wide answer: directional rules, the prefetcher-ready
 	// form, derived from the merged synopsis.
-	rules, err := eng.MergedRules(10, 0.6)
+	st, _, _, err := eng.MergedState(10, 0.6, 8, core.WantRules)
 	if err != nil {
 		log.Fatal(err)
 	}
 	eng.Stop()
 	fmt.Printf("\nfinal fleet-wide rules (support ≥ 10, confidence ≥ 0.6):\n")
-	limit := 8
-	if len(rules) < limit {
-		limit = len(rules)
-	}
-	for _, r := range rules[:limit] {
+	for _, r := range st.Rules {
 		fmt.Printf("  %s → %s   (%.0f%% confidence, %d observations)\n",
 			r.From, r.To, 100*r.Confidence, r.Support)
 	}

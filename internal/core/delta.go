@@ -81,18 +81,33 @@ type exportOps[K comparable, E any] struct {
 	key func(E) K
 	// cmp is the export order: descending counter, ties by key.
 	cmp func(a, b E) int
+	// owner is the extent whose partition (PartitionOf) holds the key.
+	owner func(K) blktrace.Extent
 }
 
 var pairOps = exportOps[blktrace.Pair, PairCount]{
-	mk:  func(k blktrace.Pair, c uint32, t Tier) PairCount { return PairCount{Pair: k, Count: c, Tier: t} },
-	key: func(pc PairCount) blktrace.Pair { return pc.Pair },
-	cmp: comparePairCounts,
+	mk:    func(k blktrace.Pair, c uint32, t Tier) PairCount { return PairCount{Pair: k, Count: c, Tier: t} },
+	key:   func(pc PairCount) blktrace.Pair { return pc.Pair },
+	cmp:   comparePairCounts,
+	owner: func(p blktrace.Pair) blktrace.Extent { return p.A },
 }
 
 var itemOps = exportOps[blktrace.Extent, ItemCount]{
-	mk:  func(k blktrace.Extent, c uint32, t Tier) ItemCount { return ItemCount{Extent: k, Count: c, Tier: t} },
-	key: func(ic ItemCount) blktrace.Extent { return ic.Extent },
-	cmp: compareItemCounts,
+	mk:    func(k blktrace.Extent, c uint32, t Tier) ItemCount { return ItemCount{Extent: k, Count: c, Tier: t} },
+	key:   func(ic ItemCount) blktrace.Extent { return ic.Extent },
+	cmp:   compareItemCounts,
+	owner: func(e blktrace.Extent) blktrace.Extent { return e },
+}
+
+// appendExport appends the table entries with counter >= minSupport to
+// out in export form, in table order.
+func appendExport[K comparable, E any](out []E, entries []Entry[K], minSupport uint32, ops exportOps[K, E]) []E {
+	for _, e := range entries {
+		if e.Count >= minSupport {
+			out = append(out, ops.mk(e.Key, e.Count, e.Tier))
+		}
+	}
+	return out
 }
 
 // diffSorted walks two sorted exports of one table side by side. An
@@ -270,18 +285,28 @@ func EncodeSnapshotRecords(w io.Writer, s Snapshot) (int64, error) {
 		return n, err
 	}
 	n += 8
+	if err := writeRecords(bw, &n, s.Items, s.Pairs); err != nil {
+		return n, err
+	}
+	return n, bw.Flush()
+}
+
+// writeRecords writes items then pairs in the checkpoint record layouts
+// (itemRecord/pairRecord), adding the bytes written to *n: a snapshot
+// body's records and a delta's upserts.
+func writeRecords(bw *bufio.Writer, n *int64, items []ItemCount, pairs []PairCount) error {
 	var rec [pairRecordSize]byte
-	for _, ic := range s.Items {
+	for _, ic := range items {
 		rec[0] = uint8(ic.Tier)
 		binary.LittleEndian.PutUint32(rec[1:], ic.Count)
 		binary.LittleEndian.PutUint64(rec[5:], ic.Extent.Block)
 		binary.LittleEndian.PutUint32(rec[13:], ic.Extent.Len)
 		if _, err := bw.Write(rec[:itemRecordSize]); err != nil {
-			return n, err
+			return err
 		}
-		n += itemRecordSize
+		*n += itemRecordSize
 	}
-	for _, pc := range s.Pairs {
+	for _, pc := range pairs {
 		rec[0] = uint8(pc.Tier)
 		binary.LittleEndian.PutUint32(rec[1:], pc.Count)
 		binary.LittleEndian.PutUint64(rec[5:], pc.Pair.A.Block)
@@ -289,11 +314,11 @@ func EncodeSnapshotRecords(w io.Writer, s Snapshot) (int64, error) {
 		binary.LittleEndian.PutUint32(rec[21:], pc.Pair.A.Len)
 		binary.LittleEndian.PutUint32(rec[25:], pc.Pair.B.Len)
 		if _, err := bw.Write(rec[:pairRecordSize]); err != nil {
-			return n, err
+			return err
 		}
-		n += pairRecordSize
+		*n += pairRecordSize
 	}
-	return n, bw.Flush()
+	return nil
 }
 
 // DecodeSnapshotRecords reads a snapshot body written by
@@ -367,29 +392,10 @@ func EncodeDelta(w io.Writer, d SnapshotDelta) (int64, error) {
 		return n, err
 	}
 	n += 16
+	if err := writeRecords(bw, &n, d.UpsertItems, d.UpsertPairs); err != nil {
+		return n, err
+	}
 	var rec [pairRecordSize]byte
-	for _, ic := range d.UpsertItems {
-		rec[0] = uint8(ic.Tier)
-		binary.LittleEndian.PutUint32(rec[1:], ic.Count)
-		binary.LittleEndian.PutUint64(rec[5:], ic.Extent.Block)
-		binary.LittleEndian.PutUint32(rec[13:], ic.Extent.Len)
-		if _, err := bw.Write(rec[:itemRecordSize]); err != nil {
-			return n, err
-		}
-		n += itemRecordSize
-	}
-	for _, pc := range d.UpsertPairs {
-		rec[0] = uint8(pc.Tier)
-		binary.LittleEndian.PutUint32(rec[1:], pc.Count)
-		binary.LittleEndian.PutUint64(rec[5:], pc.Pair.A.Block)
-		binary.LittleEndian.PutUint64(rec[13:], pc.Pair.B.Block)
-		binary.LittleEndian.PutUint32(rec[21:], pc.Pair.A.Len)
-		binary.LittleEndian.PutUint32(rec[25:], pc.Pair.B.Len)
-		if _, err := bw.Write(rec[:pairRecordSize]); err != nil {
-			return n, err
-		}
-		n += pairRecordSize
-	}
 	for _, e := range d.DeleteItems {
 		binary.LittleEndian.PutUint64(rec[0:], e.Block)
 		binary.LittleEndian.PutUint32(rec[8:], e.Len)

@@ -2,108 +2,128 @@ package core
 
 import (
 	"slices"
-	"strconv"
+
+	"daccor/internal/blktrace"
 )
 
 // Exporter derives a device's full sorted export — RawGroup.Snapshot(0)
 // — from successive captures of the same analyzers without sorting the
 // tables each time. Between two captures of a busy device a few hundred
-// entries move out of tens of thousands; the capture says which (the
-// entries stamped since the previous capture, and the keys its tables
-// discarded), so the new export is the previous one minus those keys,
-// merged with the moved entries in sorted order: patchSorted, the pass
-// SnapshotDelta.Apply and the merge index's materializer make.
+// entries move out of tens of thousands; each partition's capture says
+// which (the entries stamped since the previous capture, and the keys
+// its tables discarded), so the new export is the previous one minus
+// those keys, merged with the moved entries in sorted order: patchSorted,
+// the pass SnapshotDelta.Apply and the merge index's materializer make.
+// Partitions own disjoint keys (PartitionOf), so the group's captures
+// combine by concatenation and one patch serves every P.
 //
-// At P=1 the previous export is patched directly. At P>1 the partition
-// captures feed a persistent MergeIndex, one source each, through
-// MergeIndex.UpdateRaw, which applies the same change sets to its
-// shadows and patches its own previous output the same way.
-//
-// A capture the previous export cannot be advanced to is exported the
-// long way, by sorting: the first one, one taken of a different analyzer
-// (a restore, a restart), and one whose discard ring has lapped since
-// the previous export — too many evictions between two exports for the
-// ring's C/4 keys.
+// A partition whose capture the previous export cannot be advanced to
+// is taken whole instead: its first capture, one of a different
+// analyzer (a restore, a restart), and one whose discard ring has lapped
+// since the previous export — too many evictions between two exports for
+// the ring's C/4 keys. Every entry the previous export holds for it is
+// dropped by ownership and all of its entries join the patch, so a
+// lapped partition costs a sort of that partition only. With no previous
+// export, or every partition taken whole, the group is sorted in full.
 //
 // An Exporter is not safe for concurrent use. The exports it returns
 // are immutable and stay valid.
 type Exporter struct {
 	prev Snapshot
-	// base marks the capture prev was derived from (P=1).
-	base captureMark
-	// idx unions the partition captures (P>1), under names.
-	idx   *MergeIndex
-	names []string
+	// bases[k] marks the capture of partition k that prev was derived
+	// from.
+	bases []captureMark
 }
 
 // Export returns the sorted export of g, which must be a capture group
 // of the device every earlier call was given one of. patched reports
-// whether it was derived from the previous export; false means at least
-// one table was sorted, or one partition reconciled, in full.
+// whether every partition was advanced from the previous export; false
+// means at least one was taken whole.
 func (x *Exporter) Export(g RawGroup) (snap Snapshot, patched bool) {
-	if len(g) == 1 {
-		x.prev, patched = x.patch(g[0])
-		if !patched {
-			x.prev = g[0].Snapshot(0)
-		}
-		x.base = g[0].mark()
-		return x.prev, patched
+	if len(x.bases) != len(g) {
+		x.bases = make([]captureMark, len(g)) // zero marks: every partition taken whole
 	}
-	if x.idx == nil {
-		x.idx = NewMergeIndex()
-		x.names = make([]string, len(g))
-		for i := range x.names {
-			x.names[i] = strconv.Itoa(i)
+	items := make([]tableChange[blktrace.Extent], len(g))
+	pairs := make([]tableChange[blktrace.Pair], len(g))
+	whole := 0
+	for k, r := range g {
+		goneItems, gonePairs, ok := r.goneSince(x.bases[k])
+		if !ok {
+			whole++
+		}
+		after := x.bases[k].seq
+		items[k] = tableChange[blktrace.Extent]{r.items, r.itemLog.stamps, after, goneItems, !ok}
+		pairs[k] = tableChange[blktrace.Pair]{r.pairs, r.pairLog.stamps, after, gonePairs, !ok}
+		x.bases[k] = r.mark()
+	}
+	if whole == len(g) {
+		x.prev = g.Snapshot(0)
+	} else {
+		x.prev = Snapshot{
+			Pairs: advanceSorted(x.prev.Pairs, pairs, pairOps),
+			Items: advanceSorted(x.prev.Items, items, itemOps),
 		}
 	}
-	patched = true
-	for i, r := range g {
-		if !x.idx.UpdateRaw(x.names[i], r) {
-			patched = false
-		}
-	}
-	return x.idx.Snapshot(), patched
+	return x.prev, whole == 0
 }
 
-// patch advances the previous export to capture r, if r can say what
-// changed since the capture that export came from.
-func (x *Exporter) patch(r *RawSnapshot) (Snapshot, bool) {
-	goneItems, gonePairs, ok := r.goneSince(x.base)
-	if !ok {
-		return Snapshot{}, false
-	}
-	return Snapshot{
-		Pairs: advanceSorted(x.prev.Pairs, r.pairs, r.pairLog.stamps, x.base.seq, gonePairs, pairOps),
-		Items: advanceSorted(x.prev.Items, r.items, r.itemLog.stamps, x.base.seq, goneItems, itemOps),
-	}, true
+// tableChange is what one partition's capture says about one of its
+// tables since the previous export: the entries stamped after `after`
+// have moved and the gone keys were discarded — or, when whole, that
+// the previous export cannot be advanced for this partition at all.
+type tableChange[K comparable] struct {
+	entries []Entry[K]
+	stamps  []uint32
+	after   uint32
+	gone    []K
+	whole   bool
 }
 
-// advanceSorted brings one table's previous sorted export up to a
-// capture of it: entries stamped after `after` have moved since that
-// export and gone lists the keys discarded since (keys the export never
-// held among them, which drop nothing).
-func advanceSorted[K comparable, E any](prev []E, entries []Entry[K], stamps []uint32, after uint32, gone []K, ops exportOps[K, E]) []E {
+// advanceSorted brings one table's previous sorted export up to the
+// group's captures, given each partition's change. From a partition
+// advanced in place, its moved entries replace theirs and its gone keys
+// are dropped (keys the export never held among them, which drop
+// nothing); from one taken whole, every entry moves and every previous
+// entry it owns is dropped.
+func advanceSorted[K comparable, E any](prev []E, parts []tableChange[K], ops exportOps[K, E]) []E {
 	var moved []E
-	for i, stamp := range stamps {
-		if stamp > after {
-			e := entries[i]
-			moved = append(moved, ops.mk(e.Key, e.Count, e.Tier))
+	size, nGone, anyWhole := 0, 0, false
+	for _, c := range parts {
+		size += len(c.entries)
+		if c.whole {
+			anyWhole = true
+			continue
+		}
+		nGone += len(c.gone)
+		for i, stamp := range c.stamps {
+			if stamp > c.after {
+				e := c.entries[i]
+				moved = append(moved, ops.mk(e.Key, e.Count, e.Tier))
+			}
 		}
 	}
-	if len(moved)+len(gone) == 0 {
+	if len(moved)+nGone == 0 && !anyWhole {
 		return prev
 	}
-	drop := make(map[K]struct{}, len(moved)+len(gone))
-	for _, k := range gone {
-		drop[k] = struct{}{}
-	}
+	// Only the keys of partitions advanced in place go in the map; those
+	// of a partition taken whole are dropped by ownership.
+	drop := make(map[K]struct{}, len(moved)+nGone)
 	for _, e := range moved {
 		drop[ops.key(e)] = struct{}{}
 	}
+	for _, c := range parts {
+		if c.whole {
+			moved = appendExport(moved, c.entries, 0, ops)
+			continue
+		}
+		for _, k := range c.gone {
+			drop[k] = struct{}{}
+		}
+	}
 	slices.SortFunc(moved, ops.cmp)
-	out := patchSorted(make([]E, 0, len(entries)), prev, moved, ops, func(k K) bool {
+	out := patchSorted(make([]E, 0, size), prev, moved, ops, func(k K) bool {
 		_, ok := drop[k]
-		return ok
+		return ok || anyWhole && parts[PartitionOf(ops.owner(k), len(parts))].whole
 	})
 	if len(out) == 0 {
 		return nil // as every other Snapshot producer has an empty table

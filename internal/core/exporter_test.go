@@ -7,14 +7,17 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"daccor/internal/blktrace"
 )
 
 // TestExportPatchDifferential walks partitioned analyzers through
 // everything that happens to a device between two exports — ingest with
 // evictions, demotions, captures taken for reads that export nothing,
-// bursts that lap the discard rings, a restore from its own checkpoint,
-// the capture sequence wrapping — and after every step holds the
-// Exporter's result to the export sorted from scratch.
+// bursts that lap the discard rings, of every partition or of one alone,
+// a restore from its own checkpoint, the capture sequence wrapping — and
+// after every step holds the Exporter's result to the oracle: the
+// partitions' own sorted exports merged by MergeSnapshots.
 func TestExportPatchDifferential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -38,14 +41,21 @@ func TestExportPatchDifferential(t *testing.T) {
 						a.CaptureSnapshot(g[k])
 					}
 				}
+				oracle := func() Snapshot {
+					snaps := make([]Snapshot, len(g))
+					for k, r := range g {
+						snaps[k] = r.Snapshot(0)
+					}
+					return MergeSnapshots(snaps...)
+				}
 				var x Exporter
 				var patched, rebuilt int
-				export := func(label string, mayPatch bool) {
+				export := func(label string, mayPatch bool) bool {
 					t.Helper()
 					capture()
 					got, wasPatched := x.Export(g)
-					if want := g.Snapshot(0); !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: export (patched=%v) differs from the sorted one: %d/%d pairs/items, want %d/%d",
+					if want := oracle(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s: export (patched=%v) differs from the oracle: %d/%d pairs/items, want %d/%d",
 							label, wasPatched, len(got.Pairs), len(got.Items), len(want.Pairs), len(want.Items))
 					}
 					if wasPatched && !mayPatch {
@@ -56,10 +66,40 @@ func TestExportPatchDifferential(t *testing.T) {
 					} else {
 						rebuilt++
 					}
+					return wasPatched
 				}
 
 				feed(400) // fill the tables
 				export("first", false)
+				if p > 1 {
+					// A burst on extents one partition owns laps that
+					// partition's rings alone: it is taken whole while the
+					// others patch, and the export after it patches again.
+					next := uint64(1 << 20)
+					for k := range parts {
+						feed(2)
+						var tx []blktrace.Extent
+						for i := 0; i < 100; i++ {
+							tx = nil
+							for len(tx) < 4 {
+								e := blktrace.Extent{Block: next, Len: 8}
+								next += 8
+								if PartitionOf(e, p) == k {
+									tx = append(tx, e)
+								}
+							}
+							processPartitioned(parts, tx)
+						}
+						label := fmt.Sprintf("burst on partition %d", k)
+						if export(label, false) {
+							t.Fatalf("%s: export was patched although the partition's rings lapped", label)
+						}
+						processPartitioned(parts, tx) // counts move, nothing is discarded
+						if !export(label+", then quiet", true) {
+							t.Fatalf("%s, then quiet: export was not patched", label)
+						}
+					}
+				}
 				for step := 0; len(txs) > 0; step++ {
 					label := fmt.Sprintf("step %d", step)
 					mayPatch := true

@@ -19,18 +19,17 @@ func satAdd(a, b uint32) uint32 {
 }
 
 // MergeSnapshots combines per-device synopsis exports into one
-// fleet-wide view: the union of the pair and item sets with counters
-// summed (saturating at the uint32 ceiling) and the tier taken as the
-// highest tier any device holds the entry in. This is the aggregation layer of the multi-device engine —
-// each device maintains its own bounded synopsis at hardware speed, and
-// cross-device questions ("what correlates fleet-wide?") are answered
-// by merging the per-device exports, the per-stream-synopsis-then-
-// combine shape of the correlated heavy hitters literature.
+// fleet-wide view from scratch: the union of the pair and item sets with
+// counters summed (saturating at the uint32 ceiling) and the tier taken
+// as the highest tier any device holds the entry in — the
+// per-stream-synopsis-then-combine shape of the correlated heavy hitters
+// literature. It is the oracle: the tests and the repository benchmark
+// hold every incremental merge (MergeIndex) and every device export to
+// it, and no production path calls it.
 //
 // The result is ordered like any Snapshot (descending counter, ties by
 // key), so merging the same snapshots in any order yields an identical
-// value. Merging a single snapshot returns an equal snapshot, which is
-// what makes the single-device deployment the N=1 case of the engine.
+// value. Merging a single snapshot returns an equal snapshot.
 func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	// Size the dedup maps (and the output slices) by the summed input
@@ -78,23 +77,20 @@ func MergeSnapshots(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Rules extracts directional association rules from an exported
-// snapshot, exactly as Analyzer.Rules does from the live tables: every
-// pair with counter >= minSupport yields up to two rules, kept when the
-// antecedent extent is present in the snapshot's item table and the
-// confidence freq(From∧To)/freq(From) meets minConfidence.
+// TopRules extracts the limit highest-ranked directional rules from an
+// exported snapshot (all of them when limit <= 0), as Analyzer.Rules
+// does from the live tables: every pair with counter >= minSupport
+// yields up to two rules, kept when the antecedent extent is present in
+// the snapshot's item table and the confidence freq(From∧To)/freq(From)
+// meets minConfidence. On a single analyzer's full export, Snapshot(0)
+// .TopRules(s, c, 0) is exactly Analyzer.Rules(s, c); on a merged
+// snapshot the confidences are estimates over the summed counters. The
+// snapshot must have been exported with a support low enough to retain
+// the antecedent items (0 for exact agreement with the live tables).
 //
-// On a single analyzer's full export (Snapshot(0)) this reproduces
-// Analyzer.Rules; on a merged snapshot it yields fleet-wide rules whose
-// confidences are estimates over the summed counters. The snapshot must
-// have been exported with a support low enough to retain the antecedent
-// items (use 0 for exact agreement with the live tables).
-func (s Snapshot) Rules(minSupport uint32, minConfidence float64) []Rule {
-	return s.TopRules(minSupport, minConfidence, 0)
-}
-
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0); the result is exactly Rules(...)[:limit].
+// Snapshot.State is the bounded read form; this one remains because the
+// repository benchmark holds merged rules to it, and as the tests'
+// spelling of the unbounded rule list.
 func (s Snapshot) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
 	var items extentIndex
 	keyAt := func(i int) blktrace.Extent { return s.Items[i].Extent }

@@ -173,7 +173,7 @@ func TestMergeSnapshotsDeterministicTieOrder(t *testing.T) {
 	}
 }
 
-// TestSnapshotRulesMatchesAnalyzer pins Snapshot.Rules to
+// TestSnapshotRulesMatchesAnalyzer pins Snapshot.TopRules(…, 0) to
 // Analyzer.Rules: on a full export of a live analyzer the two must
 // agree exactly, which is what makes merged rules the N-device
 // generalization of the live single-device rules.
@@ -195,9 +195,9 @@ func TestSnapshotRulesMatchesAnalyzer(t *testing.T) {
 	for _, minSupport := range []uint32{0, 1, 2, 3} {
 		for _, minConf := range []float64{0, 0.4, 0.9} {
 			want := a.Rules(minSupport, minConf)
-			got := a.Snapshot(0).Rules(minSupport, minConf)
+			got := a.Snapshot(0).TopRules(minSupport, minConf, 0)
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("Snapshot(0).Rules(%d, %v) = %+v, want %+v",
+				t.Errorf("Snapshot(0).TopRules(%d, %v, 0) = %+v, want %+v",
 					minSupport, minConf, got, want)
 			}
 		}
@@ -214,7 +214,7 @@ func TestSnapshotRulesMergedConfidence(t *testing.T) {
 			{Extent: ext(2, 1), Count: 8, Tier: Tier1},
 		},
 	}
-	rules := MergeSnapshots(dev, dev).Rules(5, 0)
+	rules := MergeSnapshots(dev, dev).TopRules(5, 0, 0)
 	if len(rules) != 2 {
 		t.Fatalf("rules = %+v, want 2", rules)
 	}

@@ -10,17 +10,20 @@ import (
 // MergeIndex is the incremental merged-view maintainer: it holds the
 // live union of N source snapshots — the same value MergeSnapshots
 // computes from scratch — and keeps it current in O(changed entries)
-// as sources publish new exports, deltas, or disappear. The fan-in
-// read paths (engine merged cache, fleet aggregator, P>1 partition
-// views) re-read the union on every epoch bump, and re-merging
-// everything per read is O(total live entries) with two fresh dedup
-// maps; the CHH literature maintains its combined summaries per update
-// for exactly this reason. The index pays O(source entries) once when
-// a source's full state arrives and O(delta) for a delta. A bounded
-// read (State, TopRules) is one linear pass over the pair arena and
-// builds nothing table-sized; only the unbounded read (Snapshot)
-// materializes the sorted export, paying O(changed since the last one ·
-// log changed) to patch it while it has a predecessor to patch.
+// as sources publish new exports, deltas, or disappear. It is the one
+// summing merge, used only where sources can overlap: the engine's
+// fleet-wide view (devices share extents), the fleet aggregator, and a
+// device several collectors mirror. A device's partitions never overlap
+// and never come here (see Exporter). Those views are re-read on every
+// epoch bump, and re-merging everything per read is O(total live
+// entries) with two fresh dedup maps; the CHH literature maintains its
+// combined summaries per update for exactly this reason. The index pays
+// O(source entries) once when a source's full state arrives and
+// O(delta) for a delta. A bounded read (State) is one linear pass over
+// the pair arena and builds nothing table-sized; only the unbounded read
+// (Snapshot) materializes the sorted export, paying O(changed since the
+// last one · log changed) to patch it while it has a predecessor to
+// patch.
 //
 // Layout follows the PR 5 probe discipline: per side (items, pairs) an
 // open-addressing oaMap keys into an arena of union entries holding a
@@ -111,8 +114,8 @@ func (m *MergeIndex) Update(source string, snap Snapshot) {
 // UpdateRaw is Update fed from a RawSnapshot capture, skipping the
 // sorted-export derivation entirely: reconcile is order-insensitive,
 // so the capture's recency-order entries feed the index directly. This
-// is how the engine's merged view and the P>1 Exporter are fed, one
-// source per partition capture, and there successive captures of one
+// is how the engine's fleet-wide view is fed, one source per partition
+// capture of each device, and there successive captures of one
 // analyzer feed one source: when raw follows the capture the source was
 // last fed from and its discard log reaches back that far, only the
 // entries stamped since are upserted and the logged discards dropped —
@@ -219,18 +222,6 @@ func (m *MergeIndex) Snapshot() Snapshot {
 		s.Items = it
 	}
 	return s
-}
-
-// TopRules extracts the limit highest-ranked fleet-wide rules straight
-// from the union (all of them when limit <= 0): pair entries stream
-// through a bounded min-heap and antecedent counts resolve via the
-// item union's O(1) index, so no per-call item map is built and no
-// full rule list is sorted. The result is exactly
-// Snapshot().Rules(minSupport, minConfidence)[:limit].
-func (m *MergeIndex) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	sink := newRuleSink(limit)
-	m.scan(minSupport, minConfidence, nil, sink)
-	return sink.finish()
 }
 
 // clampCount folds a union running sum back to the snapshot counter

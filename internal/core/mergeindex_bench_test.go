@@ -135,7 +135,7 @@ func BenchmarkRulesTopK(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			merged.Rules(2, 0.01)
+			merged.TopRules(2, 0.01, 0)
 		}
 	})
 	b.Run("top-10", func(b *testing.B) {
@@ -147,7 +147,7 @@ func BenchmarkRulesTopK(b *testing.B) {
 	b.Run("index-top-10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			idx.TopRules(2, 0.01, 10)
+			idx.State(2, 0.01, 10, WantRules)
 		}
 	})
 }
@@ -225,6 +225,37 @@ func BenchmarkSyncDirtyDevice(b *testing.B) {
 			b.StartTimer()
 			var patched bool
 			if cur, patched = x.Export(g); !patched {
+				b.Fatal("export fell back to a full sort")
+			}
+		}
+	})
+	// The same device split over two partitions, as the engine runs it
+	// with two partition workers: one patch pass over both captures.
+	b.Run("export-P2", func(b *testing.B) {
+		parts, _, err := SplitAnalyzer(fullAnalyzer(b, capacity), 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g2 := RawGroup{new(RawSnapshot), new(RawSnapshot)}
+		capture := func() {
+			for k, p := range parts {
+				p.CaptureSnapshot(g2[k])
+			}
+		}
+		var x2 Exporter
+		capture()
+		x2.Export(g2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			round++
+			for _, tx := range syncDirtying(1000*round, 2*capacity) {
+				processPartitioned(parts, tx)
+			}
+			capture()
+			b.StartTimer()
+			if _, patched := x2.Export(g2); !patched {
 				b.Fatal("export fell back to a full sort")
 			}
 		}

@@ -333,39 +333,12 @@ func FuzzMergeIndexApply(f *testing.F) {
 }
 
 // TestTopRulesEquivalence pins partial selection against the full
-// sort: for every extraction surface, TopRules(limit) must equal
-// Rules() truncated to limit — compareRules is total, so there is no
-// tie ambiguity to hide behind.
+// sort: every bounded rule extraction that remains must equal
+// Analyzer.Rules truncated to its limit — compareRules is total, so
+// there is no tie ambiguity to hide behind. Snapshot.TopRules keeps
+// every rule at limit <= 0; the State reads keep none.
 func TestTopRulesEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	snap := genSnapshot(rng, 64)
-	idx := NewMergeIndex()
-	idx.Update("only", snap)
-	other := genSnapshot(rng, 64)
-	idx.Update("other", other)
-	merged := MergeSnapshots(snap, other)
-
-	truncated := func(rules []Rule, limit int) []Rule {
-		if limit <= 0 || limit >= len(rules) {
-			return rules
-		}
-		return rules[:limit]
-	}
-	for _, minSupport := range []uint32{0, 2, 100} {
-		for _, minConf := range []float64{0, 0.3, 0.9} {
-			full := merged.Rules(minSupport, minConf)
-			for _, limit := range []int{0, 1, 3, 10, 1 << 20} {
-				if got, want := merged.TopRules(minSupport, minConf, limit), truncated(full, limit); !reflect.DeepEqual(got, want) {
-					t.Fatalf("Snapshot.TopRules(%d,%v,%d): %d rules, want %d", minSupport, minConf, limit, len(got), len(want))
-				}
-				if got, want := idx.TopRules(minSupport, minConf, limit), truncated(full, limit); !reflect.DeepEqual(got, want) {
-					t.Fatalf("MergeIndex.TopRules(%d,%v,%d): %d rules, want %d", minSupport, minConf, limit, len(got), len(want))
-				}
-			}
-		}
-	}
-
-	// The live-analyzer surface: same identity from the tables.
 	a, err := NewAnalyzer(Config{ItemCapacity: 512, PairCapacity: 512})
 	if err != nil {
 		t.Fatal(err)
@@ -378,15 +351,36 @@ func TestTopRulesEquivalence(t *testing.T) {
 		}
 		a.Process(exts)
 	}
-	full := a.Rules(2, 0.1)
+	snap := a.Snapshot(0)
 	var raw RawSnapshot
 	a.CaptureSnapshot(&raw)
-	for _, limit := range []int{0, 1, 5, 50} {
-		if got, want := a.TopRules(2, 0.1, limit), truncated(full, limit); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Analyzer.TopRules(limit=%d): %d rules, want %d", limit, len(got), len(want))
+	idx := NewMergeIndex()
+	idx.UpdateRaw("only", &raw)
+
+	truncated := func(rules []Rule, limit int) []Rule {
+		if limit <= 0 || limit >= len(rules) {
+			return rules
 		}
-		if got, want := raw.TopRules(2, 0.1, limit), truncated(full, limit); !reflect.DeepEqual(got, want) {
-			t.Fatalf("RawSnapshot.TopRules(limit=%d): %d rules, want %d", limit, len(got), len(want))
+		return rules[:limit]
+	}
+	for _, minSupport := range []uint32{0, 2, 100} {
+		for _, minConf := range []float64{0, 0.1, 0.3, 0.9} {
+			full := a.Rules(minSupport, minConf)
+			for _, limit := range []int{0, 1, 3, 10, 5000} { // 48 extents: < 2 300 rules
+				want := truncated(full, limit)
+				if got := snap.TopRules(minSupport, minConf, limit); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Snapshot.TopRules(%d,%v,%d): %d rules, want %d", minSupport, minConf, limit, len(got), len(want))
+				}
+				if limit <= 0 {
+					want = nil
+				}
+				if got := raw.TopRules(minSupport, minConf, limit); !reflect.DeepEqual(got, want) {
+					t.Fatalf("RawSnapshot.TopRules(%d,%v,%d): %d rules, want %d", minSupport, minConf, limit, len(got), len(want))
+				}
+				if got := idx.State(minSupport, minConf, limit, WantRules).Rules; !reflect.DeepEqual(got, want) {
+					t.Fatalf("MergeIndex.State(%d,%v,%d).Rules: %d rules, want %d", minSupport, minConf, limit, len(got), len(want))
+				}
+			}
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // into P partition-local analyzers, each owned by its own worker, with
 // an exact combine step for every read-side product. The scheme follows
 // the mergeable-summary shape of the correlated heavy hitters
-// literature — partition-local sketches, combined on read:
+// literature — partition-local sketches, combined on read — where the
+// combine of disjoint partitions is a concatenation, not a summing merge:
 //
 //   - an extent belongs to PartitionOf(extent, P);
 //   - a canonical pair {A ≤ B} belongs to A's partition (the min-extent
@@ -20,9 +21,11 @@ import (
 //   - each partition runs an ordinary Analyzer at 1/P of the device
 //     capacity (Config.Split), so the device's memory bound is
 //     preserved;
-//   - merged views read the P captures side by side (RawGroup): they
-//     are disjoint by ownership, so bounded reads scan them in one pass
-//     (RawGroup.State) and the sorted export is their union.
+//   - device reads take the P captures side by side (RawGroup): bounded
+//     reads scan them in one pass (RawGroup.State), the sorted export
+//     sorts their concatenation (RawGroup.Snapshot), and an Exporter
+//     patches the previous export partition by partition. Nothing on a
+//     device's read path sums or hashes across partitions.
 //
 // The split is exact while no partition evicts: every partition sees
 // the same transactions (restricted to its owned extents and pairs), so
@@ -112,40 +115,24 @@ func (a *Analyzer) ProcessPartitionSorted(extents []blktrace.Extent, part, parts
 }
 
 // RawGroup is the captures of one device's P partition analyzers, in
-// partition order. Ownership makes the captures disjoint, so merged
-// products are exact combines, not approximations.
+// partition order, one per partition (none nil). Ownership makes the
+// captures disjoint, so merged products are exact combines, not
+// approximations.
 type RawGroup []*RawSnapshot
 
-// Snapshot derives the device-level sorted export from the group,
-// merging the disjoint partition captures (MergeSnapshots). For a
-// single capture it equals that capture's Snapshot.
+// Snapshot derives the device-level sorted export from the group: the
+// entries with counter >= minSupport, descending counter, ties by key.
+// The captures are disjoint by ownership, so their union is a
+// concatenation — every capture's entries are collected and sorted
+// once, with nothing summed or hashed.
 func (g RawGroup) Snapshot(minSupport uint32) Snapshot {
-	if len(g) == 1 {
-		return g[0].Snapshot(minSupport)
-	}
-	snaps := make([]Snapshot, 0, len(g))
+	var s Snapshot
 	for _, r := range g {
-		if r != nil {
-			snaps = append(snaps, r.Snapshot(minSupport))
-		}
+		s.Pairs = appendExport(s.Pairs, r.pairs, minSupport, pairOps)
+		s.Items = appendExport(s.Items, r.items, minSupport, itemOps)
 	}
-	return MergeSnapshots(snaps...)
-}
-
-// Rules derives device-level directional rules from the group. The
-// antecedent lookup sees every item the device holds regardless of
-// support — on a single capture this reproduces RawSnapshot.Rules
-// exactly.
-func (g RawGroup) Rules(minSupport uint32, minConfidence float64) []Rule {
-	return g.TopRules(minSupport, minConfidence, 0)
-}
-
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0); the result is exactly Rules(...)[:limit].
-func (g RawGroup) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	sink := newRuleSink(limit)
-	g.scan(minSupport, minConfidence, nil, sink)
-	return sink.finish()
+	s.sort()
+	return s
 }
 
 // Stats sums the captured per-partition processing counters. The
@@ -156,9 +143,6 @@ func (g RawGroup) TopRules(minSupport uint32, minConfidence float64, limit int) 
 func (g RawGroup) Stats() Stats {
 	var t Stats
 	for _, r := range g {
-		if r == nil {
-			continue
-		}
 		t.Transactions += r.stats.Transactions
 		t.Extents += r.stats.Extents
 		t.PairTouches += r.stats.PairTouches
@@ -190,9 +174,6 @@ func (g RawGroup) EncodeMerged(w io.Writer, cfg Config, stats Stats) (n int64, s
 	p1cap, p2cap := splitTiers(cfg.PairCapacity, cfg.TierRatio)
 	var nItems, nPairs int
 	for _, r := range g {
-		if r == nil {
-			continue
-		}
 		nItems += len(r.items)
 		nPairs += len(r.pairs)
 	}
@@ -200,9 +181,6 @@ func (g RawGroup) EncodeMerged(w io.Writer, cfg Config, stats Stats) (n int64, s
 	pairs := make([]Entry[blktrace.Pair], 0, nPairs)
 	var i1, i2, p1, p2 int
 	for _, r := range g {
-		if r == nil {
-			continue
-		}
 		for _, e := range r.items {
 			if e.Tier == Tier2 {
 				if i2 >= i2cap {

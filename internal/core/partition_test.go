@@ -164,7 +164,7 @@ func TestPartitionedDifferential(t *testing.T) {
 			t.Fatalf("P=%d merged snapshot differs from P=1 (items %d vs %d, pairs %d vs %d)",
 				p, len(got.Items), len(refSnap.Items), len(got.Pairs), len(refSnap.Pairs))
 		}
-		if got := g.Rules(2, 0.01); !reflect.DeepEqual(got, refRules) {
+		if got := g.State(2, 0.01, len(refRules)+1, WantRules).Rules; !reflect.DeepEqual(got, refRules) {
 			t.Fatalf("P=%d merged rules differ from P=1 (%d vs %d rules)", p, len(got), len(refRules))
 		}
 		st := g.Stats()

@@ -166,47 +166,19 @@ func (t *Table[K]) restamp() {
 	t.seq = 1
 }
 
-// Config returns the captured analyzer configuration.
-func (r *RawSnapshot) Config() Config { return r.cfg }
-
-// Stats returns the captured processing counters.
-func (r *RawSnapshot) Stats() Stats { return r.stats }
-
-// Len returns the captured live entry counts (items, pairs).
-func (r *RawSnapshot) Len() (items, pairs int) { return len(r.items), len(r.pairs) }
-
 // Snapshot derives the sorted public export from the capture, exactly
 // as Analyzer.Snapshot would have at capture time: entries with
 // counter >= minSupport, descending counter, ties by key.
 func (r *RawSnapshot) Snapshot(minSupport uint32) Snapshot {
-	var s Snapshot
-	for _, e := range r.pairs {
-		if e.Count >= minSupport {
-			s.Pairs = append(s.Pairs, PairCount{Pair: e.Key, Count: e.Count, Tier: e.Tier})
-		}
-	}
-	for _, e := range r.items {
-		if e.Count >= minSupport {
-			s.Items = append(s.Items, ItemCount{Extent: e.Key, Count: e.Count, Tier: e.Tier})
-		}
-	}
-	s.sort()
-	return s
+	return RawGroup{r}.Snapshot(minSupport)
 }
 
-// Rules derives directional association rules from the capture,
-// producing exactly what Analyzer.Rules would have at capture time:
-// the antecedent lookup consults every captured item (the full item
-// table), and compareRules is a total order, so the output is
-// reproducible entry for entry.
-func (r *RawSnapshot) Rules(minSupport uint32, minConfidence float64) []Rule {
-	return r.TopRules(minSupport, minConfidence, 0)
-}
-
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0); the result is exactly Rules(...)[:limit].
+// TopRules is the rules of RawGroup{r}.State: the limit highest-ranked
+// directional rules of the capture (none when limit <= 0), exactly
+// Analyzer.Rules at capture time cut to limit. It remains only because
+// the repository benchmark's layer probe calls it.
 func (r *RawSnapshot) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	return RawGroup{r}.TopRules(minSupport, minConfidence, limit)
+	return RawGroup{r}.State(minSupport, minConfidence, limit, WantRules).Rules
 }
 
 // indexItems builds the capture's item index unless a read since the

@@ -26,20 +26,11 @@ type Rule struct {
 //
 // Confidences are estimates: both counters are maintained under LRU
 // eviction, so an extent readmitted after eviction restarts its tally.
-// Values are clamped to 1.
+// Values are clamped to 1. A bounded read captures the analyzer and
+// reads RawGroup.State, which selects the top K without building or
+// sorting the full list.
 func (a *Analyzer) Rules(minSupport uint32, minConfidence float64) []Rule {
-	return a.TopRules(minSupport, minConfidence, 0)
-}
-
-// TopRules is Rules bounded to the limit highest-ranked rules (all of
-// them when limit <= 0). The bound is applied during extraction via a
-// size-limit min-heap, so asking for the top 100 of a synopsis that
-// would yield 50k rules never builds or sorts the 50k: partial
-// selection costs O(n log limit) instead of the full sort's
-// O(n log n). The result is exactly Rules(...)[:limit] — the rule
-// order is total, so the truncation is deterministic.
-func (a *Analyzer) TopRules(minSupport uint32, minConfidence float64, limit int) []Rule {
-	sink := newRuleSink(limit)
+	sink := newRuleSink(0)
 	for _, e := range a.pairs.Entries(minSupport) {
 		sink.addPair(e.Key, e.Count, minConfidence, func(ext blktrace.Extent) uint32 {
 			c, ok := a.items.Count(ext)

@@ -33,12 +33,9 @@ type Snapshot struct {
 // tables, sorted by descending counter (ties broken by key order for
 // determinism).
 func (a *Analyzer) Snapshot(minSupport uint32) Snapshot {
-	var s Snapshot
-	for _, e := range a.pairs.Entries(minSupport) {
-		s.Pairs = append(s.Pairs, PairCount{Pair: e.Key, Count: e.Count, Tier: e.Tier})
-	}
-	for _, e := range a.items.Entries(minSupport) {
-		s.Items = append(s.Items, ItemCount{Extent: e.Key, Count: e.Count, Tier: e.Tier})
+	s := Snapshot{
+		Pairs: appendExport(nil, a.pairs.Entries(minSupport), minSupport, pairOps),
+		Items: appendExport(nil, a.items.Entries(minSupport), minSupport, itemOps),
 	}
 	s.sort()
 	return s

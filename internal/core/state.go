@@ -82,16 +82,11 @@ func scanState(top int, want Want, scan func(pairs *topK[PairCount], rules *rule
 func (g RawGroup) scan(minSupport uint32, minConfidence float64, pairs *topK[PairCount], rules *ruleSink) (total int) {
 	if rules != nil {
 		for _, r := range g {
-			if r != nil {
-				r.indexItems()
-			}
+			r.indexItems()
 		}
 	}
 	itemCount := g.itemCount
 	for _, r := range g {
-		if r == nil {
-			continue
-		}
 		for i := range r.pairs {
 			e := &r.pairs[i]
 			if e.Count < minSupport {
@@ -112,10 +107,7 @@ func (g RawGroup) scan(minSupport uint32, minConfidence float64, pairs *topK[Pai
 // itemCount resolves a rule antecedent across the group: an extent's
 // item entry lives only in the capture of the partition that owns it.
 func (g RawGroup) itemCount(ext blktrace.Extent) uint32 {
-	if r := g[PartitionOf(ext, len(g))]; r != nil {
-		return r.itemCount(ext)
-	}
-	return 0
+	return g[PartitionOf(ext, len(g))].itemCount(ext)
 }
 
 // State cuts the bounded state out of a full sorted export (support
@@ -124,19 +116,13 @@ func (g RawGroup) itemCount(ext blktrace.Extent) uint32 {
 func (s Snapshot) State(minSupport uint32, minConfidence float64, top int, want Want) State {
 	var st State
 	if want&WantPairs != 0 {
-		st.TotalPairs, st.Pairs = s.pairPage(minSupport, top)
+		cut := s.FilterSupport(minSupport)
+		st.TotalPairs, st.Pairs = len(cut.Pairs), cut.TopPairs(max(top, 0))
 	}
 	if want&WantRules != 0 && top > 0 {
 		st.Rules = s.TopRules(minSupport, minConfidence, top)
 	}
 	return st
-}
-
-// pairPage counts a sorted export's pairs at or above minSupport and
-// returns the first top of them.
-func (s Snapshot) pairPage(minSupport uint32, top int) (int, []PairCount) {
-	s = s.FilterSupport(minSupport)
-	return len(s.Pairs), s.TopPairs(max(top, 0))
 }
 
 // State reads the union's bounded state in one linear pass over the

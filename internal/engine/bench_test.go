@@ -154,7 +154,7 @@ func BenchmarkIngestUnderCheckpoint(b *testing.B) {
 					if _, err := eng.Snapshot("dev0", 2); err != nil {
 						return
 					}
-					if _, err := eng.Rules("dev0", 2, 0.5); err != nil {
+					if _, _, err := eng.State("dev0", 2, 0.5, 64, core.WantRules); err != nil {
 						return
 					}
 				}

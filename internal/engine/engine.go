@@ -9,10 +9,11 @@
 // to operators.
 //
 // On top of the per-device shards sits cross-device aggregation:
-// MergedSnapshot and MergedRules union the per-device synopses
-// (core.MergeSnapshots) so callers can ask both "what correlates on
-// volume 3" and "what correlates fleet-wide". A single-device
-// deployment is the N=1 case: an engine with one registered device.
+// MergedSnapshot and MergedState read the union of the per-device
+// synopses (kept incrementally in a core.MergeIndex) so callers can ask
+// both "what correlates on volume 3" and "what correlates fleet-wide".
+// A single-device deployment is the N=1 case: an engine with one
+// registered device.
 package engine
 
 import (
@@ -580,24 +581,6 @@ func (e *Engine) State(id string, minSupport uint32, minConfidence float64, top 
 	return st, epoch, err
 }
 
-// Rules extracts every directional association rule of the named
-// device from its live tables; State serves the bounded form. The
-// extraction has no K to bound its time, so it runs on the calling
-// goroutine against a pooled capture of its own rather than holding the
-// epoch's shared one; the worker only pays for the copy.
-func (e *Engine) Rules(id string, minSupport uint32, minConfidence float64) ([]core.Rule, error) {
-	s, err := e.shard(id)
-	if err != nil {
-		return nil, err
-	}
-	var rules []core.Rule
-	err = s.capture(func(g core.RawGroup) error {
-		rules = g.Rules(minSupport, minConfidence)
-		return nil
-	})
-	return rules, err
-}
-
 // WriteSnapshot serialises the named device's live synopsis (the
 // core.Analyzer.WriteTo format) without stopping ingestion: the binary
 // encoding and the writes to w run on the calling goroutine against a
@@ -712,27 +695,15 @@ func (e *Engine) dropMergeFeedLocked(id string) {
 	delete(e.mergeSrc, id)
 }
 
-// MergedRules derives fleet-wide directional rules from the merged
-// synopsis: the devices' counters summed per key, rules extracted from
-// the sums. Confidences are estimates over the summed counters. With
-// one device this equals that device's Rules. MergedState serves the
-// bounded form.
-func (e *Engine) MergedRules(minSupport uint32, minConfidence float64) ([]core.Rule, error) {
-	e.mergeMu.Lock()
-	defer e.mergeMu.Unlock()
-	if err := e.refreshMergedLocked(); err != nil {
-		return nil, err
-	}
-	return e.mergeIdx.TopRules(minSupport, minConfidence, 0), nil
-}
-
 // MergedState is State for the fleet-wide view, returned with the
 // merged epoch (sum, devices) read before it: one pass over the merge
 // index's pair union, counting, keeping the top best in a bounded heap
 // and resolving rule antecedents through its item hash, so a top-K read
 // allocates O(K) however large the fleet's tables are and no device is
 // exported or sorted on the way. Pairs and rules are read under one
-// hold of the merge lock, so they describe the same merge.
+// hold of the merge lock, so they describe the same merge. Rules carry
+// the devices' counters summed per key, so their confidences are
+// estimates over the sums.
 func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, sum uint64, devices int, err error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()

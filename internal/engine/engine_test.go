@@ -112,8 +112,8 @@ func TestUnknownDevice(t *testing.T) {
 	if _, err := e.Snapshot("nope", 1); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("Snapshot = %v, want ErrUnknownDevice", err)
 	}
-	if _, err := e.Rules("nope", 1, 0); !errors.Is(err, ErrUnknownDevice) {
-		t.Errorf("Rules = %v, want ErrUnknownDevice", err)
+	if _, _, err := e.State("nope", 1, 0, 1, core.WantRules); !errors.Is(err, ErrUnknownDevice) {
+		t.Errorf("State = %v, want ErrUnknownDevice", err)
 	}
 	if _, err := e.Device("nope"); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("Device = %v, want ErrUnknownDevice", err)
@@ -372,17 +372,19 @@ func TestMergedRules(t *testing.T) {
 	}
 	// Each device saw the pair 4 times (the 5th transaction is still
 	// open); merged support is the sum of both devices' counters.
-	rules, err := e.MergedRules(5, 0.5)
+	merged, _, _, err := e.MergedState(5, 0.5, 10, core.WantRules)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rules := merged.Rules
 	if len(rules) != 2 {
 		t.Fatalf("merged rules = %+v, want 2", rules)
 	}
-	perDev, err := e.Rules("vol0", 1, 0.5)
+	dev, _, err := e.State("vol0", 1, 0.5, 10, core.WantRules)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perDev := dev.Rules
 	if len(perDev) != 2 {
 		t.Fatalf("per-device rules = %+v, want 2", perDev)
 	}

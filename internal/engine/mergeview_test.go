@@ -129,16 +129,9 @@ func testMergedIncrementalEqualsScratch(t *testing.T, parts int) {
 		if after := exports(); after != before {
 			t.Fatalf("%s: a bounded merged read derived %v sorted exports, want none", label, after-before)
 		}
-		fullRules, err := e.MergedRules(2, 0.1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTop := fullRules
-		if len(wantTop) > 5 {
-			wantTop = wantTop[:5]
-		}
+		wantTop := mergedFromScratch(t, e, devices, 0).TopRules(2, 0.1, 5)
 		if !reflect.DeepEqual(st.Rules, wantTop) {
-			t.Fatalf("%s: MergedState rules != MergedRules[:5] (%d vs %d rules)", label, len(st.Rules), len(wantTop))
+			t.Fatalf("%s: MergedState rules != the oracle's top 5 (%d vs %d rules)", label, len(st.Rules), len(wantTop))
 		}
 		want := mergedFromScratch(t, e, devices, 2)
 		if st.TotalPairs != len(want.Pairs) || !reflect.DeepEqual(st.Pairs, want.TopPairs(5)) {

@@ -55,10 +55,12 @@ func runTraceThrough(t *testing.T, parts int, trace *blktrace.Trace) (core.Snaps
 	if err != nil {
 		t.Fatal(err)
 	}
-	rules, err := e.Rules("dev", 2, 0.1)
+	// Every rule: a pair yields at most two.
+	st, _, err := e.State("dev", 2, 0.1, 2*len(snap.Pairs)+1, core.WantRules)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rules := st.Rules
 	ds, err := e.DeviceStatsFor("dev")
 	if err != nil {
 		t.Fatal(err)
@@ -322,10 +324,16 @@ func TestFaultPartitionedPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := waitDrained(t, e, "dev0", 61)
+	// Wait for a checkpoint generation that provably contains every
+	// event fed so far. A generation says when it was committed, not when
+	// its state was captured: the first one past the drain may be a save
+	// that was already in flight, holding an older capture. The device's
+	// saves run one after another, so the second one's capture was taken
+	// after the first committed — after the drain.
 	atDrain := ds.Health.CheckpointSeq
 	waitHealth(t, e, "dev0", func(h DeviceHealthStatus) bool {
-		return h.CheckpointSeq > atDrain
-	}, "post-drain checkpoint")
+		return h.CheckpointSeq >= atDrain+2
+	}, "second post-drain checkpoint")
 
 	if err := e.Submit("dev0", readEvent(poison, 100)); err != nil {
 		t.Fatalf("poison submit: %v", err)
@@ -460,7 +468,7 @@ func TestPartitionedStress(t *testing.T) {
 				t.Errorf("stats: %v", err)
 				return
 			}
-			if _, err := e.Rules("hot", 2, 0.1); err != nil {
+			if _, _, err := e.State("hot", 2, 0.1, 64, core.WantPairs|core.WantRules); err != nil {
 				t.Errorf("rules: %v", err)
 				return
 			}

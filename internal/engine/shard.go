@@ -1025,14 +1025,15 @@ func (s *shard) captureLocked() (uint64, error) {
 // support-filtered disjoint views.
 //
 // Nor does a device that is exported again and again sort its table
-// each time: the capture carries what moved since any earlier one
-// (entry stamps and the tables' discard rings), and core.Exporter
-// patches the previous export with that — through a persistent merge
-// index over the disjoint partition captures at P>1. It sorts in full,
-// and counts a rebuild, only where the previous export cannot be
-// advanced: the first export, the first after a restore or restart,
-// and one the discard rings no longer reach back from. Captures taken
-// for bounded reads in between do not break the chain.
+// each time: each partition's capture carries what moved since any
+// earlier one (entry stamps and the tables' discard rings), and
+// core.Exporter patches the previous export with that, in one pass at
+// every P. A partition the previous export cannot be advanced for — the
+// first export, the first after a restore or restart, one its discard
+// rings no longer reach back from — is taken whole and sorted on its own
+// (the whole device when every partition is), and the export counts as
+// a rebuild. Captures taken for bounded reads in between do not break
+// the chain.
 func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -1054,10 +1055,10 @@ func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 
 // capture runs fn against a fresh pooled capture group of the device's
 // synopsis — the path of whoever holds a capture for an unbounded time:
-// the writers (snapshot and checkpoint encoding, across slow I/O) and
-// the unbounded rule extraction. They stay off the readers' shared
-// capture so they never block it. The workers only do the O(live
-// entries) copies; fn runs on the calling goroutine.
+// the writers (snapshot and checkpoint encoding, across slow I/O). They
+// stay off the readers' shared capture so they never block it. The
+// workers only do the O(live entries) copies; fn runs on the calling
+// goroutine.
 func (s *shard) capture(fn func(core.RawGroup) error) error {
 	g := s.getGroup()
 	defer s.putGroup(g)
@@ -1097,12 +1098,6 @@ func (s *shard) deviceConfig() core.Config {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.devCfg
-}
-
-func (s *shard) setDeviceConfig(cfg core.Config) {
-	s.mu.Lock()
-	s.devCfg = cfg
-	s.mu.Unlock()
 }
 
 // counters reads the producer-side counters: total events discarded by

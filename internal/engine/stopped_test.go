@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"daccor/internal/blktrace"
+	"daccor/internal/core"
 )
 
 // TestStoppedSemantics pins the post-Stop contract across the entire
@@ -36,10 +37,13 @@ func TestStoppedSemantics(t *testing.T) {
 		{"Device.Submit", func() error { return dev.Submit(ev) }},
 		{"Device.SubmitBatch", func() error { return dev.SubmitBatch(batch) }},
 		{"Engine.Snapshot", func() error { _, err := e.Snapshot("vol0", 0); return err }},
-		{"Engine.Rules", func() error { _, err := e.Rules("vol0", 0, 0); return err }},
+		{"Engine.State", func() error { _, _, err := e.State("vol0", 0, 0, 1, core.WantPairs|core.WantRules); return err }},
 		{"Engine.WriteSnapshot", func() error { return e.WriteSnapshot("vol0", io.Discard) }},
 		{"Engine.MergedSnapshot", func() error { _, err := e.MergedSnapshot(0); return err }},
-		{"Engine.MergedRules", func() error { _, err := e.MergedRules(0, 0); return err }},
+		{"Engine.MergedState", func() error {
+			_, _, _, err := e.MergedState(0, 0, 1, core.WantPairs|core.WantRules)
+			return err
+		}},
 		{"Engine.Stats", func() error { _, err := e.Stats(); return err }},
 		{"Engine.DeviceStatsFor", func() error { _, err := e.DeviceStatsFor("vol0"); return err }},
 		{"Engine.Register", func() error { return e.Register("vol2") }},

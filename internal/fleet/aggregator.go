@@ -536,8 +536,8 @@ func (a *Aggregator) Devices() []string {
 // changes into the union as it lands, so a read after one device's
 // delta re-sorts only that device's changed entries and never holds
 // the ingest mutex across a merge. This is the one read that
-// materializes the sorted export; MergedState and TopRules scan the
-// union as it stands.
+// materializes the sorted export; MergedState scans the union as it
+// stands.
 func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
 	a.readIndex(func(idx *core.MergeIndex) {
 		snap = idx.Snapshot().FilterSupport(minSupport)
@@ -587,8 +587,8 @@ func mirrorKey(collector, device string) string {
 // DeviceSnapshot returns one device's mirror at minSupport — the one
 // live collector's as it stands in the normal case (mirrors are
 // immutable sorted exports, so the cut is two binary searches and
-// nothing is copied), the merge of them when several live collectors
-// mirror the device. ok is false when none does.
+// nothing is copied), their sum through a throwaway core.MergeIndex when
+// several live collectors mirror the device. ok is false when none does.
 func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snapshot, bool) {
 	a.mu.Lock()
 	now := a.now()
@@ -605,22 +605,18 @@ func (a *Aggregator) DeviceSnapshot(device string, minSupport uint32) (core.Snap
 	case 1:
 		return snaps[0].FilterSupport(minSupport), true
 	}
-	return core.MergeSnapshots(snaps...).FilterSupport(minSupport), true
+	idx := core.NewMergeIndex()
+	for i, s := range snaps {
+		idx.Update(strconv.Itoa(i), s)
+	}
+	return idx.Snapshot().FilterSupport(minSupport), true
 }
 
-// TopRules derives fleet-wide directional rules from the merged
-// mirror, as engine.MergedRules does from live tables: the limit
-// highest-ranked rules (all of them when limit <= 0).
-// Extraction runs straight off the merge index — antecedent lookups
-// hit its item hash and selection is a bounded heap, so a top-K read
-// allocates O(K) regardless of fleet size. The HTTP surface reads
-// MergedState; this form remains for the repository benchmark's
-// layer probe.
-func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) (rules []core.Rule) {
-	a.readIndex(func(idx *core.MergeIndex) {
-		rules = idx.TopRules(minSupport, minConfidence, limit)
-	})
-	return rules
+// TopRules is MergedState's rules alone: the limit highest-ranked
+// fleet-wide rules (none when limit <= 0). It remains only because the
+// repository benchmark's layer probe calls it.
+func (a *Aggregator) TopRules(minSupport uint32, minConfidence float64, limit int) []core.Rule {
+	return a.MergedState(minSupport, minConfidence, limit, core.WantRules).Rules
 }
 
 // MergedState is the bounded read of the merged mirror (core.State):

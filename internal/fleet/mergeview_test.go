@@ -205,14 +205,8 @@ func (m *fleetModel) check() {
 			}
 		}
 	}
-	full := m.a.TopRules(2, 0.1, 0)
-	top := m.a.TopRules(2, 0.1, 4)
-	wantTop := full
-	if len(wantTop) > 4 {
-		wantTop = wantTop[:4]
-	}
-	if !reflect.DeepEqual(top, wantTop) {
-		m.t.Fatalf("TopRules(4) != TopRules(0)[:4] (%d vs %d rules)", len(top), len(wantTop))
+	if top, wantTop := m.a.TopRules(2, 0.1, 4), want.TopRules(2, 0.1, 4); !reflect.DeepEqual(top, wantTop) {
+		m.t.Fatalf("TopRules(4) != the scratch merge's top 4 (%d vs %d rules)", len(top), len(wantTop))
 	}
 }
 

@@ -3,10 +3,10 @@
 // aggregatord over HTTP — as content deltas against the last state the
 // aggregator acknowledged, falling back to full snapshots whenever the
 // two sides disagree (anti-entropy). The aggregator mirrors every
-// collector's devices, merges them through core.MergeSnapshots on
-// read, and keeps serving during partitions: a silent collector is
-// marked degraded, then failed and excluded from the merge, but reads
-// never turn into 5xxs.
+// collector's devices, merges them incrementally (core.MergeIndex) as
+// sections land, and keeps serving during partitions: a silent
+// collector is marked degraded, then failed and excluded from the
+// merge, but reads never turn into 5xxs.
 //
 // The sync frame is the package's wire unit. Its framing follows the
 // checkpoint format's discipline (magic, explicit version, hand-rolled

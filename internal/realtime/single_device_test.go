@@ -189,8 +189,8 @@ func TestQueriesAfterStop(t *testing.T) {
 	if _, err := e.Snapshot(deviceID, 1); !errors.Is(err, engine.ErrStopped) {
 		t.Errorf("Snapshot after stop = %v, want ErrStopped", err)
 	}
-	if _, err := e.Rules(deviceID, 1, 0); !errors.Is(err, engine.ErrStopped) {
-		t.Errorf("Rules after stop = %v, want ErrStopped", err)
+	if _, _, err := e.State(deviceID, 1, 0, 1, core.WantRules); !errors.Is(err, engine.ErrStopped) {
+		t.Errorf("State after stop = %v, want ErrStopped", err)
 	}
 	if _, err := e.DeviceStatsFor(deviceID); !errors.Is(err, engine.ErrStopped) {
 		t.Errorf("Stats after stop = %v, want ErrStopped", err)
@@ -243,9 +243,9 @@ func TestRulesQuery(t *testing.T) {
 		must(t, e.Submit(deviceID, blktrace.Event{Time: base + 1000, Op: blktrace.OpRead, Extent: b}))
 	}
 	waitEvents(t, e, 10)
-	rules, err := e.Rules(deviceID, 3, 0.5)
+	st, _, err := e.State(deviceID, 3, 0.5, 10, core.WantRules)
 	must(t, err)
-	if len(rules) != 2 {
+	if rules := st.Rules; len(rules) != 2 {
 		t.Fatalf("rules = %d, want 2", len(rules))
 	}
 }
@@ -267,8 +267,9 @@ func TestCollectorPartitioned(t *testing.T) {
 		defer e.Stop()
 		must(t, e.SubmitBatch(deviceID, syn.Trace.Events))
 		waitEvents(t, e, uint64(syn.Trace.Len()))
-		rules, err := e.Rules(deviceID, 2, 0.5)
+		snap, err := e.Snapshot(deviceID, 0)
 		must(t, err)
+		rules := snap.TopRules(2, 0.5, 0)
 		var buf bytes.Buffer
 		must(t, e.WriteSnapshot(deviceID, &buf))
 		restored, err := core.LoadAnalyzer(&buf)
