@@ -10,9 +10,9 @@ GO ?= go
 # bench-diff / alloc-check hold against BENCH_baseline.json.
 BENCH_CUR ?= BENCH_pr10.json
 
-.PHONY: ci fmt vet deps test test-matrix race flake bench-unit bench-repo bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
+.PHONY: ci fmt vet deps test test-matrix race flake bench-unit bench-repo bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fuzz-smoke fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
 
-ci: fmt vet deps race bench-unit test-matrix alloc-guard alloc-check fault fleet-smoke soak-smoke soak-smoke-p4
+ci: fmt vet deps race bench-unit test-matrix alloc-guard alloc-check fuzz-smoke fault fleet-smoke soak-smoke soak-smoke-p4
 
 # Fail if any file is not gofmt-clean.
 fmt:
@@ -75,9 +75,17 @@ bench-repo:
 
 # The AllocsPerRun guards must run without -race (the race runtime
 # itself allocates, which would mask — or falsely trip — a hot-path
-# allocation regression).
+# allocation regression). Besides the synopsis, they hold the pooled
+# HTTP ingest decode to zero allocations per request.
 alloc-guard:
-	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta' ./internal/core
+	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta' ./internal/core ./internal/realtime
+
+# Thirty seconds of the ingest scanner against its encoding/json oracle
+# (same accept/reject set, events, and error text). A short
+# minimization budget keeps the fuzzer mutating: minimizing one of the
+# 10 000-event seeds would otherwise eat the whole run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/realtime
 
 # Fault-injection and recovery suite: supervised worker panics,
 # checkpoint write failures, restore paths, post-Stop semantics.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"daccor/internal/blktrace"
+	"daccor/internal/core"
 	"daccor/internal/obs"
 )
 
@@ -108,6 +109,54 @@ func TestSubmitBatchEquivalentToSubmit(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotSnap, wantSnap) {
 		t.Errorf("batched snapshot differs from per-event snapshot:\n got %+v\nwant %+v", gotSnap, wantSnap)
+	}
+}
+
+// TestSubmitBatchDoesNotRetain: SubmitBatch copies the events, so a
+// caller that overwrites (or pools) the slice the moment it returns
+// leaves the synopsis exactly as if it had never touched it.
+func TestSubmitBatchDoesNotRetain(t *testing.T) {
+	const batch = 50
+	evs := make([]blktrace.Event, 0, 20*batch)
+	for i := 0; i < 20*batch/4; i++ {
+		base := int64(i) * int64(time.Second)
+		for j := 0; j < 4; j++ {
+			evs = append(evs, blktrace.Event{Time: base + int64(j)*1000, Op: blktrace.OpRead,
+				Extent: blktrace.Extent{Block: uint64(10 + j*10 + i%3), Len: 1}})
+		}
+	}
+	for _, parts := range []int{1, 2} {
+		// The overwrite lands while the router may still be draining the
+		// ring: a retained slice would show up as block 999 pairs.
+		run := func(overwrite bool) core.Snapshot {
+			e := mustEngine(t, WithDevices("d"), WithBackpressure(Block), WithQueueSize(64), WithPartitions(parts))
+			buf := make([]blktrace.Event, batch)
+			for i := 0; i < len(evs); i += batch {
+				copy(buf, evs[i:i+batch])
+				if err := e.SubmitBatch("d", buf); err != nil {
+					t.Fatal(err)
+				}
+				if overwrite {
+					for j := range buf {
+						buf[j] = blktrace.Event{Time: 1, Op: blktrace.OpWrite, Extent: blktrace.Extent{Block: 999, Len: 7}}
+					}
+				}
+			}
+			defer e.Stop()
+			waitDrained(t, e, "d", uint64(len(evs)))
+			snap, err := e.Snapshot("d", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return snap
+		}
+		got, want := run(true), run(false)
+		if len(want.Pairs) == 0 {
+			t.Fatalf("P=%d: no pairs learned; the test shows nothing", parts)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("P=%d: snapshot after overwriting the submitted slice differs:\n got %+v\nwant %+v", parts, got, want)
+		}
 	}
 }
 

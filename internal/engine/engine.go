@@ -497,8 +497,9 @@ func (e *Engine) Submit(id string, ev blktrace.Event) error {
 // rejects the whole batch, identifying the offending index. Under
 // backpressure the batch behaves as the equivalent sequence of Submit
 // calls (DropOldest discards oldest-first; Block waits for the worker).
-// The batch slice is copied into the queue and may be reused by the
-// caller as soon as SubmitBatch returns.
+// Each event is copied into the queue by value and the slice is not
+// retained after SubmitBatch returns: the caller may overwrite or pool
+// it at once (the HTTP ingest route decodes into a pooled slice).
 func (e *Engine) SubmitBatch(id string, evs []blktrace.Event) error {
 	for i := range evs {
 		if err := evs[i].Validate(); err != nil {
@@ -959,7 +960,8 @@ func (d *Device) Submit(ev blktrace.Event) error {
 }
 
 // SubmitBatch validates and enqueues a batch of issue events under a
-// single lock acquisition, as Engine.SubmitBatch.
+// single lock acquisition, as Engine.SubmitBatch; the slice is not
+// retained after it returns.
 func (d *Device) SubmitBatch(evs []blktrace.Event) error {
 	for i := range evs {
 		if err := evs[i].Validate(); err != nil {

@@ -10,14 +10,11 @@
 package realtime
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"time"
 
 	"daccor/internal/api"
-	"daccor/internal/blktrace"
 	"daccor/internal/engine"
 )
 
@@ -99,13 +96,15 @@ func engineError(err error) *api.Error {
 // does a worker round trip: both stay fast while devices are
 // restarting, failed, or backlogged.
 //
-// The ingest route accepts {"events": [{"time", "pid", "op", "block",
-// "len"}, ...]} with op "read" or "write", at most MaxIngestBatch
-// events per request, and submits the whole batch to the device under
-// one queue lock acquisition (Engine.SubmitBatch). A malformed or
-// invalid event rejects the entire batch with bad_request, identifying
-// the offending index; nothing is partially ingested. On success the
-// response reports {"device", "accepted"}.
+// The ingest route accepts one JSON object, {"events": [{"time", "pid",
+// "op", "block", "len"}, ...]} with op "read" or "write", at most
+// MaxIngestBatch events per request, and submits the whole batch to the
+// device under one queue lock acquisition (Engine.SubmitBatch). The
+// body is decoded in one pass into pooled buffers (ingest.go, which
+// also spells out the accepted grammar); anything after the object is
+// rejected. A malformed or invalid event rejects the entire batch with
+// bad_request, identifying the offending index; nothing is partially
+// ingested. On success the response reports {"device", "accepted"}.
 //
 // Every route flows through one typed error path: errors are 400
 // (bad_request), 404 (unknown_device), 503 (stopped,
@@ -128,7 +127,9 @@ func NewEngineHandler(e *engine.Engine) http.Handler {
 	}))
 
 	mux.HandleFunc("POST /v1/devices/{id}/events", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
-		evs, err := decodeIngestBody(r)
+		buf := getIngestBuffers()
+		defer buf.release()
+		evs, err := buf.decode(http.MaxBytesReader(w, r.Body, maxIngestBody))
 		if err != nil {
 			return api.BadRequest(err)
 		}
@@ -170,60 +171,6 @@ func NewEngineHandler(e *engine.Engine) http.Handler {
 	})
 
 	return api.WithMetrics(e.Metrics(), mux)
-}
-
-// ingestEvent is the wire shape of one event on the ingest route.
-type ingestEvent struct {
-	Time  int64  `json:"time"`
-	PID   uint32 `json:"pid"`
-	Op    string `json:"op"`
-	Block uint64 `json:"block"`
-	Len   uint32 `json:"len"`
-}
-
-// ingestBody is the wire shape of the ingest request body.
-type ingestBody struct {
-	Events []ingestEvent `json:"events"`
-}
-
-// decodeIngestBody parses and validates a batch ingest request. Every
-// event is checked here so a bad one answers 400 with its index,
-// rather than surfacing as an opaque engine error.
-func decodeIngestBody(r *http.Request) ([]blktrace.Event, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxIngestBody))
-	dec.DisallowUnknownFields()
-	var body ingestBody
-	if err := dec.Decode(&body); err != nil {
-		return nil, fmt.Errorf("invalid JSON body: %v", err)
-	}
-	if len(body.Events) == 0 {
-		return nil, errors.New("events must be a non-empty array")
-	}
-	if len(body.Events) > MaxIngestBatch {
-		return nil, fmt.Errorf("batch too large: %d events (max %d)", len(body.Events), MaxIngestBatch)
-	}
-	evs := make([]blktrace.Event, len(body.Events))
-	for i, we := range body.Events {
-		var op blktrace.Op
-		switch we.Op {
-		case "read":
-			op = blktrace.OpRead
-		case "write":
-			op = blktrace.OpWrite
-		default:
-			return nil, fmt.Errorf("event %d: op must be \"read\" or \"write\" (got %q)", i, we.Op)
-		}
-		evs[i] = blktrace.Event{
-			Time:   we.Time,
-			PID:    we.PID,
-			Op:     op,
-			Extent: blktrace.Extent{Block: we.Block, Len: we.Len},
-		}
-		if err := evs[i].Validate(); err != nil {
-			return nil, fmt.Errorf("event %d: %v", i, err)
-		}
-	}
-	return evs, nil
 }
 
 // healthBody builds the shared healthz/readyz payload from the

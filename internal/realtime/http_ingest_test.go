@@ -103,6 +103,10 @@ func TestV1IngestErrors(t *testing.T) {
 	e, srv := servedEngine(t)
 	defer e.Stop()
 	url := srv.URL + "/v1/devices/vol0/events"
+	before, err := e.DeviceStatsFor("vol0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name, body, wantCode string
 		wantStatus           int
@@ -117,6 +121,13 @@ func TestV1IngestErrors(t *testing.T) {
 			`{"time":1,"op":"read","block":1,"len":1}`,
 			`{"time":2,"op":"read","block":1,"len":0}`),
 			api.ErrCodeBadRequest, http.StatusBadRequest, "event 1"},
+		// A second batch after the first used to be dropped silently
+		// while the first was accepted.
+		{"concatenated batches", ingestBodyJSON(`{"time":1,"op":"read","block":1,"len":1}`) +
+			ingestBodyJSON(`{"time":2,"op":"read","block":2,"len":1}`),
+			api.ErrCodeBadRequest, http.StatusBadRequest, "trailing data"},
+		{"trailing garbage", ingestBodyJSON(`{"time":1,"op":"read","block":1,"len":1}`) + "x",
+			api.ErrCodeBadRequest, http.StatusBadRequest, "trailing data"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,6 +157,16 @@ func TestV1IngestErrors(t *testing.T) {
 	code, apiErr := postEnvelope(t, url, big.String(), nil)
 	if code != http.StatusBadRequest || apiErr == nil || !strings.Contains(apiErr.Message, "batch too large") {
 		t.Errorf("oversized batch: status %d error %+v", code, apiErr)
+	}
+
+	// Nothing of any rejected body reached the device.
+	after, err := e.DeviceStatsFor("vol0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Monitor.Events != before.Monitor.Events || after.Lag != 0 {
+		t.Errorf("rejected bodies moved the device: events %d -> %d, lag %d",
+			before.Monitor.Events, after.Monitor.Events, after.Lag)
 	}
 
 	// Unknown device maps through the engine error path.
