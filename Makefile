@@ -78,14 +78,16 @@ bench-repo:
 # allocation regression). Besides the synopsis, they hold the pooled
 # HTTP ingest decode to zero allocations per request.
 alloc-guard:
-	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta' ./internal/core ./internal/realtime
+	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/realtime
 
 # Thirty seconds of the ingest scanner against its encoding/json oracle
-# (same accept/reject set, events, and error text). A short
-# minimization budget keeps the fuzzer mutating: minimizing one of the
-# 10 000-event seeds would otherwise eat the whole run.
+# (same accept/reject set, events, and error text), then thirty of the
+# merge index's walk against MergeSnapshots. A short minimization
+# budget keeps the fuzzer mutating: minimizing one of the 10 000-event
+# seeds would otherwise eat the whole run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/realtime
+	$(GO) test -run '^$$' -fuzz '^FuzzMergeIndexApply$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
 
 # Fault-injection and recovery suite: supervised worker panics,
 # checkpoint write failures, restore paths, post-Stop semantics.

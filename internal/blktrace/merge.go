@@ -12,7 +12,7 @@ import (
 // per-tenant traces. Each input source must itself be time-ordered;
 // ties are broken by source index for determinism.
 func MergeSources(sources ...Source) Source {
-	m := &mergeSource{}
+	m := &mergedStream{}
 	for i, src := range sources {
 		m.pending = append(m.pending, pendingSource{src: src, index: i})
 	}
@@ -26,7 +26,7 @@ type pendingSource struct {
 	primed bool
 }
 
-type mergeSource struct {
+type mergedStream struct {
 	pending []pendingSource // not yet primed
 	heap    mergeHeap
 	err     error
@@ -52,7 +52,7 @@ func (h *mergeHeap) Pop() (out any) {
 }
 
 // prime pulls the first event of every source into the heap.
-func (m *mergeSource) prime() error {
+func (m *mergedStream) prime() error {
 	for _, ps := range m.pending {
 		ev, err := ps.src.Next()
 		if errors.Is(err, io.EOF) {
@@ -70,7 +70,7 @@ func (m *mergeSource) prime() error {
 }
 
 // Next implements Source.
-func (m *mergeSource) Next() (Event, error) {
+func (m *mergedStream) Next() (Event, error) {
 	if m.err != nil {
 		return Event{}, m.err
 	}

@@ -77,8 +77,9 @@ func DiffSnapshots(old, new Snapshot) SnapshotDelta {
 // exports needs to know about one table's entries; pairOps and itemOps
 // are the two there are.
 type exportOps[K comparable, E any] struct {
-	mk  func(K, uint32, Tier) E
-	key func(E) K
+	mk    func(K, uint32, Tier) E
+	key   func(E) K
+	value func(E) (uint32, Tier)
 	// cmp is the export order: descending counter, ties by key.
 	cmp func(a, b E) int
 	// owner is the extent whose partition (PartitionOf) holds the key.
@@ -88,6 +89,7 @@ type exportOps[K comparable, E any] struct {
 var pairOps = exportOps[blktrace.Pair, PairCount]{
 	mk:    func(k blktrace.Pair, c uint32, t Tier) PairCount { return PairCount{Pair: k, Count: c, Tier: t} },
 	key:   func(pc PairCount) blktrace.Pair { return pc.Pair },
+	value: func(pc PairCount) (uint32, Tier) { return pc.Count, pc.Tier },
 	cmp:   comparePairCounts,
 	owner: func(p blktrace.Pair) blktrace.Extent { return p.A },
 }
@@ -95,6 +97,7 @@ var pairOps = exportOps[blktrace.Pair, PairCount]{
 var itemOps = exportOps[blktrace.Extent, ItemCount]{
 	mk:    func(k blktrace.Extent, c uint32, t Tier) ItemCount { return ItemCount{Extent: k, Count: c, Tier: t} },
 	key:   func(ic ItemCount) blktrace.Extent { return ic.Extent },
+	value: func(ic ItemCount) (uint32, Tier) { return ic.Count, ic.Tier },
 	cmp:   compareItemCounts,
 	owner: func(e blktrace.Extent) blktrace.Extent { return e },
 }

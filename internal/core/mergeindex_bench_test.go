@@ -11,7 +11,7 @@ import (
 // Fan-in read-path benchmarks: the numbers behind the incremental
 // merged-view work. The scenario is the steady state every fleet
 // deployment converges to — N mirrored devices, one of which changed
-// since the last read — measured three ways: reconcile-one-source
+// since the last read — measured three ways: update the one source
 // through the MergeIndex and materialize its sorted export, the same
 // feed followed by the bounded read that builds no export, and
 // re-merging every mirror from scratch (core.MergeSnapshots). The

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"daccor/internal/blktrace"
 )
 
 // The MergeIndex's contract is differential: however it got to its
-// current per-source states — full updates, deltas, raw captures,
-// removals, anti-entropy re-feeds — and however it has been read so
+// current per-source states — full updates, deltas, removals,
+// anti-entropy re-feeds — and however it has been read so
 // far, its materialized union must be byte-identical to
 // core.MergeSnapshots recomputed from scratch over the same states, and
 // its bounded read to the bounded cut of that. These tests drive random
@@ -181,31 +183,40 @@ func TestMergeIndexDifferential(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			src := sources[rng.Intn(len(sources))]
 			switch op := rng.Intn(10); {
-			case op < 4: // full update (covers anti-entropy re-feed)
+			case op < 3: // full update (covers anti-entropy re-feed)
 				next := genSnapshot(rng, keyspace)
 				reader.feed(idx, func() { idx.Update(src, next) })
 				states[src] = next
+			case op < 4: // the walk needs unique keys per side, not order
+				next := genSnapshot(rng, keyspace)
+				shuffled := Snapshot{Pairs: slices.Clone(next.Pairs), Items: slices.Clone(next.Items)}
+				rng.Shuffle(len(shuffled.Pairs), func(i, j int) {
+					shuffled.Pairs[i], shuffled.Pairs[j] = shuffled.Pairs[j], shuffled.Pairs[i]
+				})
+				rng.Shuffle(len(shuffled.Items), func(i, j int) {
+					shuffled.Items[i], shuffled.Items[j] = shuffled.Items[j], shuffled.Items[i]
+				})
+				reader.feed(idx, func() { idx.Update(src, shuffled) })
+				states[src] = next
 			case op < 8: // incremental delta from the current state
 				next := genSnapshot(rng, keyspace)
-				d := DiffSnapshots(states[src], next)
-				reader.feed(idx, func() {
-					if err := idx.ApplyDelta(src, d); err != nil {
-						t.Fatalf("seed %d step %d: ApplyDelta: %v", seed, step, err)
-					}
-				})
+				applied, err := DiffSnapshots(states[src], next).Apply(states[src])
+				if err != nil {
+					t.Fatalf("seed %d step %d: Apply: %v", seed, step, err)
+				}
+				reader.feed(idx, func() { idx.Update(src, applied) })
 				states[src] = next
 			case op < 9: // source removal replays the negative delta
 				reader.feed(idx, func() { idx.Remove(src) })
 				delete(states, src)
-			default: // conflicting delta must reject, then self-heal via Update
+			default: // a conflicting delta is rejected before it reaches the index
 				if _, ok := states[src]; !ok {
 					continue
 				}
 				bogus := SnapshotDelta{DeleteItems: []blktrace.Extent{genExtent(keyspace + 100)}}
-				if err := idx.ApplyDelta(src, bogus); err == nil {
-					t.Fatalf("seed %d step %d: conflicting delta applied cleanly", seed, step)
+				if _, err := bogus.Apply(states[src]); !errors.Is(err, ErrDeltaConflict) {
+					t.Fatalf("seed %d step %d: conflicting delta: Apply = %v, want ErrDeltaConflict", seed, step, err)
 				}
-				idx.Update(src, states[src])
 			}
 			reader.check(t, step, idx, states)
 		}
@@ -220,75 +231,6 @@ func TestMergeIndexDifferential(t *testing.T) {
 		if it, p := idx.Len(); it != 0 || p != 0 {
 			t.Fatalf("seed %d: drained index still holds %d items / %d pairs", seed, it, p)
 		}
-	}
-}
-
-// TestMergeIndexUpdateRawDifferential pins the capture-fed path — the
-// engine's merged view, and the P>1 partition export: raw captures fed
-// via UpdateRaw must yield the same union as their sorted exports do
-// through MergeSnapshots, whether a feed replays what the capture says
-// moved or, the source having gone unfed for longer than its analyzer's
-// discard ring remembers, reconciles in full; with sources removed and
-// fed again along the way, and the index read as unionReader says.
-func TestMergeIndexUpdateRawDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	reader := &unionReader{rng: rng}
-	names := []string{"p0", "p1", "p2"}
-	analyzers := make([]*Analyzer, len(names))
-	raws := make([]*RawSnapshot, len(names))
-	for i := range analyzers {
-		a, err := NewAnalyzer(Config{ItemCapacity: 64, PairCapacity: 128})
-		if err != nil {
-			t.Fatal(err)
-		}
-		analyzers[i], raws[i] = a, &RawSnapshot{}
-	}
-	idx := NewMergeIndex()
-	states := make(map[string]Snapshot, len(names))
-	var patched, lapped int
-	for round := 0; round < 600; round++ {
-		k := rng.Intn(len(names))
-		// Mostly a handful of transactions; now and then enough of them
-		// to evict more keys than the discard ring (C/4) holds.
-		txs := 1 + rng.Intn(5)
-		if rng.Intn(12) == 0 {
-			txs = 120
-		}
-		for tx := 0; tx < txs; tx++ {
-			n := 2 + rng.Intn(4)
-			exts := make([]blktrace.Extent, 0, n)
-			for len(exts) < n {
-				exts = append(exts, genExtent(rng.Intn(96)))
-			}
-			analyzers[k].Process(exts)
-		}
-		switch op := rng.Intn(10); {
-		case op < 7: // feed the capture
-			analyzers[k].CaptureSnapshot(raws[k])
-			_, fed := states[names[k]]
-			reader.feed(idx, func() {
-				switch ok := idx.UpdateRaw(names[k], raws[k]); {
-				case ok:
-					patched++
-				case fed:
-					lapped++
-				}
-			})
-			states[names[k]] = raws[k].Snapshot(0)
-		case op < 8: // the source goes away; its next feed is a first one
-			reader.feed(idx, func() { idx.Remove(names[k]) })
-			delete(states, names[k])
-		default: // a capture nobody feeds does not break the chain
-			analyzers[k].CaptureSnapshot(raws[k])
-		}
-		reader.check(t, round, idx, states)
-	}
-	reader.requireEveryExportPath(t)
-	if patched == 0 || lapped == 0 {
-		t.Fatalf("walk fed %d patched and %d lapped captures: want both", patched, lapped)
-	}
-	if evictions := analyzers[0].Stats().PairEvictions; evictions == 0 {
-		t.Fatal("the walk never evicted a pair: capacities too large to exercise the discard log")
 	}
 }
 
@@ -313,9 +255,11 @@ func FuzzMergeIndexApply(f *testing.F) {
 				states[src] = next
 			case 1, 2:
 				next := genSnapshot(rng, 12)
-				if err := idx.ApplyDelta(src, DiffSnapshots(states[src], next)); err != nil {
-					t.Fatalf("step %d: ApplyDelta: %v", step, err)
+				applied, err := DiffSnapshots(states[src], next).Apply(states[src])
+				if err != nil {
+					t.Fatalf("step %d: Apply: %v", step, err)
 				}
+				idx.Update(src, applied)
 				states[src] = next
 			default:
 				idx.Remove(src)
@@ -355,7 +299,7 @@ func TestTopRulesEquivalence(t *testing.T) {
 	var raw RawSnapshot
 	a.CaptureSnapshot(&raw)
 	idx := NewMergeIndex()
-	idx.UpdateRaw("only", &raw)
+	idx.Update("only", snap)
 
 	truncated := func(rules []Rule, limit int) []Rule {
 		if limit <= 0 || limit >= len(rules) {
@@ -427,8 +371,8 @@ func TestMergeIndexSteadyStateAllocs(t *testing.T) {
 		a := genSnapshot(rng, 32)
 		b := genSnapshot(rng, 32)
 		flip := false
-		// Warm: both alternating states pass through once so shadow and
-		// union arenas reach their final sizes.
+		// Warm: both alternating states pass through once so the union
+		// arenas and the walk's scratch reach their final sizes.
 		for i := 0; i < 4; i++ {
 			idx.Update("s0", a)
 			idx.Snapshot()

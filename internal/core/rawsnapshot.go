@@ -37,11 +37,11 @@ type RawSnapshot struct {
 	itemIdx   extentIndex
 	itemIdxOK bool
 
-	// Where the capture sits in its analyzer's history, for the readers
-	// that derive a product from the one they derived last (Exporter,
-	// MergeIndex.UpdateRaw) instead of from scratch: which analyzer, the
-	// how-manieth capture of it, and per table what a later capture needs
-	// to tell what changed since this one. WriteTo ignores all of it.
+	// Where the capture sits in its analyzer's history, for the reader
+	// that derives each export from the one it derived last (Exporter)
+	// instead of from scratch: which analyzer, the how-manieth capture of
+	// it, and per table what a later capture needs to tell what changed
+	// since this one. WriteTo ignores all of it.
 	origin  *captureOrigin
 	seq     uint32
 	itemLog captureLog[blktrace.Extent]

@@ -82,10 +82,11 @@ func checkState(t *testing.T, label string, full Snapshot, read func(minSupport 
 // checkpoint holds the bounded one-pass read of the captures — and the
 // same read cut from the sorted export and from merge indexes — to the
 // sort-everything oracle. One index is rebuilt from the export each
-// time; the other lives through the walk and is fed the partition
-// captures one source each, the way the engine feeds its merged view,
-// and is only now and then asked for its sorted export, so its bounded
-// read is checked with and without a materialized export beside it.
+// time; the other lives through the walk and is fed the group's
+// Exporter export as one source, the way the engine feeds its merged
+// view, and is only now and then asked for its sorted export, so its
+// bounded read is checked with and without a materialized export
+// beside it.
 func TestStateDifferential(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -94,11 +95,10 @@ func TestStateDifferential(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				txs := genTransactions(seed, 900, 6)
 				g := make(RawGroup, p)
-				names := make([]string, p)
 				for k := range g {
 					g[k] = new(RawSnapshot)
-					names[k] = fmt.Sprintf("part%d", k)
 				}
+				var x Exporter
 				fed := NewMergeIndex()
 				var evictions uint64
 				for i, tx := range txs {
@@ -110,8 +110,9 @@ func TestStateDifferential(t *testing.T) {
 					for k, a := range parts {
 						a.CaptureSnapshot(g[k]) // reused: the item index must be rebuilt
 						evictions += a.Stats().PairEvictions
-						fed.UpdateRaw(names[k], g[k])
 					}
+					exp, _ := x.Export(g)
+					fed.Update("device", exp)
 					full := g.Snapshot(0)
 					label := fmt.Sprintf("step %d", i)
 					checkState(t, label+" RawGroup", full, g.State)
@@ -119,10 +120,10 @@ func TestStateDifferential(t *testing.T) {
 					idx := NewMergeIndex()
 					idx.Update("only", full)
 					checkState(t, label+" MergeIndex", full, idx.State)
-					checkState(t, label+" capture-fed MergeIndex", full, fed.State)
+					checkState(t, label+" export-fed MergeIndex", full, fed.State)
 					if rng.Intn(3) == 0 || i == len(txs)-1 {
 						if got := fed.Snapshot(); !reflect.DeepEqual(got, full) {
-							t.Fatalf("%s: capture-fed MergeIndex exports %d pairs / %d items, the group %d / %d",
+							t.Fatalf("%s: export-fed MergeIndex exports %d pairs / %d items, the group %d / %d",
 								label, len(got.Pairs), len(got.Items), len(full.Pairs), len(full.Items))
 						}
 					}
@@ -261,14 +262,8 @@ func TestMergedStateAllocsBoundedByTop(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(3))
 	idx := NewMergeIndex()
-	cur := genSnapshot(rng, 64)
-	idx.Update("s", cur)
 	for round := 0; round < 1000; round++ {
-		next := genSnapshot(rng, 64)
-		if err := idx.ApplyDelta("s", DiffSnapshots(cur, next)); err != nil {
-			t.Fatalf("round %d: ApplyDelta: %v", round, err)
-		}
-		cur = next
+		idx.Update("s", genSnapshot(rng, 64))
 		idx.State(1, 0.5, 64, WantPairs|WantRules)
 	}
 	if c := cap(idx.pairs.dirty) + cap(idx.items.dirty); c != 0 {

@@ -10,7 +10,7 @@
 //
 // On top of the per-device shards sits cross-device aggregation:
 // MergedSnapshot and MergedState read the union of the per-device
-// synopses (kept incrementally in a core.MergeIndex) so callers can ask
+// exports (kept incrementally in a core.MergeIndex) so callers can ask
 // both "what correlates on volume 3" and "what correlates fleet-wide".
 // A single-device deployment is the N=1 case: an engine with one
 // registered device.
@@ -20,8 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
-	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -207,32 +208,41 @@ type Engine struct {
 	// register/unregister, which change the device count); see watch.go.
 	fleet *epochNotifier
 
+	// regGen counts registrations and unregistrations; with it the
+	// merged view tells a device re-registered under the same ID from
+	// the one it replaced, whose epoch sum and count it may repeat.
+	regGen uint64
+
 	// The fleet-wide view: a merge index kept current by feeding it the
-	// captures of the devices whose epoch moved since their last feed,
-	// one source per (device, partition) capture — sums are associative,
-	// so the union over partition captures is the union over device
-	// exports. A feed costs O(entries changed since the source's last
-	// one) and sorts nothing (core.MergeIndex.UpdateRaw); a bounded read
-	// is then one pass over the union, and only MergedSnapshot
-	// materializes the sorted export. (mergeEpoch, mergeDevices) is the
-	// sum of all device epochs and the device count the index was last
-	// brought up to: epochs only advance, so an unchanged sum at an
-	// unchanged count means no device changed and the refresh is
-	// skipped. The key is read before the captures, so it can only
-	// under-claim freshness. mergeMu is taken before any shard's snapMu.
+	// sorted exports of the devices whose epoch moved since their last
+	// feed, one source per device at every P. The export is the device's
+	// cached support-0 export (shard.export), the same immutable slice
+	// its snapshot reads and the fleet sync serve, which the index holds
+	// by reference and walks from the previous one
+	// (core.MergeIndex.Update); a bounded read is then one pass over the
+	// union, and only MergedSnapshot materializes the sorted export.
+	// (mergeEpoch, mergeGen) is the sum of all device epochs and the
+	// registration generation the index was last brought up to (with
+	// mergeDevices, the device count then): epochs only advance, so an
+	// unchanged sum at an unchanged generation means no device changed
+	// and the refresh is skipped — and the zero key is the empty fleet
+	// the index starts as. The key is read before the exports, so it can
+	// only under-claim freshness. mergeMu is taken before any shard's
+	// snapMu, and before mu.
 	mergeMu      sync.Mutex
 	mergeIdx     *core.MergeIndex
 	mergeSrc     map[string]mergeFeed // device -> what it last fed into mergeIdx
 	mergeEpoch   uint64
+	mergeGen     uint64
 	mergeDevices int
-	mergeValid   bool
 }
 
-// mergeFeed is one device's standing in the merge index: the epoch its
-// sources were last fed at, and their names, one per partition.
+// mergeFeed is one device's standing in the merge index: the shard that
+// fed it — a device re-registered under the same ID is another one —
+// and the epoch of the export it fed.
 type mergeFeed struct {
-	epoch   uint64
-	sources []string
+	shard *shard
+	epoch uint64
 }
 
 // New builds an engine from functional options:
@@ -348,6 +358,7 @@ func (e *Engine) Register(id string) error {
 	sh.onEpoch = e.fleetWake
 	sh.metrics = newShardMetrics(e.metrics, sh, sh.ring.capacity())
 	e.shards[id] = sh
+	e.regGen++
 	// Keep the listing order sorted by ID rather than by registration:
 	// devices registered concurrently would otherwise make /v1/devices
 	// and the metrics exposition depend on goroutine scheduling.
@@ -465,15 +476,16 @@ func (e *Engine) shard(id string) (*shard, error) {
 	return s, nil
 }
 
-// orderedShards returns the shards sorted by device ID.
-func (e *Engine) orderedShards() []*shard {
+// orderedShards returns the shards sorted by device ID, and the
+// registration generation they belong to.
+func (e *Engine) orderedShards() ([]*shard, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]*shard, len(e.order))
 	for i, id := range e.order {
 		out[i] = e.shards[id]
 	}
-	return out
+	return out, e.regGen
 }
 
 // Submit offers one issue event to the named device. It validates the
@@ -555,7 +567,7 @@ func (e *Engine) Epoch(id string) (uint64, error) {
 // means no device's synopsis changed — the fleet-level analogue of
 // Epoch for cache validation.
 func (e *Engine) MergedEpoch() (sum uint64, devices int) {
-	shards := e.orderedShards()
+	shards, _ := e.orderedShards()
 	for _, s := range shards {
 		sum += s.epoch.Load()
 	}
@@ -606,14 +618,15 @@ func (e *Engine) WriteSnapshot(id string, w io.Writer) error {
 // but the healthy devices' correlations are still worth serving (the
 // omission is visible on /v1/healthz and in Stats).
 // Only the devices whose epochs moved since the last merged read of any
-// kind are fed into the engine's merge index, and the export is patched
-// from the previous one where one exists, so a fleet read after one
-// device changed costs O(that device's changed entries) plus one linear
-// pass, not a merge of the fleet. minSupport is applied to the merged
-// view (a suffix cut of the count-sorted export) rather than to each
-// device before merging: a fleet-wide counter that crosses the
-// threshold is reported even when no single device's counter does. As
-// with Snapshot, callers must treat the result as read-only.
+// kind feed their exports into the engine's merge index, and the merged
+// export is patched from the previous one where one exists, so a fleet
+// read after one device changed costs linear passes over that device's
+// export and over the union, not a merge of the fleet. minSupport is
+// applied to the merged view (a suffix cut of the count-sorted export)
+// rather than to each device before merging: a fleet-wide counter that
+// crosses the threshold is reported even when no single device's
+// counter does. As with Snapshot, callers must treat the result as
+// read-only.
 func (e *Engine) MergedSnapshot(minSupport uint32) (core.Snapshot, error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
@@ -624,37 +637,23 @@ func (e *Engine) MergedSnapshot(minSupport uint32) (core.Snapshot, error) {
 }
 
 // refreshMergedLocked brings mergeIdx up to date with the fleet,
-// feeding it the captures of only the devices whose epoch advanced
-// since their last contribution. Caller holds mergeMu.
+// feeding it the exports of only the devices whose epoch advanced (or
+// that were registered) since their last contribution. Caller holds
+// mergeMu.
 func (e *Engine) refreshMergedLocked() error {
-	sum, n := e.MergedEpoch() // before the captures: under-claims, never over-claims
-	if e.mergeValid && e.mergeEpoch == sum && e.mergeDevices == n {
+	shards, gen := e.orderedShards()
+	var sum uint64 // before the exports: under-claims, never over-claims
+	for _, s := range shards {
+		sum += s.epoch.Load()
+	}
+	if e.mergeEpoch == sum && e.mergeGen == gen {
 		return nil
 	}
-	shards := e.orderedShards()
-	live := make(map[string]bool, len(shards))
 	for _, s := range shards {
-		live[s.id] = true
-		feed, fed := e.mergeSrc[s.id]
-		if fed && feed.epoch == s.epoch.Load() {
+		if feed, fed := e.mergeSrc[s.id]; fed && feed.shard == s && feed.epoch == s.epoch.Load() {
 			continue
 		}
-		if !fed {
-			feed.sources = make([]string, s.parts)
-			for k := range feed.sources {
-				// Digits up to the first slash: unambiguous whatever
-				// bytes the device ID holds.
-				feed.sources[k] = strconv.Itoa(k) + "/" + s.id
-			}
-		}
-		patched := true
-		epoch, err := s.withCapture(func(g core.RawGroup) {
-			for k, raw := range g {
-				if !e.mergeIdx.UpdateRaw(feed.sources[k], raw) {
-					patched = false
-				}
-			}
-		})
+		snap, epoch, err := s.export()
 		if err != nil {
 			if errors.Is(err, ErrDeviceUnavailable) {
 				// Failed devices are dropped from the fleet view rather
@@ -666,33 +665,29 @@ func (e *Engine) refreshMergedLocked() error {
 			}
 			return err
 		}
-		if patched {
-			s.metrics.mergePatched.Inc()
-		} else {
-			s.metrics.mergeReconciled.Inc()
-		}
-		feed.epoch = epoch
-		e.mergeSrc[s.id] = feed
+		e.mergeIdx.Update(s.id, snap)
+		e.mergeSrc[s.id] = mergeFeed{shard: s, epoch: epoch}
 	}
-	// Unregistered devices: replay their last contribution out of the
-	// union. The live-set sweep catches same-count churn (one device
-	// removed, another added between reads), which the (sum, n) key
-	// alone would mask only until the next epoch advance.
-	for id := range e.mergeSrc {
-		if !live[id] {
-			e.dropMergeFeedLocked(id)
+	// Unregistered devices: take their last export out of the union.
+	// Only a registration change can leave one behind.
+	if gen != e.mergeGen {
+		for id := range e.mergeSrc {
+			_, ok := slices.BinarySearchFunc(shards, id, func(s *shard, id string) int {
+				return strings.Compare(s.id, id)
+			})
+			if !ok {
+				e.dropMergeFeedLocked(id)
+			}
 		}
 	}
-	e.mergeEpoch, e.mergeDevices, e.mergeValid = sum, n, true
+	e.mergeEpoch, e.mergeGen, e.mergeDevices = sum, gen, len(shards)
 	return nil
 }
 
-// dropMergeFeedLocked removes every partition source of a device from
-// the merge index. Caller holds mergeMu.
+// dropMergeFeedLocked removes a device's source from the merge index.
+// Caller holds mergeMu.
 func (e *Engine) dropMergeFeedLocked(id string) {
-	for _, src := range e.mergeSrc[id].sources {
-		e.mergeIdx.Remove(src)
-	}
+	e.mergeIdx.Remove(id)
 	delete(e.mergeSrc, id)
 }
 
@@ -700,11 +695,12 @@ func (e *Engine) dropMergeFeedLocked(id string) {
 // merged epoch (sum, devices) read before it: one pass over the merge
 // index's pair union, counting, keeping the top best in a bounded heap
 // and resolving rule antecedents through its item hash, so a top-K read
-// allocates O(K) however large the fleet's tables are and no device is
-// exported or sorted on the way. Pairs and rules are read under one
-// hold of the merge lock, so they describe the same merge. Rules carry
-// the devices' counters summed per key, so their confidences are
-// estimates over the sums.
+// allocates O(K) however large the fleet's tables are, beside the
+// patched export of each device that changed since the last merged
+// read; the merged union itself is never sorted on the way. Pairs and
+// rules are read under one hold of the merge lock, so they describe the
+// same merge. Rules carry the devices' counters summed per key, so
+// their confidences are estimates over the sums.
 func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, sum uint64, devices int, err error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
@@ -799,7 +795,7 @@ func (e *Engine) DeviceStatsFor(id string) (DeviceStats, error) {
 
 // Stats returns every device's counters sorted by device ID.
 func (e *Engine) Stats() (Stats, error) {
-	shards := e.orderedShards()
+	shards, _ := e.orderedShards()
 	st := Stats{Devices: make([]DeviceStats, 0, len(shards))}
 	for _, s := range shards {
 		ds, err := e.statsOf(s)
@@ -844,7 +840,7 @@ type DeviceHealthStatus struct {
 // fast and responsive while devices are restarting, failed, or
 // backlogged — the property a health endpoint needs.
 func (e *Engine) Health() []DeviceHealthStatus {
-	shards := e.orderedShards()
+	shards, _ := e.orderedShards()
 	out := make([]DeviceHealthStatus, 0, len(shards))
 	for _, s := range shards {
 		st := DeviceHealthStatus{Device: s.id, DeviceHealth: s.health()}

@@ -50,11 +50,6 @@ const (
 	// sorting the tables in full.
 	MetricExportPatched = "daccor_engine_export_patched_total"
 	MetricExportRebuilt = "daccor_engine_export_rebuilt_total"
-	// The same question for the merged view, which is fed captures and
-	// not exports: whether a dirty device's feed replayed only what the
-	// capture says moved, or reconciled its partitions in full.
-	MetricMergeFeedPatched    = "daccor_engine_merge_feed_patched_total"
-	MetricMergeFeedReconciled = "daccor_engine_merge_feed_reconciled_total"
 
 	MetricPanics           = "daccor_engine_worker_panics_total"
 	MetricRestarts         = "daccor_engine_worker_restarts_total"
@@ -74,25 +69,23 @@ const latencySampleMask = 63
 
 // shardMetrics is one device's producer-side instruments.
 type shardMetrics struct {
-	submitted       *obs.Counter
-	dropped         *obs.Counter
-	blocked         *obs.Counter
-	batches         *obs.Counter
-	batchSize       *obs.Histogram
-	latency         *obs.Histogram
-	captureSeconds  *obs.Histogram
-	snapHits        *obs.Counter
-	snapMisses      *obs.Counter
-	exportPatched   *obs.Counter
-	exportRebuilt   *obs.Counter
-	mergePatched    *obs.Counter
-	mergeReconciled *obs.Counter
-	panics          *obs.Counter
-	restarts        *obs.Counter
-	ckpts           *obs.Counter
-	ckptErrors      *obs.Counter
-	reorderLate     *obs.Counter
-	reorderLost     *obs.Counter
+	submitted      *obs.Counter
+	dropped        *obs.Counter
+	blocked        *obs.Counter
+	batches        *obs.Counter
+	batchSize      *obs.Histogram
+	latency        *obs.Histogram
+	captureSeconds *obs.Histogram
+	snapHits       *obs.Counter
+	snapMisses     *obs.Counter
+	exportPatched  *obs.Counter
+	exportRebuilt  *obs.Counter
+	panics         *obs.Counter
+	restarts       *obs.Counter
+	ckpts          *obs.Counter
+	ckptErrors     *obs.Counter
+	reorderLate    *obs.Counter
+	reorderLost    *obs.Counter
 }
 
 // newShardMetrics registers one device's instruments. The queue-depth
@@ -114,18 +107,16 @@ func newShardMetrics(r *obs.Registry, s *shard, queueSize int) *shardMetrics {
 		captureSeconds: r.Histogram(MetricCaptureSeconds,
 			"Worker time spent copying synopsis state for a reader (the ingest stall a query or checkpoint causes), in seconds.",
 			obs.LatencyBuckets(), lbl),
-		snapHits:        r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot page, rules page, watch state, export) served from the epoch's shared capture without a worker round trip.", lbl),
-		snapMisses:      r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
-		exportPatched:   r.Counter(MetricExportPatched, "Sorted exports derived by patching the device's previous export with the entries changed and keys evicted since.", lbl),
-		exportRebuilt:   r.Counter(MetricExportRebuilt, "Sorted exports derived by sorting the tables in full: the first export, the first after a restore or restart, and any the eviction log no longer reaches back from. A rebuilt share near 1 on a device in steady state means the log (C/4 keys per table) is too short for the device's eviction rate at its export cadence.", lbl),
-		mergePatched:    r.Counter(MetricMergeFeedPatched, "Feeds of the dirty device into the engine's merged view that replayed only the entries changed and keys evicted since its previous feed.", lbl),
-		mergeReconciled: r.Counter(MetricMergeFeedReconciled, "Feeds of the dirty device into the engine's merged view that compared a partition's whole capture with its last contribution: the first feed, the first after a restore or restart, and any the eviction log no longer reaches back from. A reconciled share near 1 on a device in steady state means the log (C/4 keys per table) is too short for the device's eviction rate at the merged-read cadence.", lbl),
-		panics:          r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
-		restarts:        r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),
-		ckpts:           r.Counter(MetricCheckpoints, "Checkpoint generations committed, per device.", lbl),
-		ckptErrors:      r.Counter(MetricCheckpointErrors, "Checkpoint saves that failed, per device.", lbl),
-		reorderLate:     r.Counter(MetricReorderLate, "Events released out of timestamp order (inversion wider than the reorder buffer).", lbl),
-		reorderLost:     r.Counter(MetricReorderLost, "Queued events evicted unanalyzed by the drop-oldest policy.", lbl),
+		snapHits:      r.Counter(MetricSnapshotCacheHits, "Device reads of any kind (snapshot page, rules page, watch state, export) served from the epoch's shared capture without a worker round trip.", lbl),
+		snapMisses:    r.Counter(MetricSnapshotCacheMisses, "Device reads of any kind that required a fresh capture: at most one per epoch.", lbl),
+		exportPatched: r.Counter(MetricExportPatched, "Sorted exports derived by patching the device's previous export with the entries changed and keys evicted since.", lbl),
+		exportRebuilt: r.Counter(MetricExportRebuilt, "Sorted exports derived by sorting the tables in full: the first export, the first after a restore or restart, and any the eviction log no longer reaches back from. A rebuilt share near 1 on a device in steady state means the log (C/4 keys per table) is too short for the device's eviction rate at its export cadence.", lbl),
+		panics:        r.Counter(MetricPanics, "Worker panics recovered by the device supervisor.", lbl),
+		restarts:      r.Counter(MetricRestarts, "Worker restarts performed by the device supervisor.", lbl),
+		ckpts:         r.Counter(MetricCheckpoints, "Checkpoint generations committed, per device.", lbl),
+		ckptErrors:    r.Counter(MetricCheckpointErrors, "Checkpoint saves that failed, per device.", lbl),
+		reorderLate:   r.Counter(MetricReorderLate, "Events released out of timestamp order (inversion wider than the reorder buffer).", lbl),
+		reorderLost:   r.Counter(MetricReorderLost, "Queued events evicted unanalyzed by the drop-oldest policy.", lbl),
 	}
 	r.GaugeFunc(MetricQueueDepth, "Events queued but not yet processed (ingest lag).",
 		func() float64 { _, lag := s.counters(); return float64(lag) }, lbl)

@@ -298,13 +298,13 @@ type shard struct {
 
 	groupPool sync.Pool
 
-	// Epoch-gated read cache; see withCapture and snapshot. snapGroup
-	// is the one capture of epoch snapEpoch (snapValid), shared by
-	// bounded reads, the merged-view feed and the export. snapCached is
-	// the full (support-0) sorted export derived from it on first demand
-	// (snapSorted) — any requested support is a suffix cut of it
-	// (Snapshot.FilterSupport), so reads at different supports never
-	// thrash the cache. snapExport derives each export from the one
+	// Epoch-gated read cache; see withCapture and export. snapGroup is
+	// the one capture of epoch snapEpoch (snapValid), shared by bounded
+	// reads and the export. snapCached is the full (support-0) sorted
+	// export derived from it on first demand (snapSorted), which the
+	// snapshot reads and the engine's merged view share — any requested
+	// support is a suffix cut of it (Snapshot.FilterSupport), so reads
+	// at different supports never thrash the cache. snapExport derives each export from the one
 	// before it, patching in what the capture says moved since, at
 	// every P.
 	snapMu     sync.Mutex
@@ -972,16 +972,15 @@ func (s *shard) ask(q query) (queryReply, error) {
 // withCapture runs fn against the device's capture of the current
 // epoch and returns the epoch it was taken for. There is exactly one
 // such capture per epoch, shared under snapMu by bounded reads
-// (Engine.State), the engine's merged-view feed and the sorted export
-// (snapshot), and by every repeat of them while the synopsis is
-// unchanged, so a read storm against an idle device costs the worker
-// one capture in total. The epoch is read before the worker is asked,
-// so it may under-claim the capture's freshness and never over-claims
-// it. fn runs with snapMu held — reads of one device serialise for the
-// length of its pass, which is why only K-bounded scans and the merged
-// feed (O(changed) but for a first or lapped one, which costs about
-// what the export's sort does) belong here — and must not retain the
-// group: the next epoch's capture overwrites it in place.
+// (Engine.State) and the sorted export (export, which the snapshot
+// reads, the fleet sync and the engine's merged view are fed from), and
+// by every repeat of them while the synopsis is unchanged, so a read
+// storm against an idle device costs the worker one capture in total.
+// The epoch is read before the worker is asked, so it may under-claim
+// the capture's freshness and never over-claims it. fn runs with snapMu
+// held — reads of one device serialise for the length of its pass,
+// which is why only K-bounded scans belong here — and must not retain
+// the group: the next epoch's capture overwrites it in place.
 func (s *shard) withCapture(fn func(core.RawGroup)) (uint64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -1015,14 +1014,12 @@ func (s *shard) captureLocked() (uint64, error) {
 	return epoch, nil
 }
 
-// snapshot serves the device's sorted export, derived lazily from the
+// export serves the device's full (support-0) sorted export with the
+// epoch of the capture it was derived from, derived lazily from the
 // epoch's shared capture: a device that is only ever read through
-// bounded requests never sorts its table. The cache holds the full
-// support-0 export; the requested support is applied as a suffix cut
-// (FilterSupport) on the way out, so the same epoch serves every
-// support without recomputation — exact, because the export is sorted
-// by count and a support filter of a merged view equals the merge of
-// support-filtered disjoint views.
+// bounded requests never sorts its table. The export is cached for the
+// epoch and is immutable, so the snapshot reads, the fleet sync and the
+// engine's merged view share it rather than copy it.
 //
 // Nor does a device that is exported again and again sort its table
 // each time: each partition's capture carries what moved since any
@@ -1034,11 +1031,12 @@ func (s *shard) captureLocked() (uint64, error) {
 // (the whole device when every partition is), and the export counts as
 // a rebuild. Captures taken for bounded reads in between do not break
 // the chain.
-func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
+func (s *shard) export() (core.Snapshot, uint64, error) {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	if _, err := s.captureLocked(); err != nil {
-		return core.Snapshot{}, err
+	epoch, err := s.captureLocked()
+	if err != nil {
+		return core.Snapshot{}, 0, err
 	}
 	if !s.snapSorted {
 		var patched bool
@@ -1050,7 +1048,17 @@ func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 		}
 		s.snapSorted = true
 	}
-	return s.snapCached.FilterSupport(minSupport), nil
+	return s.snapCached, epoch, nil
+}
+
+// snapshot is export at minSupport: the requested support is applied
+// as a suffix cut (FilterSupport) of the cached support-0 export, so
+// the same epoch serves every support without recomputation — exact,
+// because the export is sorted by count and a support filter of a
+// merged view equals the merge of support-filtered disjoint views.
+func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
+	snap, _, err := s.export()
+	return snap.FilterSupport(minSupport), err
 }
 
 // capture runs fn against a fresh pooled capture group of the device's

@@ -207,6 +207,7 @@ func (e *Engine) Unregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	delete(e.shards, id)
+	e.regGen++
 	at := sort.SearchStrings(e.order, id)
 	e.order = append(e.order[:at], e.order[at+1:]...)
 	e.mu.Unlock()

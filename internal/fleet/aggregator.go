@@ -172,15 +172,16 @@ type Aggregator struct {
 	notify chan struct{}
 
 	// idx incrementally maintains the union of every live mirror, one
-	// source per (collector, device). Apply feeds it O(delta) work as
-	// sections land; bounded merged reads scan it as it stands and only
-	// MergedSnapshot materializes it, without re-merging unchanged
-	// mirrors and without holding mu — ingest and fan-in reads only
-	// contend for the brief index mutation, never for a full merge. The
-	// index caches its own export (an unchanged read returns the
-	// previous value; requested supports are suffix cuts of it), so
-	// there is no second cache here to key. idxExcluded marks
-	// collectors whose sources were replayed out of the union because
+	// source per (collector, device). Apply feeds it each mirror as a
+	// section replaces it — the mirror itself, held by reference, so
+	// the index keeps no second copy; bounded merged reads scan it as
+	// it stands and only MergedSnapshot materializes it, without
+	// re-merging unchanged mirrors and without holding mu — ingest and
+	// fan-in reads only contend for the brief index mutation, never for
+	// a full merge. The index caches its own export (an unchanged read
+	// returns the previous value; requested supports are suffix cuts of
+	// it), so there is no second cache here to key. idxExcluded marks
+	// collectors whose sources were taken out of the union because
 	// they crossed FailAfter — a change of the merge without a version
 	// bump; their next accepted frame folds them back in. idxMu nests
 	// inside mu (mu → idxMu) and is never held across a blocking call.
@@ -278,7 +279,7 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 		m.lastSeq = 0
 	}
 	// This frame makes the collector live again (lastSync advances
-	// below); if its sources were replayed out of the union when it
+	// below); if its sources were taken out of the union when it
 	// crossed FailAfter, fold the current mirrors back in before the
 	// sections patch on top.
 	if a.idxExcluded[f.Collector] {
@@ -324,9 +325,9 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 				continue
 			}
 			m.devices[s.Device] = &deviceMirror{snap: s.Snap, epoch: s.Epoch}
-			// Anti-entropy repair (and first contact): the union cannot
-			// trust its previous image of this source, so the full
-			// snapshot reconciles against it entry by entry.
+			// Anti-entropy repair (and first contact): the union walks
+			// from the source's previous mirror to the full snapshot,
+			// so only the entries that differ move.
 			a.idxMu.Lock()
 			a.idx.Update(mirrorKey(f.Collector, s.Device), s.Snap)
 			a.idxMu.Unlock()
@@ -360,15 +361,11 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 				continue
 			}
 			dev.snap, dev.epoch = next, s.Epoch
-			// The decoded delta drives the union directly — O(changed
-			// entries), no re-merge of the mirror. A conflict here means
-			// the union drifted from the mirror (it should be
-			// impossible); reconciling the freshly patched snapshot
-			// self-heals rather than serving a corrupt merge.
+			// The patched mirror is the source's new export: the union
+			// walks to it from the one it replaces, and holds it by
+			// reference, so the mirror is the only copy.
 			a.idxMu.Lock()
-			if ierr := a.idx.ApplyDelta(mirrorKey(f.Collector, s.Device), s.Delta); ierr != nil {
-				a.idx.Update(mirrorKey(f.Collector, s.Device), next)
-			}
+			a.idx.Update(mirrorKey(f.Collector, s.Device), next)
 			a.idxMu.Unlock()
 			mutated = true
 			a.sectionsDelta.Inc()
@@ -547,8 +544,8 @@ func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
 
 // readIndex is the one way a merged read reaches the union: Failed
 // collectors are reconciled out, then fn runs under idxMu against the
-// index, which Apply has already brought up to date in O(delta) —
-// nothing is materialized on the way to a read.
+// index, which Apply has already brought up to date as each mirror
+// changed — nothing is materialized on the way to a read.
 func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex)) {
 	a.reconcileIndex()
 	a.idxMu.Lock()
@@ -556,7 +553,7 @@ func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex)) {
 	fn(a.idx)
 }
 
-// reconcileIndex replays the sources of collectors that crossed
+// reconcileIndex takes the sources of collectors that crossed
 // FailAfter out of the union. Their re-inclusion happens in Apply, the
 // only way a collector's sync age can shrink.
 func (a *Aggregator) reconcileIndex() {
