@@ -1,18 +1,16 @@
 # CI / developer targets. `make ci` is the gate: formatting, vet, the
 # full test suite under the race detector, the benchmark module's own
-# vet and unit tests (it is outside ./...), the zero-allocation guards
-# (which need a non-race run — the race runtime allocates), and the
-# fault-injection suite repeated twice.
+# vet and unit tests (it is outside ./...), the zero- and flat-allocation
+# guards (which need a non-race run — the race runtime allocates), the
+# fault-injection suite repeated twice, the fuzz smokes, and the
+# closed-loop, fleet and soak smokes. Every gate is a program or test
+# run whose exit status enforces its contract.
 
 GO ?= go
 
-# The committed microbenchmark run that bench-pr refreshes and
-# bench-diff / alloc-check hold against BENCH_baseline.json.
-BENCH_CUR ?= BENCH_pr10.json
+.PHONY: ci fmt vet deps test test-matrix race flake bench-unit bench-repo bench-engine bench-hot alloc-guard fuzz-smoke fault fleet-smoke scenario-check soak-smoke soak-smoke-p4
 
-.PHONY: ci fmt vet deps test test-matrix race flake bench-unit bench-repo bench bench-pr bench-diff bench-engine bench-hot alloc-guard alloc-check fuzz-smoke fault fleet-smoke scenario scenario-check soak soak-smoke soak-smoke-p4
-
-ci: fmt vet deps race bench-unit test-matrix alloc-guard alloc-check fuzz-smoke fault fleet-smoke soak-smoke soak-smoke-p4
+ci: fmt vet deps race bench-unit test-matrix alloc-guard fuzz-smoke fault scenario-check fleet-smoke soak-smoke soak-smoke-p4
 
 # Fail if any file is not gofmt-clean.
 fmt:
@@ -76,9 +74,11 @@ bench-repo:
 # The AllocsPerRun guards must run without -race (the race runtime
 # itself allocates, which would mask — or falsely trip — a hot-path
 # allocation regression). Besides the synopsis, they hold the pooled
-# HTTP ingest decode to zero allocations per request.
+# HTTP ingest decode to zero allocations per request, and the merged
+# read's allocations flat across fleet sizes (SteadyStateAllocs in
+# core, AllocsFlatAcrossFleet in engine).
 alloc-guard:
-	$(GO) test -run 'ZeroAllocSteadyState|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/realtime
+	$(GO) test -run 'ZeroAllocSteadyState|SteadyStateAllocs|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/realtime
 
 # Thirty seconds of the ingest scanner against its encoding/json oracle
 # (same accept/reject set, events, and error text), then thirty of the
@@ -104,43 +104,7 @@ fault:
 fleet-smoke:
 	$(GO) test -race -count=1 -run 'TestFleetSmoke' ./internal/fleet
 
-# Full benchmark harness: the hot-path microbenchmarks (synopsis
-# table, analyzer, batched engine ingest) plus one benchmark per
-# table/figure of the paper's evaluation. The text output is converted
-# by cmd/benchjson and recorded as BENCH_baseline.json — commit the
-# refreshed file when a change intentionally moves the numbers.
-bench:
-	@$(GO) test -bench . -benchmem -run '^$$' . ./internal/core ./internal/engine | tee bench.out
-	@$(GO) run ./cmd/benchjson -o BENCH_baseline.json < bench.out
-	@rm -f bench.out
-	@echo "wrote BENCH_baseline.json"
-
-# Record the current change's full benchmark run alongside the
-# committed baseline (BENCH_baseline.json stays untouched — it is the
-# comparison anchor). Commit the refreshed $(BENCH_CUR) with a
-# change that intentionally moves the numbers.
-bench-pr:
-	@$(GO) test -bench . -benchmem -run '^$$' . ./internal/core ./internal/engine | tee bench.out
-	@$(GO) run ./cmd/benchjson -o $(BENCH_CUR) < bench.out
-	@rm -f bench.out
-	@echo "wrote $(BENCH_CUR)"
-
-# Human-readable delta table between the two committed runs.
-bench-diff:
-	$(GO) run ./cmd/benchjson -diff BENCH_baseline.json $(BENCH_CUR)
-
-# Allocation gate: ns/op is machine- and load-sensitive, but allocs/op
-# is deterministic, so CI can hold the committed run to "no benchmark
-# allocates more than the baseline" without flaking. The merged fan-in
-# read additionally gates on -fail-on-alloc-increase: its allocs/op
-# must stay flat (and present) at every fleet size — that flatness is
-# the incremental-merge contract, not an incidental number.
-alloc-check:
-	$(GO) run ./cmd/benchjson -diff -fail-on-alloc-regress \
-		-fail-on-alloc-increase 'MergedReadUnderIngest.*incremental' \
-		BENCH_baseline.json $(BENCH_CUR)
-
-# Hot-path benchmarks only: the numbers the zero-allocation work
+# Hot-path benchmarks: the numbers the zero-allocation work
 # tracks (guarded separately by the AllocsPerRun tests).
 bench-hot:
 	$(GO) test -bench 'TableTouch|AnalyzerProcess|EngineSubmitBatch' -benchmem -run '^$$' ./internal/core ./internal/engine
@@ -152,44 +116,24 @@ bench-engine:
 	$(GO) test -bench Engine -benchmem -run '^$$' .
 
 # Closed-loop scenario (replay → HTTP ingest → /v1/watch push → live
-# prefetcher + stream assigner). `scenario` refreshes the committed
-# quick-run record; `scenario-check` re-runs it and diffs against the
-# committed file — the command itself exits non-zero unless the online
-# rules strictly beat the no-rules baseline.
-scenario:
-	$(GO) run ./cmd/scenario -quick -o SCENARIO_quick.json
-	@echo "wrote SCENARIO_quick.json"
-
+# prefetcher + stream assigner). The command exits non-zero unless the
+# online rules strictly beat the no-rules baseline's cache hit rate.
 scenario-check:
-	@$(GO) run ./cmd/scenario -quick -o scenario_run.json
-	$(GO) run ./cmd/benchjson -diff -fail-on-alloc-regress SCENARIO_quick.json scenario_run.json
-	@rm -f scenario_run.json
+	$(GO) run ./cmd/scenario -quick
 
 # Million-event multi-tenant soak (cmd/loadgen): sustained engine +
 # HTTP ingest across 256 devices with tenant churn, injected worker
 # crashes, checkpoint cycles, and concurrent query/watch traffic,
-# under the race detector. The run itself asserts its SLOs (exit 1 on
-# any violation) and records its metrics in the benchjson schema.
-# `soak` refreshes the committed SOAK_quick.json; `soak-smoke` re-runs
-# the same profile and diffs against the committed file, gating on the
-# SLO-violation counter so a soak regression fails CI. The run is
-# reproducible per (profile, seed); the throughput and latency entries
-# are host-sensitive, which is why only SoakSLOViolations is gated and
-# the rest are tracked for drift review.
-soak:
-	$(GO) run -race ./cmd/loadgen -profile quick -o SOAK_quick.json
-	@echo "wrote SOAK_quick.json"
-
+# under the race detector. The run asserts its own SLOs and exits
+# non-zero on any violation. The run is reproducible per (profile,
+# seed); the SLO bounds catch order-of-magnitude regressions, not
+# host-sensitive drift.
 soak-smoke:
-	$(GO) run -race ./cmd/loadgen -profile quick -o soak_run.json
-	$(GO) run ./cmd/benchjson -diff -fail-on-increase 'SoakSLOViolations' SOAK_quick.json soak_run.json
-	@rm -f soak_run.json
+	$(GO) run -race ./cmd/loadgen -profile quick
 
 # P>1 soak smoke: the tiny profile with each device's analyzer split
 # across four partition workers — partitioned ingest, merged queries,
 # churn, crash recovery, and the reorder-late SLO under the race
-# detector. loadgen itself exits non-zero on any SLO violation, so no
-# committed baseline is needed.
+# detector, gated by loadgen's own exit status.
 soak-smoke-p4:
-	$(GO) run -race ./cmd/loadgen -profile tiny -partitions 4 -o soak_p4_run.json
-	@rm -f soak_p4_run.json
+	$(GO) run -race ./cmd/loadgen -profile tiny -partitions 4

@@ -4,13 +4,14 @@
 // worker crashes injected under the supervisor, and live query + SSE
 // watch traffic held open throughout. After the run it asserts the
 // SLOs (tail submit latency, drop rate, heap growth, goroutine leaks,
-// watcher liveness) and writes the measured metrics as a cmd/benchjson
-// document, so a committed baseline gates soak regressions with
-// `benchjson -diff`.
+// watcher liveness) and prints the violations, or a one-line summary
+// when every SLO held, to stderr.
 //
-// The command exits non-zero when any SLO is violated.
+// The command exits non-zero when any SLO is violated, which is the
+// whole of the soak gate: `make soak-smoke` and `make soak-smoke-p4`
+// are this exit status.
 //
-//	loadgen [-profile quick|tiny] [-partitions P] [-seed N] [-o out.json]
+//	loadgen [-profile quick|tiny] [-partitions P] [-seed N]
 package main
 
 import (
@@ -26,7 +27,6 @@ func main() {
 	profile := flag.String("profile", "quick", "soak profile: quick or tiny")
 	partitions := flag.Int("partitions", 0, "override the profile's per-device analyzer partition count (0 = profile default)")
 	seed := flag.Int64("seed", 0, "override the profile's workload seed")
-	out := flag.String("o", "", "write benchjson metrics to this file instead of stdout")
 	flag.Parse()
 
 	var cfg soak.Config
@@ -49,21 +49,6 @@ func main() {
 	logger := log.New(os.Stderr, "", log.Ltime)
 	res, err := soak.Run(cfg, logger.Printf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
-	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := soak.WriteBenchJSON(w, res); err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
 		os.Exit(1)
 	}

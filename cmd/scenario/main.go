@@ -16,29 +16,24 @@
 //
 // Both runs share a warmup segment (excluded from measurement; the
 // online run waits until the watch stream has delivered a non-empty
-// rule set) and report, for the measured segment: cache hit rate,
-// prefetch hits/waste, mean simulated read latency, SSD write
-// amplification, and GC relocations. Output is a benchjson-compatible
-// document (the committed SCENARIO_quick.json joins the benchjson
-// -diff gate): each metric is one benchmark entry whose ns_per_op
-// field carries the metric value and whose n carries the sample count.
+// rule set). For the measured segment the command prints one stderr
+// line comparing the two runs' cache hit rate, SSD write
+// amplification and mean simulated read latency.
 //
 // The command exits non-zero if the online cache hit rate is not
 // strictly better than the baseline — the closed loop must pay for
-// itself.
+// itself. That exit status is `make scenario-check`.
 //
-//	scenario [-quick] [-seed N] [-o out.json]
+//	scenario [-quick] [-seed N]
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"time"
 
 	"daccor/internal/blktrace"
@@ -183,7 +178,6 @@ type runResult struct {
 	cache         cache.Stats
 	ssd           ftl.SSDStats
 	meanReadNs    float64
-	reads         uint64
 	ruleUpdates   uint64
 	streamUpdates uint64
 }
@@ -227,7 +221,6 @@ func runBaseline(cfg scenarioConfig, syn *workload.Synthetic) (runResult, error)
 		cache:      statsDelta(s.cache.Stats(), pre),
 		ssd:        s.ssd.Stats(),
 		meanReadNs: s.meanReadLatencyNs(),
-		reads:      s.reads,
 	}, nil
 }
 
@@ -329,52 +322,9 @@ func runOnline(cfg scenarioConfig, syn *workload.Synthetic) (runResult, error) {
 		cache:         statsDelta(s.cache.Stats(), pre),
 		ssd:           s.ssd.Stats(),
 		meanReadNs:    s.meanReadLatencyNs(),
-		reads:         s.reads,
 		ruleUpdates:   pref.Updates(),
 		streamUpdates: asg.Updates(),
 	}, nil
-}
-
-// benchjson-compatible output (see cmd/benchjson): one entry per
-// metric, value in ns_per_op, sample count in n.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Pkg         string  `json:"pkg,omitempty"`
-	N           int64   `json:"n"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-type benchDoc struct {
-	Goos       string        `json:"goos,omitempty"`
-	Goarch     string        `json:"goarch,omitempty"`
-	Benchmarks []benchResult `json:"benchmarks"`
-}
-
-func report(online, baseline runResult) benchDoc {
-	entry := func(name string, n uint64, value float64) benchResult {
-		return benchResult{Name: name, Pkg: "daccor/cmd/scenario", N: int64(n), NsPerOp: value}
-	}
-	return benchDoc{
-		Goos:   runtime.GOOS,
-		Goarch: runtime.GOARCH,
-		Benchmarks: []benchResult{
-			entry("ScenarioCacheHitPct/online", online.cache.Hits+online.cache.Misses, online.hitRate()*100),
-			entry("ScenarioCacheHitPct/baseline", baseline.cache.Hits+baseline.cache.Misses, baseline.hitRate()*100),
-			entry("ScenarioCacheHitPct/delta", online.cache.Hits+online.cache.Misses,
-				(online.hitRate()-baseline.hitRate())*100),
-			entry("ScenarioPrefetchHits/online", online.cache.Prefetches, float64(online.cache.PrefetchHits)),
-			entry("ScenarioPrefetchWaste/online", online.cache.Prefetches, float64(online.cache.PrefetchWaste)),
-			entry("ScenarioMeanReadLatencyNs/online", online.reads, online.meanReadNs),
-			entry("ScenarioMeanReadLatencyNs/baseline", baseline.reads, baseline.meanReadNs),
-			entry("ScenarioWAF/online", online.ssd.HostPages, online.ssd.WAF),
-			entry("ScenarioWAF/baseline", baseline.ssd.HostPages, baseline.ssd.WAF),
-			entry("ScenarioGCRelocatedPages/online", online.ssd.GCRuns, float64(online.ssd.RelocatedPages)),
-			entry("ScenarioGCRelocatedPages/baseline", baseline.ssd.GCRuns, float64(baseline.ssd.RelocatedPages)),
-			entry("ScenarioWatchRuleUpdates/online", online.ruleUpdates, float64(online.ruleUpdates)),
-		},
-	}
 }
 
 // run executes the full scenario and returns both results (exposed for
@@ -398,30 +348,11 @@ func run(cfg scenarioConfig) (online, baseline runResult, err error) {
 func main() {
 	quick := flag.Bool("quick", false, "smaller workload (CI smoke run)")
 	seed := flag.Int64("seed", 42, "workload generation seed")
-	out := flag.String("o", "", "write benchjson output to this file instead of stdout")
 	flag.Parse()
 
 	cfg := defaultConfig(*quick, *seed)
 	online, baseline, err := run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "scenario:", err)
-		os.Exit(1)
-	}
-
-	doc := report(online, baseline)
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scenario:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
 		fmt.Fprintln(os.Stderr, "scenario:", err)
 		os.Exit(1)
 	}

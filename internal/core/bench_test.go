@@ -6,10 +6,9 @@ import (
 	"daccor/internal/blktrace"
 )
 
-// Hot-path microbenchmarks for the synopsis. These are the numbers the
-// `make bench` baseline tracks (BENCH_baseline.json): steady-state
-// ns/op and — enforced separately by the alloc_guard tests — zero
-// allocs/op once the entry arenas are warm.
+// Hot-path microbenchmarks for the synopsis (`make bench-hot`):
+// steady-state ns/op and — enforced separately by the alloc_guard
+// tests — zero allocs/op once the entry arenas are warm.
 
 func BenchmarkTableTouch(b *testing.B) {
 	run := func(b *testing.B, keyspace int) {

@@ -16,7 +16,7 @@ import (
 // feed followed by the bounded read that builds no export, and
 // re-merging every mirror from scratch (core.MergeSnapshots). The
 // incremental side's allocs/op must not scale with the fleet's entry
-// count (the alloc-regress gate pins it).
+// count (TestMergeIndexSteadyStateAllocs pins it on this shape).
 
 // benchSourceSnapshot builds a deterministic per-device export over a
 // keyspace shared across devices (so the union overlaps, the

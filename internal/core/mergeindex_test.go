@@ -356,20 +356,21 @@ func TestFilterSupportSuffixCut(t *testing.T) {
 	}
 }
 
-// TestMergeIndexSteadyStateAllocs pins the tentpole's memory claim: a
-// merged read on an unchanged-except-one-source fleet allocates a
-// small constant — the two fresh output slices — regardless of how
-// many sources or entries the union holds.
+// TestMergeIndexSteadyStateAllocs pins the merged read's
+// flat-allocation contract: a merged read on an
+// unchanged-except-one-source fleet allocates a small constant — the
+// two fresh output slices — regardless of how many sources or entries
+// the union holds. It runs in `make alloc-guard`, without -race.
 func TestMergeIndexSteadyStateAllocs(t *testing.T) {
-	measure := func(nSources int) float64 {
+	measure := func(nSources int, gen func(*rand.Rand) Snapshot) float64 {
 		rng := rand.New(rand.NewSource(3))
 		idx := NewMergeIndex()
 		for i := 0; i < nSources; i++ {
-			idx.Update(srcName(i), genSnapshot(rng, 32))
+			idx.Update(srcName(i), gen(rng))
 		}
 		idx.Snapshot()
-		a := genSnapshot(rng, 32)
-		b := genSnapshot(rng, 32)
+		a := gen(rng)
+		b := gen(rng)
 		flip := false
 		// Warm: both alternating states pass through once so the union
 		// arenas and the walk's scratch reach their final sizes.
@@ -389,7 +390,13 @@ func TestMergeIndexSteadyStateAllocs(t *testing.T) {
 			idx.Snapshot()
 		})
 	}
-	small, large := measure(4), measure(64)
+
+	// A 32-key keyspace, so sources overlap heavily. It stops at 64
+	// sources: at 256 one update touches more keys than the saturated
+	// union holds, so touch drops the dirty list by design and it grows
+	// back from nil — the documented bound, not a regression.
+	keyspace32 := func(rng *rand.Rand) Snapshot { return genSnapshot(rng, 32) }
+	small, large := measure(4, keyspace32), measure(64, keyspace32)
 	// Two exact-size output slices per materialize, plus incidental
 	// runtime noise; the bound is deliberately loose — the invariant
 	// under test is size-independence, asserted below.
@@ -398,6 +405,22 @@ func TestMergeIndexSteadyStateAllocs(t *testing.T) {
 	}
 	if large > small {
 		t.Errorf("allocs grew with fleet size: %0.f at 4 sources, %.0f at 64", small, large)
+	}
+
+	// BenchmarkMergedReadUnderIngest's incremental shape: 128 entries
+	// per source at 8, 64 and 256 sources.
+	benchShape := func(rng *rand.Rand) Snapshot { return benchSourceSnapshot(rng, 128) }
+	var first float64
+	for i, n := range []int{8, 64, 256} {
+		got := measure(n, benchShape)
+		if got > 2 {
+			t.Errorf("benchmark shape, %d sources: merged read allocates %.1f times, want <= 2", n, got)
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Errorf("benchmark shape: %.1f allocs at %d sources, %.1f at 8", got, n, first)
+		}
 	}
 }
 

@@ -4,9 +4,8 @@
 // service-level objectives that individual unit tests cannot see:
 // tail submit latency, bounded drop rate, bounded heap growth, no
 // goroutine leaks, and no stalled watchers. A run produces a Result
-// whose metrics serialize into the cmd/benchjson document schema, so
-// soak baselines are committed and diffed exactly like benchmark
-// baselines.
+// whose Violations name every SLO it missed; cmd/loadgen exits
+// non-zero on any of them, and that exit status is the soak gate.
 package soak
 
 import (
@@ -142,8 +141,7 @@ func Quick() Config {
 		MaxDuration: 10 * time.Minute,
 		// The bounds are sized for a single-core -race CI runner: they
 		// catch order-of-magnitude regressions (a wedged path, a leak,
-		// a stalled stream), while the committed benchjson baseline
-		// tracks the actual values for drift review.
+		// a stalled stream), not drift in the measured values.
 		SLO: SLO{
 			SubmitP99:          250 * time.Millisecond,
 			HTTPSubmitP99:      4500 * time.Millisecond,

@@ -60,20 +60,15 @@ type Result struct {
 	SeriesFinal       int
 
 	// Fleet topology accounting (Config.FleetSync > 0): sync rounds
-	// completed and abandoned, bytes shipped by frame kind (the
-	// delta/full split showing incremental sync earning its keep), the
-	// worst aggregator-observed sync age at any sample point, the
-	// aggregator read-path sample counts (reads must stay 200 no
-	// matter what the run injects), and whether the mirror converged
-	// on the engine's merged snapshot once the load stopped.
-	FleetSyncRounds   uint64
-	FleetSyncFailures uint64
-	FleetDeltaBytes   uint64
-	FleetFullBytes    uint64
-	FleetMaxSyncAge   time.Duration
-	FleetReads        uint64
-	FleetReadErrors   uint64
-	FleetConverged    bool
+	// completed, the worst aggregator-observed sync age at any sample
+	// point, the aggregator read-path sample counts (reads must stay
+	// 200 no matter what the run injects), and whether the mirror
+	// converged on the engine's merged snapshot once the load stopped.
+	FleetSyncRounds uint64
+	FleetMaxSyncAge time.Duration
+	FleetReads      uint64
+	FleetReadErrors uint64
+	FleetConverged  bool
 
 	ChurnCycles     int
 	ChurnErrors     int
@@ -359,11 +354,7 @@ func Run(cfg Config, logf func(format string, args ...any)) (*Result, error) {
 	if syncCl != nil {
 		syncCl.Close()
 		res.FleetConverged = settleFleet(eng, agg, syncCl)
-		st := syncCl.Stats()
-		res.FleetSyncRounds = st.Rounds
-		res.FleetSyncFailures = st.Failures
-		res.FleetDeltaBytes = st.DeltaBytes
-		res.FleetFullBytes = st.FullBytes
+		res.FleetSyncRounds = syncCl.Stats().Rounds
 		res.FleetMaxSyncAge = time.Duration(fMaxAge.Load())
 		res.FleetReads = fReads.Load()
 		res.FleetReadErrors = fErrs.Load()

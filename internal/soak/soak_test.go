@@ -219,21 +219,11 @@ func TestRunMicro(t *testing.T) {
 			if res.ReorderLost > res.EventsDropped {
 				t.Errorf("reorder lost %d > dropped %d", res.ReorderLost, res.EventsDropped)
 			}
-
-			var sb strings.Builder
-			if err := WriteBenchJSON(&sb, res); err != nil {
-				t.Fatal(err)
-			}
 			if !res.FleetConverged {
 				t.Error("fleet mirror did not converge")
 			}
 			if res.FleetSyncRounds == 0 || res.FleetReads == 0 {
 				t.Errorf("fleet traffic idle: %d rounds, %d reads", res.FleetSyncRounds, res.FleetReads)
-			}
-			for _, name := range []string{"SoakEventsSubmitted", "SoakSLOViolations", "SoakSubmitP99Ns/engine", "SoakReorderLate", "SoakPartitions", "SoakFleetSyncRounds", "SoakFleetMaxSyncAgeNs"} {
-				if !strings.Contains(sb.String(), name) {
-					t.Errorf("benchjson output missing %s:\n%s", name, sb.String())
-				}
 			}
 		})
 	}
