@@ -262,7 +262,25 @@ func (a *Analyzer) registerPair(s int32, p blktrace.Pair) {
 // for wdev.
 func (a *Analyzer) Process(extents []blktrace.Extent) {
 	a.stats.Transactions++
+	a.ProcessPartition(extents, 0, 1)
+}
+
+// ProcessPartition is Process restricted to the slice of the synopsis
+// that partition part of parts owns (see PartitionOf): an extent is
+// touched iff it is owned, a pair iff its canonical minimum extent is.
+// Touches happen in Process's order, so each partition's recency is
+// the unpartitioned analyzer's restricted to its keys. At parts == 1
+// everything is owned and this is Process's update.
+//
+// Stats.Transactions is NOT advanced: the transaction is shared across
+// partitions and counted once by the caller. Every partition of a
+// device must be fed every transaction that has an extent it owns;
+// the others would touch nothing.
+func (a *Analyzer) ProcessPartition(extents []blktrace.Extent, part, parts int) {
 	for _, e := range extents {
+		if PartitionOf(e, parts) != part {
+			continue
+		}
 		a.stats.Extents++
 		switch a.items.Touch(e) {
 		case Promoted:
@@ -272,6 +290,9 @@ func (a *Analyzer) Process(extents []blktrace.Extent) {
 	for i := 0; i < len(extents); i++ {
 		for j := i + 1; j < len(extents); j++ {
 			p := blktrace.MakePair(extents[i], extents[j])
+			if PartitionOf(p.A, parts) != part {
+				continue
+			}
 			a.stats.PairTouches++
 			r, s := a.pairs.touch(p)
 			switch r {

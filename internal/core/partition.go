@@ -8,11 +8,12 @@ import (
 )
 
 // Intra-device scale-up support: one device's synopsis can be split
-// into P partition-local analyzers, each owned by its own worker, with
-// an exact combine step for every read-side product. The scheme follows
-// the mergeable-summary shape of the correlated heavy hitters
-// literature — partition-local sketches, combined on read — where the
-// combine of disjoint partitions is a concatenation, not a summing merge:
+// into P partition-local analyzers, each updated by its own worker
+// through ProcessPartition, with an exact combine step for every
+// read-side product. The scheme follows the mergeable-summary shape of
+// the correlated heavy hitters literature — partition-local sketches,
+// combined on read — where the combine of disjoint partitions is a
+// concatenation, not a summing merge:
 //
 //   - an extent belongs to PartitionOf(extent, P);
 //   - a canonical pair {A ≤ B} belongs to A's partition (the min-extent
@@ -28,13 +29,14 @@ import (
 //     device's read path sums or hashes across partitions.
 //
 // The split is exact while no partition evicts: every partition sees
-// the same transactions (restricted to its owned extents and pairs), so
-// entry sets, counters, and tiers equal the P=1 analyzer's. Under
-// eviction pressure the approximation is partition-local — a hot
-// partition sheds earlier than the device-wide table would — and
-// item-eviction pair demotions apply only to partition-local pairs,
-// which is exactly the ownership invariant (a pair lives where its min
-// extent lives, but its max extent's item entry may live elsewhere).
+// the same transactions (restricted to its owned extents and pairs) and
+// touches them in the same order, so entry sets, counters, tiers and
+// each tier's recency order equal the P=1 analyzer's. Under eviction
+// pressure the approximation is partition-local — a hot partition
+// sheds earlier than the device-wide table would — and item-eviction
+// pair demotions apply only to partition-local pairs, which is exactly
+// the ownership invariant (a pair lives where its min extent lives, but
+// its max extent's item entry may live elsewhere).
 
 // PartitionOf maps an extent to a partition in [0, parts). The hash is
 // seed-free and therefore stable across processes and restarts: a
@@ -77,43 +79,6 @@ func (c Config) Split(parts int) (Config, error) {
 	return out, nil
 }
 
-// ProcessPartitionSorted performs the partition-owned slice of one
-// transaction's synopsis update: item touches for owned extents, pair
-// touches for pairs whose min extent is owned. extents must be sorted
-// ascending (blktrace.Extent.Compare) and deduplicated — the router
-// sorts once so that for an owned extents[i], every Pair{A: extents[i],
-// B: extents[j]} with j > i is already canonical and owned, and no
-// per-pair ownership hash is needed in the Θ(N²) inner loop.
-//
-// Stats.Transactions is NOT advanced: the transaction is shared across
-// partitions and counted once by the caller (the engine's router).
-// Every partition of a device must be fed every transaction, each with
-// its own (part, parts); partitions that own none of the extents may be
-// skipped — they would touch nothing.
-func (a *Analyzer) ProcessPartitionSorted(extents []blktrace.Extent, part, parts int) {
-	for i, e := range extents {
-		if PartitionOf(e, parts) != part {
-			continue
-		}
-		a.stats.Extents++
-		if a.items.Touch(e) == Promoted {
-			a.stats.ItemPromotions++
-		}
-		for j := i + 1; j < len(extents); j++ {
-			p := blktrace.Pair{A: e, B: extents[j]}
-			a.stats.PairTouches++
-			r, s := a.pairs.touch(p)
-			switch r {
-			case Inserted:
-				a.registerPair(s, p)
-			case Promoted:
-				a.stats.PairPromotions++
-			}
-		}
-	}
-	a.flushDemotions()
-}
-
 // RawGroup is the captures of one device's P partition analyzers, in
 // partition order, one per partition (none nil). Ownership makes the
 // captures disjoint, so merged products are exact combines, not
@@ -137,7 +102,7 @@ func (g RawGroup) Snapshot(minSupport uint32) Snapshot {
 
 // Stats sums the captured per-partition processing counters. The
 // caller owns the Transactions semantics: partitions never count
-// transactions (see ProcessPartitionSorted), so the sum carries only
+// transactions (see ProcessPartition), so the sum carries only
 // whatever a restored partition 0 inherited; the engine adds its
 // router-side transaction count on top.
 func (g RawGroup) Stats() Stats {

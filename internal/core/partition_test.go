@@ -105,14 +105,23 @@ func genTransactions(seed int64, n, maxLen int) [][]blktrace.Extent {
 }
 
 // processPartitioned feeds one transaction to every partition the way
-// the engine's router does: extents sorted ascending, full list to each
-// partition.
+// the engine's router does: the monitor's extents as they are, full
+// list to each partition.
 func processPartitioned(parts []*Analyzer, tx []blktrace.Extent) {
-	sorted := slices.Clone(tx)
-	slices.SortFunc(sorted, blktrace.Extent.Compare)
 	for k, a := range parts {
-		a.ProcessPartitionSorted(sorted, k, len(parts))
+		a.ProcessPartition(tx, k, len(parts))
 	}
+}
+
+// ownedEntries is the subsequence of entries whose owner is part.
+func ownedEntries[K comparable](entries []Entry[K], owner func(K) int, part int) []Entry[K] {
+	var out []Entry[K]
+	for _, e := range entries {
+		if owner(e.Key) == part {
+			out = append(out, e)
+		}
+	}
+	return out
 }
 
 func newPartitionSet(t *testing.T, cfg Config, parts int) []*Analyzer {
@@ -140,7 +149,8 @@ func captureGroup(parts []*Analyzer) RawGroup {
 }
 
 // In the no-eviction regime a P-partitioned device must be exactly the
-// P=1 analyzer: same entries, same counters, same tiers, same rules.
+// P=1 analyzer: same entries, same counters, same tiers, same rules,
+// and each partition's recency order the P=1 order of the keys it owns.
 func TestPartitionedDifferential(t *testing.T) {
 	cfg := Config{ItemCapacity: 4096, PairCapacity: 16384}
 	txs := genTransactions(42, 600, 8)
@@ -180,7 +190,16 @@ func TestPartitionedDifferential(t *testing.T) {
 		if st.Transactions != 0 && p > 1 {
 			t.Fatalf("partitions must not count transactions, got %d", st.Transactions)
 		}
+		refItems, refPairs := ref.Items().Entries(0), ref.Pairs().Entries(0)
+		itemOwner := func(e blktrace.Extent) int { return PartitionOf(e, p) }
+		pairOwner := func(q blktrace.Pair) int { return PartitionOf(q.A, p) }
 		for k, a := range parts {
+			if got, want := a.Items().Entries(0), ownedEntries(refItems, itemOwner, k); !slices.Equal(got, want) {
+				t.Fatalf("P=%d partition %d: item recency differs from P=1's owned entries", p, k)
+			}
+			if got, want := a.Pairs().Entries(0), ownedEntries(refPairs, pairOwner, k); !slices.Equal(got, want) {
+				t.Fatalf("P=%d partition %d: pair recency differs from P=1's owned entries", p, k)
+			}
 			if err := a.CheckMembershipInvariants(); err != nil {
 				t.Fatalf("P=%d partition %d membership invariants: %v", p, k, err)
 			}

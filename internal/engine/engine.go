@@ -117,14 +117,16 @@ func WithBackpressure(p Backpressure) Option {
 }
 
 // WithPartitions splits every device's analyzer into n sub-shards for
-// intra-device scale-up: events hash by extent to a partition
-// (core.PartitionOf) and each partition's synopsis slice is owned by
-// its own worker goroutine, so one hot device can use n cores. Pair
-// ownership goes to the canonical minimum extent of the pair, keeping
-// membership lists partition-local; device-level snapshots, rules,
-// stats, and checkpoints are merged views over the n slices. At the
-// default, n = 1, there are no partition workers: the device's router
-// applies each transaction to the one synopsis itself.
+// intra-device scale-up: extents hash to a partition (core.PartitionOf)
+// and each partition's slice of every transaction is applied by its own
+// worker goroutine, so one hot device can use n cores for its synopsis
+// updates. Pair ownership goes to the canonical minimum extent of the
+// pair, keeping membership lists partition-local; device-level
+// snapshots, rules, stats, and checkpoints are merged views over the n
+// slices, which the device's router reads once the workers have applied
+// everything routed to them. At the default, n = 1, there are no
+// partition workers: the router applies each transaction to the one
+// synopsis itself.
 func WithPartitions(n int) Option {
 	return func(s *settings) { s.parts = n }
 }
@@ -386,16 +388,16 @@ func withWindow(c monitor.Config) monitor.Config {
 	return c
 }
 
-// buildState constructs one device's worker-side state from the engine
+// buildState constructs one device's router-side state from the engine
 // templates: the synopsis restored from the freshest valid checkpoint
 // generation if there is one, cold from the analyzer config otherwise,
 // in P partition slices either way — a checkpoint is one device-level
 // file whatever P wrote it (see core.RawGroup.EncodeMerged) and is
 // re-split across the current partition count here. P decides the
 // monitor's sink: with one slice the router applies each transaction to
-// it inline; with more it routes them down per-partition rings to the
-// workers runOnce starts. The returned generation is zero unless a
-// checkpoint was restored.
+// it inline; with more it routes each, unsorted, down per-partition
+// rings to the workers runOnce starts, which only apply them. The
+// returned generation is zero unless a checkpoint was restored.
 func (e *Engine) buildState(sh *shard) (*deviceState, checkpoint.Generation, error) {
 	st := &deviceState{devCfg: e.an, rb: newReorderBuffer(e.reorder)}
 	var gen checkpoint.Generation
@@ -438,7 +440,6 @@ func (e *Engine) buildState(sh *shard) (*deviceState, checkpoint.Generation, err
 		if maxReq <= 0 {
 			maxReq = monitor.DefaultMaxRequests
 		}
-		st.sortBuf = make([]blktrace.Extent, 0, maxReq)
 		st.txRings = make([]*txRing, len(st.analyzers))
 		for k := range st.txRings {
 			st.txRings[k] = newTxRing(maxReq)

@@ -447,13 +447,23 @@ func TestStopWaitsForParkedCheckpointSave(t *testing.T) {
 // TestFaultQueryDuringPanicIsAnswered pins the no-hung-askers
 // guarantee: a query enqueued while the worker is dying is either
 // requeued and answered by the restarted worker or failed with a typed
-// error — never abandoned.
+// error — never abandoned. At P=2 the restarted run answers the
+// requeued query after waiting for its partition workers (quiesce).
 func TestFaultQueryDuringPanicIsAnswered(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P=%d", parts), func(t *testing.T) {
+			testFaultQueryDuringPanicIsAnswered(t, parts)
+		})
+	}
+}
+
+func testFaultQueryDuringPanicIsAnswered(t *testing.T, parts int) {
 	const poison = 999
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	e := mustEngine(t,
 		WithDevices("dev0"),
+		WithPartitions(parts),
 		WithSupervisor(fastSupervisor(5, 4)),
 		WithProcessHook(func(device string, ev blktrace.Event) {
 			switch ev.Extent.Block {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,7 +17,7 @@ import (
 
 type queryKind int
 
-// The worker answers only two query kinds. queryCapture is the whole
+// The router answers only two query kinds. queryCapture is the whole
 // read path: it copies the synopsis into the asker's RawGroup (one
 // RawSnapshot per partition) in O(live entries) and returns; sorting,
 // rule extraction, JSON, merging, and checkpoint encoding all happen
@@ -32,9 +31,8 @@ const (
 type query struct {
 	kind queryKind
 	// raws receives the capture for queryCapture: one RawSnapshot per
-	// partition. Owned by the asker, written by whoever owns the
-	// analyzers (the partition workers, or the router when there are
-	// none) before the reply is sent.
+	// partition. Owned by the asker, written by the router before the
+	// reply is sent (at P>1 once the partition workers are quiescent).
 	raws  core.RawGroup
 	reply chan queryReply
 }
@@ -45,7 +43,7 @@ type queryReply struct {
 	window   time.Duration
 	itemIdx  core.IndexStats
 	pairIdx  core.IndexStats
-	// err is set when the query could not be served at all: the worker
+	// err is set when the query could not be served at all: the router
 	// panicked while answering it, or the device failed permanently.
 	err error
 }
@@ -56,7 +54,7 @@ type queryReply struct {
 // the supervisor.
 var errRunBroken = errors.New("engine: partition worker died")
 
-// deviceState is the worker-side state of one run of a device: the
+// deviceState is the router-side state of one run of a device: the
 // monitor, the P analyzers, the reorder buffer, and the per-partition
 // transaction rings. The supervisor rebuilds it from the freshest
 // checkpoint on every restart, so a dying run can never leak corrupt
@@ -66,13 +64,14 @@ type deviceState struct {
 	// sequential — it is a stateful scan of the timestamp order) and the
 	// monitor's sink decides where a completed transaction goes: with
 	// one analyzer the router applies it inline and there are no rings
-	// and no run; with P > 1 partition-local analyzers routeTx fans it
-	// out down txRings (one per analyzer) to the workers of run, each of
-	// which owns its analyzer for as long as run is live.
+	// and no run; with P > 1 partition-local analyzers routeTx pushes it
+	// down txRings (one per analyzer) to the workers of run, each of
+	// which applies its partition's slice. Workers only apply: the
+	// router reads the analyzers in place once the rings have drained
+	// (quiesce).
 	mon       *monitor.Monitor
 	analyzers []*core.Analyzer
 	txRings   []*txRing
-	sortBuf   []blktrace.Extent
 	run       *partRun
 
 	// devCfg is the device-level analyzer config — what a combined
@@ -83,35 +82,26 @@ type deviceState struct {
 	lastLate uint64 // rb.late already mirrored into metrics
 }
 
-// txKind discriminates the tokens the router pushes down a partition's
-// transaction ring. Queries and stop travel in-band so every worker
-// observes them strictly after the transactions routed before them.
-type txKind uint8
-
-const (
-	txProcess txKind = iota
-	txCapture
-	txStats
-	txStop
-)
-
+// txSlot is one token of a partition's transaction ring: a transaction
+// to apply, or stop, which travels in-band so the worker exits strictly
+// after applying everything routed before it.
 type txSlot struct {
-	kind    txKind
+	stop    bool
 	extents []blktrace.Extent // preallocated, len set per transaction
-	req     *partReq
 }
 
 // txRing is a bounded SPSC ring from the router to one partition
 // worker. The router is the only writer of enq, the worker the only
 // writer of deq; slot contents are published by the enq store and
-// released by the deq store.
+// released by the deq store, and deq == enq means the worker has
+// applied everything routed to it.
 type txRing struct {
 	slots   []txSlot
 	mask    uint64
 	enq     atomic.Uint64
 	deq     atomic.Uint64
 	wake    wakeFlag // worker sleeps here
-	notFull gate     // router parks here when the ring is full
+	notFull gate     // router parks here until the worker dequeues
 }
 
 // txRingSize bounds how far the router can run ahead of one partition
@@ -129,29 +119,6 @@ func newTxRing(maxTx int) *txRing {
 	r.wake.init()
 	r.notFull.init()
 	return r
-}
-
-// partReq is an in-band barrier query: the router pushes one token per
-// partition ring, each worker fills its slice and decrements pending,
-// and the last one releases the router.
-type partReq struct {
-	kind    queryKind
-	raws    core.RawGroup
-	stats   []partStats
-	pending atomic.Int32
-	done    chan struct{}
-}
-
-func (r *partReq) finish() {
-	if r.pending.Add(-1) == 0 {
-		close(r.done)
-	}
-}
-
-type partStats struct {
-	an    core.Stats
-	items core.IndexStats
-	pairs core.IndexStats
 }
 
 // partRun is the lifecycle of one partitioned run: P workers plus the
@@ -200,11 +167,12 @@ func (r *partRun) cause() any {
 // shard is one device's slice of the engine: a lock-free MPSC ingest
 // ring drained by a router goroutine that owns the monitor and either
 // applies completed transactions to the synopsis itself or — at P>1 —
-// fans them out to P partition workers, each owning 1/P of the synopsis
-// (see core.PartitionOf). Producers never
-// take a lock on the event path: submit is a CAS into the ring plus an
-// eventcount wake, and the drop/lag counters are atomics, so metrics
-// scrapes never serialize against ingest either.
+// routes them to P partition workers, each applying its 1/P of the
+// synopsis (see core.PartitionOf). Everything else — reads, the epoch,
+// checkpoints — is the router's at every P. Producers never take a lock
+// on the event path: submit is a CAS into the ring plus an eventcount
+// wake, and the drop/lag counters are atomics, so metrics scrapes never
+// serialize against ingest either.
 //
 // The router and workers run under a supervisor (see supervise): a
 // panic anywhere in the run is recovered, the freshest checkpoint is
@@ -238,7 +206,7 @@ type shard struct {
 	// between runs.
 	st *deviceState
 
-	// txCount counts transactions the router fanned out to partition
+	// txCount counts transactions the router routed to partition
 	// workers since the current state was installed. Partition analyzers
 	// never count transactions (the transaction is shared across them);
 	// device-level stats and checkpoints add this on top of the summed
@@ -289,11 +257,10 @@ type shard struct {
 	notify  *epochNotifier
 	onEpoch func()
 
-	// epoch counts synopsis state changes. At P>1 every partition
-	// worker bumps it as its slice advances, so the device epoch is the
-	// sum of sub-shard advances — monotone, and unchanged iff no
-	// partition changed, which is all the epoch-gated caches and
-	// watchers need.
+	// epoch counts synopsis state changes. The router bumps it at every
+	// P whenever it released events into analysis: at P>1 possibly
+	// before the workers have applied them, but a read waits for that
+	// (quiesce), so an epoch never over-claims what its capture holds.
 	epoch atomic.Uint64
 
 	groupPool sync.Pool
@@ -362,7 +329,7 @@ func (s *shard) runOnce() (panicked any) {
 		st.run = run
 		for k := range st.txRings {
 			run.wg.Add(1)
-			go s.partWorker(k, st, run)
+			go partWorker(k, st, run)
 		}
 	}
 	v := func() (v any) {
@@ -385,10 +352,10 @@ func (s *shard) runOnce() (panicked any) {
 
 // routerLoop is the device's sequential spine: drain the ingest ring
 // through the reorder buffer into the monitor — whose sink applies each
-// transaction to the synopsis or fans it out to the partition workers of
-// run — and answer queries in-band. run is nil when there are no
-// workers. It returns on clean stop or when the run breaks (worker
-// death); its own panics propagate to runOnce's recover.
+// transaction to the synopsis or routes it to the partition workers of
+// run — bump the epoch, and answer queries in-band. run is nil when
+// there are no workers. It returns on clean stop or when the run breaks
+// (worker death); its own panics propagate to runOnce's recover.
 func (s *shard) routerLoop(st *deviceState, run *partRun) {
 	var ev blktrace.Event
 	var ts int64
@@ -440,11 +407,7 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 		}
 		s.mirrorReorder(st)
 		if released > 0 {
-			if run == nil {
-				// Workers bump the epoch as their slices advance; without
-				// them the synopsis advanced right here.
-				s.bumpEpoch()
-			}
+			s.bumpEpoch()
 			s.noteProcessed(released)
 		}
 		if run != nil && run.isBroken() {
@@ -489,10 +452,10 @@ func (s *shard) processEvent(st *deviceState, ev blktrace.Event, ts int64) {
 	}
 }
 
-// routeTx is the monitor sink at P>1: count the transaction, sort its
-// extents once (so every pair a partition forms is pre-canonical — no
-// per-pair ownership hash in the Θ(N²) loop), and push the sorted list
-// to every partition that owns at least one extent.
+// routeTx is the monitor sink at P>1: count the transaction and push
+// its extents, in the monitor's order, to every partition that owns at
+// least one of them (a partition that owns none owns none of its pairs
+// either).
 func (s *shard) routeTx(tx monitor.Transaction) {
 	st := s.st
 	run := st.run
@@ -500,17 +463,15 @@ func (s *shard) routeTx(tx monitor.Transaction) {
 		return
 	}
 	s.txCount.Add(1)
-	st.sortBuf = append(st.sortBuf[:0], tx.Extents...)
-	slices.SortFunc(st.sortBuf, blktrace.Extent.Compare)
 	var mask uint64
-	for _, e := range st.sortBuf {
+	for _, e := range tx.Extents {
 		mask |= 1 << uint(core.PartitionOf(e, len(st.txRings)))
 	}
 	for k, r := range st.txRings {
 		if mask&(1<<uint(k)) == 0 {
 			continue
 		}
-		if !s.txPush(r, run, txProcess, st.sortBuf, nil) {
+		if !s.txPush(r, run, false, tx.Extents) {
 			return
 		}
 	}
@@ -519,14 +480,13 @@ func (s *shard) routeTx(tx monitor.Transaction) {
 // txPush publishes one token into a partition's SPSC ring, parking on
 // the ring's gate when it is full. Returns false when the run broke
 // while waiting — the caller abandons the fan-out.
-func (s *shard) txPush(r *txRing, run *partRun, kind txKind, extents []blktrace.Extent, req *partReq) bool {
+func (s *shard) txPush(r *txRing, run *partRun, stop bool, extents []blktrace.Extent) bool {
 	for {
 		pos := r.enq.Load()
 		if pos-r.deq.Load() < uint64(len(r.slots)) {
 			slot := &r.slots[pos&r.mask]
-			slot.kind = kind
+			slot.stop = stop
 			slot.extents = append(slot.extents[:0], extents...)
-			slot.req = req
 			r.enq.Store(pos + 1)
 			r.wake.wake()
 			return true
@@ -551,21 +511,18 @@ func (s *shard) txPush(r *txRing, run *partRun, kind txKind, extents []blktrace.
 	}
 }
 
-// partWorker owns partition k's analyzer: it drains the partition's
-// transaction ring, applying the partition-owned slice of each
-// transaction, answers in-band barrier queries, and bumps the device
-// epoch whenever its slice advanced and it goes idle.
-func (s *shard) partWorker(k int, st *deviceState, run *partRun) {
+// partWorker applies partition k's slice of each transaction routed
+// down its ring, until a stop token. Applying is all it does: the
+// router reads the analyzer once the ring has drained (see quiesce),
+// and the router bumps the epoch.
+func partWorker(k int, st *deviceState, run *partRun) {
 	defer run.wg.Done()
 	defer func() {
 		if v := recover(); v != nil {
 			run.fail(v)
 		}
 	}()
-	// Locals: the router rewrites st.sortBuf's header per transaction, so
-	// a worker that read st in its loop would contend for that line.
 	r, a, parts := st.txRings[k], st.analyzers[k], len(st.analyzers)
-	dirty := false
 	for {
 		if run.isBroken() {
 			return
@@ -573,32 +530,14 @@ func (s *shard) partWorker(k int, st *deviceState, run *partRun) {
 		pos := r.deq.Load()
 		if pos != r.enq.Load() {
 			slot := &r.slots[pos&r.mask]
-			switch slot.kind {
-			case txProcess:
-				a.ProcessPartitionSorted(slot.extents, k, parts)
-				dirty = true
-			case txCapture:
-				s.captureInto(a, slot.req.raws[k])
-				slot.req.finish()
-			case txStats:
-				slot.req.stats[k] = partStatsOf(a)
-				slot.req.finish()
-			case txStop:
-				if dirty {
-					s.bumpEpoch()
-				}
-				slot.req = nil
+			if slot.stop {
 				r.deq.Store(pos + 1)
 				return
 			}
-			slot.req = nil
+			a.ProcessPartition(slot.extents, k, parts)
 			r.deq.Store(pos + 1)
 			r.notFull.open()
 			continue
-		}
-		if dirty {
-			s.bumpEpoch()
-			dirty = false
 		}
 		r.wake.prepare()
 		if r.deq.Load() != r.enq.Load() || run.isBroken() {
@@ -677,7 +616,7 @@ func (s *shard) finishStop(st *deviceState, run *partRun, emit func(blktrace.Eve
 // for the workers to drain up to it and exit.
 func (s *shard) stopWorkers(st *deviceState, run *partRun) error {
 	for k := range st.txRings {
-		if !s.txPush(st.txRings[k], run, txStop, nil, nil) {
+		if !s.txPush(st.txRings[k], run, true, nil) {
 			return errRunBroken
 		}
 	}
@@ -704,13 +643,13 @@ func (s *shard) answerInflight(st *deviceState, run *partRun) error {
 	return nil
 }
 
-// answer computes one query reply. With run == nil no partition worker
-// is running — there are none at P=1, and at P>1 they have exited on the
-// stop path — so the router touches the analyzers directly; otherwise
-// partition state is reached via in-band barrier tokens. If the
-// computation panics (corrupt synopsis state), the asker still gets a
-// reply — a typed ErrDeviceUnavailable — before the panic propagates to
-// the supervisor; queries must fail fast, never hang.
+// answer computes one query reply from the analyzers, read in place.
+// With run != nil partition workers are running, so the router first
+// waits for them to apply everything routed to them (quiesce) and
+// routes nothing more until the reply is sent. If the computation
+// panics (corrupt synopsis state), the asker still gets a reply — a
+// typed ErrDeviceUnavailable — before the panic propagates to the
+// supervisor; queries must fail fast, never hang.
 func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 	defer func() {
 		if r := recover(); r != nil {
@@ -718,35 +657,22 @@ func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 			panic(r)
 		}
 	}()
+	if run != nil {
+		if err := s.quiesce(st, run); err != nil {
+			return err
+		}
+	}
 	var r queryReply
 	switch q.kind {
 	case queryCapture:
-		if run != nil {
-			req := &partReq{kind: queryCapture, raws: q.raws, done: make(chan struct{})}
-			if err := s.fanout(st, run, req); err != nil {
-				return err
-			}
-		} else {
-			for k, a := range st.analyzers {
-				s.captureInto(a, q.raws[k])
-			}
+		for k, a := range st.analyzers {
+			s.captureInto(a, q.raws[k])
 		}
 	case queryStats:
-		ps := make([]partStats, len(st.analyzers))
-		if run != nil {
-			req := &partReq{kind: queryStats, stats: ps, done: make(chan struct{})}
-			if err := s.fanout(st, run, req); err != nil {
-				return err
-			}
-		} else {
-			for k, a := range st.analyzers {
-				ps[k] = partStatsOf(a)
-			}
-		}
-		for _, p := range ps {
-			r.anStats = sumCoreStats(r.anStats, p.an)
-			r.itemIdx = sumIndexStats(r.itemIdx, p.items)
-			r.pairIdx = sumIndexStats(r.pairIdx, p.pairs)
+		for _, a := range st.analyzers {
+			r.anStats = sumCoreStats(r.anStats, a.Stats())
+			r.itemIdx = sumIndexStats(r.itemIdx, a.Items().IndexStats())
+			r.pairIdx = sumIndexStats(r.pairIdx, a.Pairs().IndexStats())
 		}
 		r.anStats.Transactions += s.txCount.Load()
 		r.monStats = st.mon.Stats()
@@ -756,43 +682,39 @@ func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 	return nil
 }
 
+// quiesce waits until every partition worker has applied everything
+// routed to it (deq == enq on every ring), parking on each ring's
+// notFull gate, which the worker opens after every dequeue. The
+// worker's deq store after applying and the router's next enq store are
+// the hand-offs of the analyzers between them. A broken run returns
+// errRunBroken: a worker died, and the query goes back to the queue.
+func (s *shard) quiesce(st *deviceState, run *partRun) error {
+	for _, r := range st.txRings {
+		for r.deq.Load() != r.enq.Load() {
+			ch := r.notFull.arm()
+			if r.deq.Load() != r.enq.Load() {
+				select {
+				case <-ch:
+				case <-run.broken:
+				}
+			}
+			r.notFull.disarm()
+			if run.isBroken() {
+				return errRunBroken
+			}
+		}
+	}
+	return nil
+}
+
 // captureInto copies one analyzer's state into a reader's RawSnapshot.
-// The capture is the only read-side work charged to the goroutine that
-// owns the analyzer; its duration is the ingest stall a reader causes,
-// so it is what the capture-seconds histogram measures.
+// The capture is the only read-side work charged to the router; its
+// duration is the ingest stall a reader causes, so it is what the
+// capture-seconds histogram measures.
 func (s *shard) captureInto(a *core.Analyzer, raw *core.RawSnapshot) {
 	start := time.Now()
 	a.CaptureSnapshot(raw)
 	s.metrics.captureSeconds.Observe(time.Since(start).Seconds())
-}
-
-func partStatsOf(a *core.Analyzer) partStats {
-	return partStats{an: a.Stats(), items: a.Items().IndexStats(), pairs: a.Pairs().IndexStats()}
-}
-
-// fanout pushes one barrier token per partition ring and waits for all
-// workers to fill their slice. In-band delivery means every worker
-// answers strictly after the transactions routed before the token.
-func (s *shard) fanout(st *deviceState, run *partRun, req *partReq) error {
-	req.pending.Store(int32(len(st.txRings)))
-	for k := range st.txRings {
-		if !s.txPush(st.txRings[k], run, kindToken(req.kind), nil, req) {
-			return errRunBroken
-		}
-	}
-	select {
-	case <-req.done:
-		return nil
-	case <-run.broken:
-		return errRunBroken
-	}
-}
-
-func kindToken(k queryKind) txKind {
-	if k == queryCapture {
-		return txCapture
-	}
-	return txStats
 }
 
 func sumCoreStats(a, b core.Stats) core.Stats {
@@ -975,8 +897,8 @@ func (s *shard) ask(q query) (queryReply, error) {
 // (Engine.State) and the sorted export (export, which the snapshot
 // reads, the fleet sync and the engine's merged view are fed from), and
 // by every repeat of them while the synopsis is unchanged, so a read
-// storm against an idle device costs the worker one capture in total.
-// The epoch is read before the worker is asked, so it may under-claim
+// storm against an idle device costs the router one capture in total.
+// The epoch is read before the router is asked, so it may under-claim
 // the capture's freshness and never over-claims it. fn runs with snapMu
 // held — reads of one device serialise for the length of its pass,
 // which is why only K-bounded scans belong here — and must not retain
@@ -1004,7 +926,7 @@ func (s *shard) captureLocked() (uint64, error) {
 	if s.snapGroup == nil {
 		s.snapGroup = s.newGroup()
 	}
-	// The workers write into the group in place; a capture that fails
+	// The router writes into the group in place; a capture that fails
 	// part-way must not be served as either epoch's.
 	s.snapValid = false
 	if _, err := s.ask(query{kind: queryCapture, raws: s.snapGroup}); err != nil {
@@ -1065,7 +987,7 @@ func (s *shard) snapshot(minSupport uint32) (core.Snapshot, error) {
 // synopsis — the path of whoever holds a capture for an unbounded time:
 // the writers (snapshot and checkpoint encoding, across slow I/O). They
 // stay off the readers' shared capture so they never block it. The
-// workers only do the O(live entries) copies; fn runs on the calling
+// router only does the O(live entries) copies; fn runs on the calling
 // goroutine.
 func (s *shard) capture(fn func(core.RawGroup) error) error {
 	g := s.getGroup()

@@ -147,7 +147,7 @@ func (e *Engine) EpochAdvanceTime(id string) (time.Time, error) {
 }
 
 // fleetWake forwards one device advance to fleet-level waiters. It is
-// the engine's onEpoch hook, called from shard workers and supervisors.
+// the engine's onEpoch hook, called from shard routers and supervisors.
 func (e *Engine) fleetWake() {
 	e.fleet.wake(nil)
 }
