@@ -27,10 +27,15 @@ vet:
 # tests compare against, not something it may be built on again. Nor
 # may the from-scratch merge serve production again: core.MergeSnapshots
 # is the oracle the tests and bench/ hold MergeIndex and the exports to,
-# so no non-test file but its own definition may call it.
+# so no non-test file but its own definition may call it. The synopsis
+# formats' bytes are laid out in one place: no non-test file but the
+# codec (internal/binio), the record layouts (core/records.go) and the
+# trace stream codec (blktrace/codec.go, a format of its own with its
+# own EOF rules) may import encoding/binary.
 deps:
 	! $(GO) list -deps ./internal/engine | grep -q daccor/internal/pipeline
 	! grep -rl --include='*.go' --exclude='*_test.go' 'MergeSnapshots(' internal cmd pkg examples | grep -vx internal/core/merge.go
+	! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' internal cmd pkg examples | grep -vxE 'internal/binio/binio.go|internal/core/records.go|internal/blktrace/codec.go'
 
 test:
 	$(GO) test ./...
@@ -82,13 +87,17 @@ alloc-guard:
 	$(GO) test -run 'ZeroAllocSteadyState|SteadyStateAllocs|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/realtime
 
 # Thirty seconds of the ingest scanner against its encoding/json oracle
-# (same accept/reject set, events, and error text), then thirty of the
-# merge index's walk against MergeSnapshots. A short minimization
-# budget keeps the fuzzer mutating: minimizing one of the 10 000-event
-# seeds would otherwise eat the whole run.
+# (same accept/reject set, events, and error text), thirty of the
+# merge index's walk against MergeSnapshots, then thirty each of the
+# checkpoint decoder (every failure a typed sentinel) and the sync
+# frame decoder (what it accepts re-encodes to the same bytes). A short
+# minimization budget keeps the fuzzer mutating: minimizing one of the
+# 10 000-event seeds would otherwise eat the whole run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/realtime
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeIndexApply$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/fleet
 
 # Fault-injection and recovery suite: supervised worker panics,
 # checkpoint write failures, restore paths, post-Stop semantics.

@@ -117,6 +117,16 @@ type Stats struct {
 	PairDemotions  uint64 // demotions triggered by item evictions
 }
 
+// Add returns the counter-by-counter sum of s and o: the stats of
+// several partitions or devices taken together.
+func (s Stats) Add(o Stats) Stats {
+	of := o.fields()
+	for i, p := range s.fields() {
+		*p += *of[i]
+	}
+	return s
+}
+
 // Validate reports whether the configuration can build an analyzer.
 // It is the core leg of the unified Config/Validate surface shared
 // with monitor.Config and pipeline.Config.

@@ -1,13 +1,12 @@
 package core
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"slices"
 
+	"daccor/internal/binio"
 	"daccor/internal/blktrace"
 )
 
@@ -19,8 +18,8 @@ import (
 // bit-for-bit, which is what lets an aggregator mirror a collector
 // without ever replaying its event stream.
 //
-// The wire encoding reuses the checkpoint record layouts
-// (itemRecord/pairRecord from persist.go) framed with explicit counts:
+// The wire encoding frames the record and key layouts of records.go
+// with explicit counts:
 //
 //	delta:   u32 upsertItems | u32 upsertPairs | u32 delItems | u32 delPairs
 //	         | item records | pair records | item keys | pair keys
@@ -267,310 +266,146 @@ const maxDeltaRecords = 2 * MaxSnapshotCapacity
 // from a tiny input.
 const recordPrealloc = 1 << 12
 
-func preallocCap(n uint32) int {
-	if n > recordPrealloc {
-		return recordPrealloc
-	}
-	return int(n)
-}
+func preallocCap(n int) int { return min(n, recordPrealloc) }
 
-// EncodeSnapshotRecords writes a snapshot body — item and pair counts
-// followed by the checkpoint record layouts — without the analyzer
-// header, for embedding in fleet sync frames. The snapshot should be a
-// full export (support 0) so the receiving side can extract rules.
+// EncodeSnapshotRecords writes a snapshot body (WriteSnapshotRecords)
+// to w.
 func EncodeSnapshotRecords(w io.Writer, s Snapshot) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(s.Items)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(s.Pairs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return n, err
-	}
-	n += 8
-	if err := writeRecords(bw, &n, s.Items, s.Pairs); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	bw := binio.NewWriter(w)
+	WriteSnapshotRecords(bw, s)
+	return bw.Flush()
 }
 
-// writeRecords writes items then pairs in the checkpoint record layouts
-// (itemRecord/pairRecord), adding the bytes written to *n: a snapshot
-// body's records and a delta's upserts.
-func writeRecords(bw *bufio.Writer, n *int64, items []ItemCount, pairs []PairCount) error {
-	var rec [pairRecordSize]byte
-	for _, ic := range items {
-		rec[0] = uint8(ic.Tier)
-		binary.LittleEndian.PutUint32(rec[1:], ic.Count)
-		binary.LittleEndian.PutUint64(rec[5:], ic.Extent.Block)
-		binary.LittleEndian.PutUint32(rec[13:], ic.Extent.Len)
-		if _, err := bw.Write(rec[:itemRecordSize]); err != nil {
-			return err
-		}
-		*n += itemRecordSize
+// WriteSnapshotRecords writes a snapshot body — item and pair counts
+// followed by the records — without the analyzer header, for embedding
+// in fleet sync frames and the aggregator state. The snapshot should be
+// a full export (support 0) so the receiving side can extract rules.
+func WriteSnapshotRecords(w *binio.Writer, s Snapshot) {
+	w.U32(uint32(len(s.Items)))
+	w.U32(uint32(len(s.Pairs)))
+	for _, ic := range s.Items {
+		writeItem(w, ic.Extent, ic.Count, ic.Tier)
 	}
-	for _, pc := range pairs {
-		rec[0] = uint8(pc.Tier)
-		binary.LittleEndian.PutUint32(rec[1:], pc.Count)
-		binary.LittleEndian.PutUint64(rec[5:], pc.Pair.A.Block)
-		binary.LittleEndian.PutUint64(rec[13:], pc.Pair.B.Block)
-		binary.LittleEndian.PutUint32(rec[21:], pc.Pair.A.Len)
-		binary.LittleEndian.PutUint32(rec[25:], pc.Pair.B.Len)
-		if _, err := bw.Write(rec[:pairRecordSize]); err != nil {
-			return err
-		}
-		*n += pairRecordSize
+	for _, pc := range s.Pairs {
+		writePair(w, pc.Pair, pc.Count, pc.Tier)
 	}
-	return nil
 }
 
-// DecodeSnapshotRecords reads a snapshot body written by
-// EncodeSnapshotRecords, validating every record (bounded counts,
+// DecodeSnapshotRecords reads a snapshot body (ReadSnapshotRecords)
+// from r; failures wrap ErrBadSnapshotRecord.
+func DecodeSnapshotRecords(r io.Reader) (Snapshot, error) {
+	br := binio.NewReader(r, ErrBadSnapshotRecord)
+	s := ReadSnapshotRecords(br)
+	return s, br.Err()
+}
+
+// ReadSnapshotRecords reads a snapshot body written by
+// WriteSnapshotRecords, validating every record (bounded counts,
 // nonzero extents, canonical pairs, valid tiers, positive counters, no
 // duplicate keys) before it lands in the result, and that the records
 // arrive in export order: a snapshot body is a sorted export, and what
 // holds one afterwards — a mirror that deltas are applied to, a
 // support cut by binary search — relies on the order without checking.
-func DecodeSnapshotRecords(r io.Reader) (Snapshot, error) {
-	br := asByteReader(r)
-	nItems, nPairs, err := readCountPair(br, "snapshot body")
-	if err != nil {
-		return Snapshot{}, err
+// Failures are kept in r, and the snapshot returned with one is empty.
+func ReadSnapshotRecords(r *binio.Reader) Snapshot {
+	nItems := r.Count("item count", maxDeltaRecords)
+	nPairs := r.Count("pair count", maxDeltaRecords)
+	items := make(map[blktrace.Extent]struct{}, preallocCap(nItems))
+	pairs := make(map[blktrace.Pair]struct{}, preallocCap(nPairs))
+	s := Snapshot{
+		Items: readSection(r, nItems, items, readItem, itemOps.key, itemOps.cmp),
+		Pairs: readSection(r, nPairs, pairs, readPair, pairOps.key, pairOps.cmp),
 	}
-	var s Snapshot
-	seenItems := make(map[blktrace.Extent]struct{}, preallocCap(nItems))
-	s.Items = make([]ItemCount, 0, preallocCap(nItems))
-	for i := uint32(0); i < nItems; i++ {
-		ic, err := readItemRecord(br)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if _, dup := seenItems[ic.Extent]; dup {
-			return Snapshot{}, fmt.Errorf("%w: duplicate item %v", ErrBadSnapshotRecord, ic.Extent)
-		}
-		if i > 0 && compareItemCounts(s.Items[i-1], ic) > 0 {
-			return Snapshot{}, fmt.Errorf("%w: item %v out of export order", ErrBadSnapshotRecord, ic.Extent)
-		}
-		seenItems[ic.Extent] = struct{}{}
-		s.Items = append(s.Items, ic)
+	if r.Err() != nil {
+		return Snapshot{}
 	}
-	seenPairs := make(map[blktrace.Pair]struct{}, preallocCap(nPairs))
-	s.Pairs = make([]PairCount, 0, preallocCap(nPairs))
-	for i := uint32(0); i < nPairs; i++ {
-		pc, err := readPairRecord(br)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		if _, dup := seenPairs[pc.Pair]; dup {
-			return Snapshot{}, fmt.Errorf("%w: duplicate pair %v", ErrBadSnapshotRecord, pc.Pair)
-		}
-		if i > 0 && comparePairCounts(s.Pairs[i-1], pc) > 0 {
-			return Snapshot{}, fmt.Errorf("%w: pair %v out of export order", ErrBadSnapshotRecord, pc.Pair)
-		}
-		seenPairs[pc.Pair] = struct{}{}
-		s.Pairs = append(s.Pairs, pc)
-	}
-	// Normalize empty sections to nil (see Apply): a decoded snapshot
-	// must DeepEqual the export it was encoded from.
-	if len(s.Items) == 0 {
-		s.Items = nil
-	}
-	if len(s.Pairs) == 0 {
-		s.Pairs = nil
-	}
-	return s, nil
+	return s
 }
 
-// EncodeDelta writes the delta wire format: the four section counts,
-// then upsert records (checkpoint layouts) and delete keys.
+// EncodeDelta writes a delta (WriteDelta) to w.
 func EncodeDelta(w io.Writer, d SnapshotDelta) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(d.UpsertItems)))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(d.UpsertPairs)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(d.DeleteItems)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(d.DeletePairs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return n, err
+	bw := binio.NewWriter(w)
+	WriteDelta(bw, d)
+	return bw.Flush()
+}
+
+// WriteDelta writes the delta wire format: the four section counts,
+// then upsert records and delete keys.
+func WriteDelta(w *binio.Writer, d SnapshotDelta) {
+	w.U32(uint32(len(d.UpsertItems)))
+	w.U32(uint32(len(d.UpsertPairs)))
+	w.U32(uint32(len(d.DeleteItems)))
+	w.U32(uint32(len(d.DeletePairs)))
+	for _, ic := range d.UpsertItems {
+		writeItem(w, ic.Extent, ic.Count, ic.Tier)
 	}
-	n += 16
-	if err := writeRecords(bw, &n, d.UpsertItems, d.UpsertPairs); err != nil {
-		return n, err
+	for _, pc := range d.UpsertPairs {
+		writePair(w, pc.Pair, pc.Count, pc.Tier)
 	}
-	var rec [pairRecordSize]byte
 	for _, e := range d.DeleteItems {
-		binary.LittleEndian.PutUint64(rec[0:], e.Block)
-		binary.LittleEndian.PutUint32(rec[8:], e.Len)
-		if _, err := bw.Write(rec[:12]); err != nil {
-			return n, err
-		}
-		n += 12
+		writeItemKey(w, e)
 	}
 	for _, p := range d.DeletePairs {
-		binary.LittleEndian.PutUint64(rec[0:], p.A.Block)
-		binary.LittleEndian.PutUint64(rec[8:], p.B.Block)
-		binary.LittleEndian.PutUint32(rec[16:], p.A.Len)
-		binary.LittleEndian.PutUint32(rec[20:], p.B.Len)
-		if _, err := bw.Write(rec[:24]); err != nil {
-			return n, err
-		}
-		n += 24
+		writePairKey(w, p)
 	}
-	return n, bw.Flush()
 }
 
-// DecodeDelta reads a delta written by EncodeDelta under the same
-// validation discipline as DecodeSnapshotRecords; additionally a key
-// may appear at most once across its upsert and delete sections (a key
-// both upserted and deleted is a contradiction, not a delta).
+// DecodeDelta reads a delta (ReadDelta) from r; failures wrap
+// ErrBadDelta.
 func DecodeDelta(r io.Reader) (SnapshotDelta, error) {
-	br := asByteReader(r)
-	upItems, upPairs, err := readCountPair(br, "delta upserts")
-	if err != nil {
-		return SnapshotDelta{}, err
-	}
-	delItems, delPairs, err := readCountPair(br, "delta deletes")
-	if err != nil {
-		return SnapshotDelta{}, err
-	}
-	var d SnapshotDelta
+	br := binio.NewReader(r, ErrBadDelta)
+	d := ReadDelta(br)
+	return d, br.Err()
+}
+
+// ReadDelta reads a delta written by WriteDelta under the same
+// validation discipline as ReadSnapshotRecords, except for the order;
+// additionally a key may appear at most once across its upsert and
+// delete sections (a key both upserted and deleted is a contradiction,
+// not a delta). Empty sections are nil. Failures are kept in r, and the
+// delta returned with one is empty.
+func ReadDelta(r *binio.Reader) SnapshotDelta {
+	upItems := r.Count("upserted item count", maxDeltaRecords)
+	upPairs := r.Count("upserted pair count", maxDeltaRecords)
+	delItems := r.Count("deleted item count", maxDeltaRecords)
+	delPairs := r.Count("deleted pair count", maxDeltaRecords)
 	items := make(map[blktrace.Extent]struct{}, preallocCap(upItems+delItems))
 	pairs := make(map[blktrace.Pair]struct{}, preallocCap(upPairs+delPairs))
-	d.UpsertItems = make([]ItemCount, 0, preallocCap(upItems))
-	for i := uint32(0); i < upItems; i++ {
-		ic, err := readItemRecord(br)
-		if err != nil {
-			return SnapshotDelta{}, err
-		}
-		if _, dup := items[ic.Extent]; dup {
-			return SnapshotDelta{}, fmt.Errorf("%w: duplicate item %v", ErrBadDelta, ic.Extent)
-		}
-		items[ic.Extent] = struct{}{}
-		d.UpsertItems = append(d.UpsertItems, ic)
+	d := SnapshotDelta{
+		UpsertItems: readSection(r, upItems, items, readItem, itemOps.key, nil),
+		UpsertPairs: readSection(r, upPairs, pairs, readPair, pairOps.key, nil),
+		DeleteItems: readSection(r, delItems, items, readItemKey, identity[blktrace.Extent], nil),
+		DeletePairs: readSection(r, delPairs, pairs, readPairKey, identity[blktrace.Pair], nil),
 	}
-	d.UpsertPairs = make([]PairCount, 0, preallocCap(upPairs))
-	for i := uint32(0); i < upPairs; i++ {
-		pc, err := readPairRecord(br)
-		if err != nil {
-			return SnapshotDelta{}, err
-		}
-		if _, dup := pairs[pc.Pair]; dup {
-			return SnapshotDelta{}, fmt.Errorf("%w: duplicate pair %v", ErrBadDelta, pc.Pair)
-		}
-		pairs[pc.Pair] = struct{}{}
-		d.UpsertPairs = append(d.UpsertPairs, pc)
+	if r.Err() != nil {
+		return SnapshotDelta{}
 	}
-	d.DeleteItems = make([]blktrace.Extent, 0, preallocCap(delItems))
-	for i := uint32(0); i < delItems; i++ {
-		var buf [12]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return SnapshotDelta{}, fmt.Errorf("%w: truncated item delete: %v", ErrBadDelta, err)
-		}
-		e := blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[0:]), Len: binary.LittleEndian.Uint32(buf[8:])}
-		if e.Len == 0 {
-			return SnapshotDelta{}, fmt.Errorf("%w: zero-length item delete", ErrBadDelta)
-		}
-		if _, dup := items[e]; dup {
-			return SnapshotDelta{}, fmt.Errorf("%w: item %v both upserted and deleted", ErrBadDelta, e)
-		}
-		items[e] = struct{}{}
-		d.DeleteItems = append(d.DeleteItems, e)
-	}
-	d.DeletePairs = make([]blktrace.Pair, 0, preallocCap(delPairs))
-	for i := uint32(0); i < delPairs; i++ {
-		var buf [24]byte
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return SnapshotDelta{}, fmt.Errorf("%w: truncated pair delete: %v", ErrBadDelta, err)
-		}
-		p := blktrace.Pair{
-			A: blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[0:]), Len: binary.LittleEndian.Uint32(buf[16:])},
-			B: blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[8:]), Len: binary.LittleEndian.Uint32(buf[20:])},
-		}
-		if p.A.Len == 0 || p.B.Len == 0 {
-			return SnapshotDelta{}, fmt.Errorf("%w: zero-length extent in pair delete", ErrBadDelta)
-		}
-		if p.B.Less(p.A) {
-			return SnapshotDelta{}, fmt.Errorf("%w: pair delete %v not canonical", ErrBadDelta, p)
-		}
-		if _, dup := pairs[p]; dup {
-			return SnapshotDelta{}, fmt.Errorf("%w: pair %v both upserted and deleted", ErrBadDelta, p)
-		}
-		pairs[p] = struct{}{}
-		d.DeletePairs = append(d.DeletePairs, p)
-	}
-	return d, nil
+	return d
 }
 
-// asByteReader wraps r for buffered record reads without double
-// buffering an existing bufio.Reader.
-func asByteReader(r io.Reader) *bufio.Reader {
-	if br, ok := r.(*bufio.Reader); ok {
-		return br
+// readSection reads a section of n records with read. It fails on a
+// key already in seen, which it adds every key to, and, given order, on
+// a record that sorts before the one ahead of it. It returns nil for
+// n = 0.
+func readSection[K comparable, E any](r *binio.Reader, n int, seen map[K]struct{},
+	read func(*binio.Reader) E, key func(E) K, order func(a, b E) int) []E {
+	var out []E
+	if n > 0 {
+		out = make([]E, 0, preallocCap(n))
 	}
-	return bufio.NewReader(r)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		e := read(r)
+		k := key(e)
+		if _, dup := seen[k]; dup {
+			r.Fail("%v named twice", k)
+		}
+		if order != nil && i > 0 && order(out[i-1], e) > 0 {
+			r.Fail("%v out of export order", k)
+		}
+		seen[k] = struct{}{}
+		out = append(out, e)
+	}
+	return out
 }
 
-// readCountPair reads two u32 counts and bounds both.
-func readCountPair(br *bufio.Reader, what string) (uint32, uint32, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return 0, 0, fmt.Errorf("%w: truncated %s counts: %v", ErrBadDelta, what, err)
-	}
-	a := binary.LittleEndian.Uint32(buf[0:])
-	b := binary.LittleEndian.Uint32(buf[4:])
-	if a > maxDeltaRecords || b > maxDeltaRecords {
-		return 0, 0, fmt.Errorf("%w: %s counts %d/%d exceed %d", ErrBadDelta, what, a, b, maxDeltaRecords)
-	}
-	return a, b, nil
-}
-
-func readItemRecord(br *bufio.Reader) (ItemCount, error) {
-	var buf [itemRecordSize]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return ItemCount{}, fmt.Errorf("%w: truncated item record: %v", ErrBadSnapshotRecord, err)
-	}
-	ic := ItemCount{
-		Tier:   Tier(buf[0]),
-		Count:  binary.LittleEndian.Uint32(buf[1:]),
-		Extent: blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[5:]), Len: binary.LittleEndian.Uint32(buf[13:])},
-	}
-	if ic.Tier != Tier1 && ic.Tier != Tier2 {
-		return ItemCount{}, fmt.Errorf("%w: item %v has invalid tier %d", ErrBadSnapshotRecord, ic.Extent, ic.Tier)
-	}
-	if ic.Count == 0 {
-		return ItemCount{}, fmt.Errorf("%w: item %v has zero count", ErrBadSnapshotRecord, ic.Extent)
-	}
-	if ic.Extent.Len == 0 {
-		return ItemCount{}, fmt.Errorf("%w: item record has zero length", ErrBadSnapshotRecord)
-	}
-	return ic, nil
-}
-
-func readPairRecord(br *bufio.Reader) (PairCount, error) {
-	var buf [pairRecordSize]byte
-	if _, err := io.ReadFull(br, buf[:]); err != nil {
-		return PairCount{}, fmt.Errorf("%w: truncated pair record: %v", ErrBadSnapshotRecord, err)
-	}
-	pc := PairCount{
-		Tier:  Tier(buf[0]),
-		Count: binary.LittleEndian.Uint32(buf[1:]),
-		Pair: blktrace.Pair{
-			A: blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[5:]), Len: binary.LittleEndian.Uint32(buf[21:])},
-			B: blktrace.Extent{Block: binary.LittleEndian.Uint64(buf[13:]), Len: binary.LittleEndian.Uint32(buf[25:])},
-		},
-	}
-	if pc.Tier != Tier1 && pc.Tier != Tier2 {
-		return PairCount{}, fmt.Errorf("%w: pair %v has invalid tier %d", ErrBadSnapshotRecord, pc.Pair, pc.Tier)
-	}
-	if pc.Count == 0 {
-		return PairCount{}, fmt.Errorf("%w: pair %v has zero count", ErrBadSnapshotRecord, pc.Pair)
-	}
-	if pc.Pair.A.Len == 0 || pc.Pair.B.Len == 0 {
-		return PairCount{}, fmt.Errorf("%w: pair record has zero-length extent", ErrBadSnapshotRecord)
-	}
-	if pc.Pair.B.Less(pc.Pair.A) {
-		return PairCount{}, fmt.Errorf("%w: pair %v not canonical", ErrBadSnapshotRecord, pc.Pair)
-	}
-	return pc, nil
-}
+func identity[K any](k K) K { return k }

@@ -108,14 +108,7 @@ func (g RawGroup) Snapshot(minSupport uint32) Snapshot {
 func (g RawGroup) Stats() Stats {
 	var t Stats
 	for _, r := range g {
-		t.Transactions += r.stats.Transactions
-		t.Extents += r.stats.Extents
-		t.PairTouches += r.stats.PairTouches
-		t.ItemEvictions += r.stats.ItemEvictions
-		t.PairEvictions += r.stats.PairEvictions
-		t.ItemPromotions += r.stats.ItemPromotions
-		t.PairPromotions += r.stats.PairPromotions
-		t.PairDemotions += r.stats.PairDemotions
+		t = t.Add(r.stats)
 	}
 	return t
 }

@@ -66,10 +66,27 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeRecordLayout pins the hand-rolled record encoding in
-// encodeSnapshot to the reflective layout the decoder reads
-// (binary.Write of itemRecord/pairRecord in declaration order). If
-// either side drifts, on-disk snapshots stop round-tripping.
+// itemRecord and pairRecord are the checkpoint's record layouts as
+// binary.Write lays them out — fields packed in declaration order, no
+// padding — the reference TestEncodeRecordLayout holds the encoder to.
+type itemRecord struct {
+	Tier  uint8
+	Count uint32
+	Block uint64
+	Len   uint32
+}
+
+type pairRecord struct {
+	Tier           uint8
+	Count          uint32
+	ABlock, BBlock uint64
+	ALen, BLen     uint32
+}
+
+// TestEncodeRecordLayout pins the record encoding of records.go to the
+// reflective reference layout (binary.Write of itemRecord/pairRecord
+// in declaration order). If the encoder drifts, on-disk snapshots stop
+// round-tripping.
 func TestEncodeRecordLayout(t *testing.T) {
 	item := Entry[blktrace.Extent]{
 		Key: ext(0x1122334455667788, 0x99aabbcc), Count: 0xdeadbeef, Tier: Tier2,
@@ -99,21 +116,17 @@ func TestEncodeRecordLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if int64(binary.Size(itemRecord{})) != itemRecordSize ||
-		int64(binary.Size(pairRecord{})) != pairRecordSize {
-		t.Fatalf("record size constants drifted: item %d want %d, pair %d want %d",
-			itemRecordSize, binary.Size(itemRecord{}), pairRecordSize, binary.Size(pairRecord{}))
-	}
 	// The stream is header | u32 count | item record | u32 count | pair
 	// record; check both records byte-for-byte where they sit.
+	itemSize, pairSize := binary.Size(itemRecord{}), binary.Size(pairRecord{})
 	stream := got.Bytes()
-	itemOff := len(stream) - int(pairRecordSize) - 4 - int(itemRecordSize)
-	wantItem := want.Bytes()[:itemRecordSize]
-	if !bytes.Equal(stream[itemOff:itemOff+int(itemRecordSize)], wantItem) {
+	itemOff := len(stream) - pairSize - 4 - itemSize
+	wantItem := want.Bytes()[:itemSize]
+	if !bytes.Equal(stream[itemOff:itemOff+itemSize], wantItem) {
 		t.Errorf("item record bytes drifted from binary.Write layout")
 	}
-	pairOff := len(stream) - int(pairRecordSize)
-	if !bytes.Equal(stream[pairOff:], want.Bytes()[itemRecordSize:]) {
+	pairOff := len(stream) - pairSize
+	if !bytes.Equal(stream[pairOff:], want.Bytes()[itemSize:]) {
 		t.Errorf("pair record bytes drifted from binary.Write layout")
 	}
 }

@@ -773,14 +773,7 @@ func (s Stats) TotalMonitor() monitor.Stats {
 func (s Stats) TotalAnalyzer() core.Stats {
 	var t core.Stats
 	for _, d := range s.Devices {
-		t.Transactions += d.Analyzer.Transactions
-		t.Extents += d.Analyzer.Extents
-		t.PairTouches += d.Analyzer.PairTouches
-		t.ItemEvictions += d.Analyzer.ItemEvictions
-		t.PairEvictions += d.Analyzer.PairEvictions
-		t.ItemPromotions += d.Analyzer.ItemPromotions
-		t.PairPromotions += d.Analyzer.PairPromotions
-		t.PairDemotions += d.Analyzer.PairDemotions
+		t = t.Add(d.Analyzer)
 	}
 	return t
 }

@@ -670,7 +670,7 @@ func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 		}
 	case queryStats:
 		for _, a := range st.analyzers {
-			r.anStats = sumCoreStats(r.anStats, a.Stats())
+			r.anStats = r.anStats.Add(a.Stats())
 			r.itemIdx = sumIndexStats(r.itemIdx, a.Items().IndexStats())
 			r.pairIdx = sumIndexStats(r.pairIdx, a.Pairs().IndexStats())
 		}
@@ -715,18 +715,6 @@ func (s *shard) captureInto(a *core.Analyzer, raw *core.RawSnapshot) {
 	start := time.Now()
 	a.CaptureSnapshot(raw)
 	s.metrics.captureSeconds.Observe(time.Since(start).Seconds())
-}
-
-func sumCoreStats(a, b core.Stats) core.Stats {
-	a.Transactions += b.Transactions
-	a.Extents += b.Extents
-	a.PairTouches += b.PairTouches
-	a.ItemEvictions += b.ItemEvictions
-	a.PairEvictions += b.PairEvictions
-	a.ItemPromotions += b.ItemPromotions
-	a.PairPromotions += b.PairPromotions
-	a.PairDemotions += b.PairDemotions
-	return a
 }
 
 // sumIndexStats combines per-partition index telemetry: counters sum,

@@ -1,13 +1,11 @@
 package fleet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
+	"daccor/internal/binio"
 	"daccor/internal/core"
 )
 
@@ -40,125 +38,62 @@ var ErrBadState = errors.New("fleet: invalid aggregator state")
 func (a *Aggregator) WriteTo(w io.Writer) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	bw.WriteString(stateMagic)
-	var b [8]byte
-	binary.LittleEndian.PutUint16(b[:2], stateVersion)
-	bw.Write(b[:2])
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(a.collectors)))
-	bw.Write(b[:4])
+	bw := binio.NewWriter(w)
+	bw.Magic(stateMagic)
+	bw.U16(stateVersion)
+	bw.U32(uint32(len(a.collectors)))
 	for id, m := range a.collectors {
-		if err := writeString(bw, id, MaxCollectorID); err != nil {
-			return cw.n, err
-		}
-		binary.LittleEndian.PutUint64(b[:], uint64(m.lastSync.UnixNano()))
-		bw.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], m.instance)
-		bw.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], m.lastSeq)
-		bw.Write(b[:])
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(m.devices)))
-		bw.Write(b[:4])
+		bw.String(id, MaxCollectorID)
+		bw.U64(uint64(m.lastSync.UnixNano()))
+		bw.U64(m.instance)
+		bw.U64(m.lastSeq)
+		bw.U32(uint32(len(m.devices)))
 		for dev, dm := range m.devices {
-			if err := writeString(bw, dev, MaxDeviceID); err != nil {
-				return cw.n, err
-			}
-			binary.LittleEndian.PutUint64(b[:], dm.epoch)
-			bw.Write(b[:])
-			if _, err := core.EncodeSnapshotRecords(bw, dm.snap); err != nil {
-				return cw.n, err
-			}
+			bw.String(dev, MaxDeviceID)
+			bw.U64(dm.epoch)
+			core.WriteSnapshotRecords(bw, dm.snap)
 		}
 	}
-	err := bw.Flush()
-	return cw.n, err
+	return bw.Flush()
 }
 
 // LoadState replaces the aggregator's mirrors with a previously
 // serialized state. Meant for startup (before serving); it validates
 // fully before touching the aggregator, so a torn checkpoint leaves
 // the mirrors unchanged and the caller falls back to an older
-// generation.
-func (a *Aggregator) LoadState(r io.Reader) error {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("%w: short magic: %v", ErrBadState, err)
+// generation. Failures wrap ErrBadState.
+func (a *Aggregator) LoadState(rd io.Reader) error {
+	r := binio.NewReader(rd, ErrBadState)
+	r.Magic(stateMagic)
+	if v := r.U16("version"); v != stateVersion {
+		r.Fail("unsupported version %d", v)
 	}
-	if string(magic[:]) != stateMagic {
-		return fmt.Errorf("%w: bad magic %q", ErrBadState, magic)
-	}
-	var b [8]byte
-	if _, err := io.ReadFull(br, b[:2]); err != nil {
-		return fmt.Errorf("%w: short version: %v", ErrBadState, err)
-	}
-	if v := binary.LittleEndian.Uint16(b[:2]); v != stateVersion {
-		return fmt.Errorf("%w: unsupported version %d", ErrBadState, v)
-	}
-	if _, err := io.ReadFull(br, b[:4]); err != nil {
-		return fmt.Errorf("%w: short collector count: %v", ErrBadState, err)
-	}
-	nc := binary.LittleEndian.Uint32(b[:4])
-	if nc > MaxFrameSections {
-		return fmt.Errorf("%w: %d collectors exceeds limit %d", ErrBadState, nc, MaxFrameSections)
-	}
+	nc := r.Count("collector count", MaxFrameSections)
 	loaded := make(map[string]*collectorMirror, nc)
-	for i := uint32(0); i < nc; i++ {
-		id, err := readString(br, MaxCollectorID)
-		if err != nil {
-			return fmt.Errorf("%w: collector %d id: %v", ErrBadState, i, err)
-		}
-		if id == "" {
-			return fmt.Errorf("%w: collector %d: empty id", ErrBadState, i)
-		}
+	for i := 0; i < nc && r.Err() == nil; i++ {
+		id := readID(r, "collector id", MaxCollectorID)
 		if _, dup := loaded[id]; dup {
-			return fmt.Errorf("%w: duplicate collector %q", ErrBadState, id)
+			r.Fail("duplicate collector %q", id)
 		}
 		m := &collectorMirror{devices: make(map[string]*deviceMirror)}
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return fmt.Errorf("%w: collector %q last sync: %v", ErrBadState, id, err)
-		}
-		m.lastSync = time.Unix(0, int64(binary.LittleEndian.Uint64(b[:])))
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return fmt.Errorf("%w: collector %q instance: %v", ErrBadState, id, err)
-		}
-		m.instance = binary.LittleEndian.Uint64(b[:])
-		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return fmt.Errorf("%w: collector %q last seq: %v", ErrBadState, id, err)
-		}
-		m.lastSeq = binary.LittleEndian.Uint64(b[:])
-		if _, err := io.ReadFull(br, b[:4]); err != nil {
-			return fmt.Errorf("%w: collector %q device count: %v", ErrBadState, id, err)
-		}
-		nd := binary.LittleEndian.Uint32(b[:4])
-		if nd > MaxFrameSections {
-			return fmt.Errorf("%w: collector %q: %d devices exceeds limit %d", ErrBadState, id, nd, MaxFrameSections)
-		}
-		for j := uint32(0); j < nd; j++ {
-			dev, err := readString(br, MaxDeviceID)
-			if err != nil {
-				return fmt.Errorf("%w: collector %q device %d id: %v", ErrBadState, id, j, err)
-			}
-			if dev == "" {
-				return fmt.Errorf("%w: collector %q device %d: empty id", ErrBadState, id, j)
-			}
+		m.lastSync = time.Unix(0, int64(r.U64("last sync")))
+		m.instance = r.U64("instance")
+		m.lastSeq = r.U64("last seq")
+		nd := r.Count("device count", MaxFrameSections)
+		for j := 0; j < nd && r.Err() == nil; j++ {
+			dev := readID(r, "device id", MaxDeviceID)
 			if _, dup := m.devices[dev]; dup {
-				return fmt.Errorf("%w: collector %q: duplicate device %q", ErrBadState, id, dev)
+				r.Fail("duplicate device %q", dev)
 			}
-			if _, err := io.ReadFull(br, b[:]); err != nil {
-				return fmt.Errorf("%w: device %q epoch: %v", ErrBadState, dev, err)
-			}
-			dm := &deviceMirror{epoch: binary.LittleEndian.Uint64(b[:])}
-			if dm.snap, err = core.DecodeSnapshotRecords(br); err != nil {
-				return fmt.Errorf("%w: device %q snapshot: %v", ErrBadState, dev, err)
-			}
+			dm := &deviceMirror{epoch: r.U64("epoch")}
+			dm.snap = core.ReadSnapshotRecords(r)
 			m.devices[dev] = dm
 		}
 		loaded[id] = m
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return fmt.Errorf("%w: trailing bytes", ErrBadState)
+	r.End()
+	if err := r.Err(); err != nil {
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -181,15 +116,4 @@ func (a *Aggregator) LoadState(r io.Reader) error {
 	a.idxMu.Unlock()
 	a.bumpLocked()
 	return nil
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

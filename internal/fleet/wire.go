@@ -8,20 +8,20 @@
 // collector is marked degraded, then failed and excluded from the
 // merge, but reads never turn into 5xxs.
 //
-// The sync frame is the package's wire unit. Its framing follows the
-// checkpoint format's discipline (magic, explicit version, hand-rolled
-// little-endian records, hostile-input validation before allocation)
-// and its payloads are the core snapshot/delta record encodings, so a
-// mirrored snapshot is bit-identical to what the collector exported.
+// The sync frame is the package's wire unit. It is written and read
+// through the same codec as the checkpoint format (internal/binio:
+// magic, explicit version, little-endian fields, hostile-input
+// validation before allocation) and its payloads are the core
+// snapshot/delta record encodings, so a mirrored snapshot is
+// bit-identical to what the collector exported.
 package fleet
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 
+	"daccor/internal/binio"
 	"daccor/internal/core"
 )
 
@@ -105,54 +105,46 @@ type Frame struct {
 	Sections  []Section
 }
 
-// EncodeFrame writes f in the DFLT wire format.
+// EncodeFrame writes f in the DFLT wire format:
+//
+//	frame:   magic "DFLT" | u16 version | string collector | u64 instance
+//	         | u64 seq | u32 sections | section…
+//	section: string device | u8 kind | kind's payload
+//	full:    u64 epoch | snapshot body (core.WriteSnapshotRecords)
+//	delta:   u64 base epoch | u64 epoch | delta (core.WriteDelta)
+//	remove:  no payload
+//
+// A string is a u16 length and its bytes.
 func EncodeFrame(w io.Writer, f Frame) error {
-	bw := bufio.NewWriter(w)
-	bw.WriteString(frameMagic)
-	var u16 [2]byte
-	var u64 [8]byte
-	binary.LittleEndian.PutUint16(u16[:], frameVersion)
-	bw.Write(u16[:])
-	if err := writeString(bw, f.Collector, MaxCollectorID); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(u64[:], f.Instance)
-	bw.Write(u64[:])
-	binary.LittleEndian.PutUint64(u64[:], f.Seq)
-	bw.Write(u64[:])
 	if len(f.Sections) > MaxFrameSections {
 		return fmt.Errorf("%w: %d sections exceeds limit %d", ErrBadFrame, len(f.Sections), MaxFrameSections)
 	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(f.Sections)))
-	bw.Write(u32[:])
+	bw := binio.NewWriter(w)
+	bw.Magic(frameMagic)
+	bw.U16(frameVersion)
+	bw.String(f.Collector, MaxCollectorID)
+	bw.U64(f.Instance)
+	bw.U64(f.Seq)
+	bw.U32(uint32(len(f.Sections)))
 	for _, s := range f.Sections {
-		if err := writeString(bw, s.Device, MaxDeviceID); err != nil {
-			return err
-		}
-		bw.WriteByte(byte(s.Kind))
+		bw.String(s.Device, MaxDeviceID)
+		bw.U8(uint8(s.Kind))
 		switch s.Kind {
 		case SectionFull:
-			binary.LittleEndian.PutUint64(u64[:], s.Epoch)
-			bw.Write(u64[:])
-			if _, err := core.EncodeSnapshotRecords(bw, s.Snap); err != nil {
-				return err
-			}
+			bw.U64(s.Epoch)
+			core.WriteSnapshotRecords(bw, s.Snap)
 		case SectionDelta:
-			binary.LittleEndian.PutUint64(u64[:], s.BaseEpoch)
-			bw.Write(u64[:])
-			binary.LittleEndian.PutUint64(u64[:], s.Epoch)
-			bw.Write(u64[:])
-			if _, err := core.EncodeDelta(bw, s.Delta); err != nil {
-				return err
-			}
+			bw.U64(s.BaseEpoch)
+			bw.U64(s.Epoch)
+			core.WriteDelta(bw, s.Delta)
 		case SectionRemove:
 			// No payload.
 		default:
 			return fmt.Errorf("%w: unknown section kind %d", ErrBadFrame, s.Kind)
 		}
 	}
-	return bw.Flush()
+	_, err := bw.Flush()
+	return err
 }
 
 // DecodeFrame parses and validates one sync frame. Hostile input —
@@ -160,133 +152,59 @@ func EncodeFrame(w io.Writer, f Frame) error {
 // device sections, a delta whose Epoch does not advance past its
 // BaseEpoch (an epoch regression: collector epochs are monotone, so a
 // frame claiming otherwise is corrupt or confused and must not touch
-// a mirror), corrupt snapshot or delta records — errors; it never
-// panics and never allocates proportionally to a claimed count before
-// validating it.
-func DecodeFrame(r io.Reader) (Frame, error) {
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: short magic: %v", ErrBadFrame, err)
+// a mirror), corrupt snapshot or delta records, trailing bytes — fails
+// with ErrBadFrame and the offset; it never panics and never allocates
+// proportionally to a claimed count before validating it.
+func DecodeFrame(rd io.Reader) (Frame, error) {
+	r := binio.NewReader(rd, ErrBadFrame)
+	r.Magic(frameMagic)
+	if v := r.U16("version"); v != frameVersion {
+		r.Fail("unsupported version %d", v)
 	}
-	if string(magic[:]) != frameMagic {
-		return Frame{}, fmt.Errorf("%w: bad magic %q", ErrBadFrame, magic)
-	}
-	var u16 [2]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: short version: %v", ErrBadFrame, err)
-	}
-	if v := binary.LittleEndian.Uint16(u16[:]); v != frameVersion {
-		return Frame{}, fmt.Errorf("%w: unsupported version %d", ErrBadFrame, v)
-	}
-	var f Frame
-	var err error
-	if f.Collector, err = readString(br, MaxCollectorID); err != nil {
-		return Frame{}, fmt.Errorf("%w: collector id: %v", ErrBadFrame, err)
-	}
-	if f.Collector == "" {
-		return Frame{}, fmt.Errorf("%w: empty collector id", ErrBadFrame)
-	}
-	var u64 [8]byte
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: short instance: %v", ErrBadFrame, err)
-	}
-	f.Instance = binary.LittleEndian.Uint64(u64[:])
-	if _, err := io.ReadFull(br, u64[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: short seq: %v", ErrBadFrame, err)
-	}
-	f.Seq = binary.LittleEndian.Uint64(u64[:])
-	var u32 [4]byte
-	if _, err := io.ReadFull(br, u32[:]); err != nil {
-		return Frame{}, fmt.Errorf("%w: short section count: %v", ErrBadFrame, err)
-	}
-	n := binary.LittleEndian.Uint32(u32[:])
-	if n > MaxFrameSections {
-		return Frame{}, fmt.Errorf("%w: %d sections exceeds limit %d", ErrBadFrame, n, MaxFrameSections)
-	}
+	f := Frame{Collector: readID(r, "collector id", MaxCollectorID)}
+	f.Instance = r.U64("instance")
+	f.Seq = r.U64("seq")
+	n := r.Count("section count", MaxFrameSections)
 	seen := make(map[string]struct{}, n)
-	for i := uint32(0); i < n; i++ {
-		var s Section
-		if s.Device, err = readString(br, MaxDeviceID); err != nil {
-			return Frame{}, fmt.Errorf("%w: section %d device: %v", ErrBadFrame, i, err)
-		}
-		if s.Device == "" {
-			return Frame{}, fmt.Errorf("%w: section %d: empty device id", ErrBadFrame, i)
-		}
+	for i := 0; i < n && r.Err() == nil; i++ {
+		s := Section{Device: readID(r, "device id", MaxDeviceID)}
 		if _, dup := seen[s.Device]; dup {
 			// Two sections for one device would make the applied state
 			// depend on section order; reject rather than guess.
-			return Frame{}, fmt.Errorf("%w: duplicate section for device %q", ErrBadFrame, s.Device)
+			r.Fail("duplicate section for device %q", s.Device)
 		}
 		seen[s.Device] = struct{}{}
-		kind, err := br.ReadByte()
-		if err != nil {
-			return Frame{}, fmt.Errorf("%w: section %d kind: %v", ErrBadFrame, i, err)
-		}
-		s.Kind = SectionKind(kind)
+		s.Kind = SectionKind(r.U8("section kind"))
 		switch s.Kind {
 		case SectionFull:
-			if _, err := io.ReadFull(br, u64[:]); err != nil {
-				return Frame{}, fmt.Errorf("%w: section %d epoch: %v", ErrBadFrame, i, err)
-			}
-			s.Epoch = binary.LittleEndian.Uint64(u64[:])
-			if s.Snap, err = core.DecodeSnapshotRecords(br); err != nil {
-				return Frame{}, fmt.Errorf("%w: section %d snapshot: %v", ErrBadFrame, i, err)
-			}
+			s.Epoch = r.U64("epoch")
+			s.Snap = core.ReadSnapshotRecords(r)
 		case SectionDelta:
-			if _, err := io.ReadFull(br, u64[:]); err != nil {
-				return Frame{}, fmt.Errorf("%w: section %d base epoch: %v", ErrBadFrame, i, err)
+			s.BaseEpoch = r.U64("base epoch")
+			if s.Epoch = r.U64("epoch"); s.Epoch <= s.BaseEpoch {
+				r.Fail("delta epoch %d does not advance past base %d", s.Epoch, s.BaseEpoch)
 			}
-			s.BaseEpoch = binary.LittleEndian.Uint64(u64[:])
-			if _, err := io.ReadFull(br, u64[:]); err != nil {
-				return Frame{}, fmt.Errorf("%w: section %d epoch: %v", ErrBadFrame, i, err)
-			}
-			s.Epoch = binary.LittleEndian.Uint64(u64[:])
-			if s.Epoch <= s.BaseEpoch {
-				return Frame{}, fmt.Errorf("%w: section %d: delta epoch %d does not advance past base %d",
-					ErrBadFrame, i, s.Epoch, s.BaseEpoch)
-			}
-			if s.Delta, err = core.DecodeDelta(br); err != nil {
-				return Frame{}, fmt.Errorf("%w: section %d delta: %v", ErrBadFrame, i, err)
-			}
+			s.Delta = core.ReadDelta(r)
 		case SectionRemove:
 			// No payload.
 		default:
-			return Frame{}, fmt.Errorf("%w: section %d: unknown kind %d", ErrBadFrame, i, kind)
+			r.Fail("unknown section kind %d", s.Kind)
 		}
 		f.Sections = append(f.Sections, s)
 	}
-	// Trailing bytes mean the sender and receiver disagree about the
-	// frame length — a framing bug that must not pass silently.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return Frame{}, fmt.Errorf("%w: trailing bytes after last section", ErrBadFrame)
+	r.End()
+	if err := r.Err(); err != nil {
+		return Frame{}, err
 	}
 	return f, nil
 }
 
-func writeString(bw *bufio.Writer, s string, max int) error {
-	if len(s) > max {
-		return fmt.Errorf("%w: identifier %d bytes exceeds limit %d", ErrBadFrame, len(s), max)
+// readID reads a collector or device identifier, which must not be
+// empty.
+func readID(r *binio.Reader, what string, max int) string {
+	id := r.String(what, max)
+	if id == "" {
+		r.Fail("empty %s", what)
 	}
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(s)))
-	bw.Write(u16[:])
-	_, err := bw.WriteString(s)
-	return err
-}
-
-func readString(br *bufio.Reader, max int) (string, error) {
-	var u16 [2]byte
-	if _, err := io.ReadFull(br, u16[:]); err != nil {
-		return "", err
-	}
-	n := int(binary.LittleEndian.Uint16(u16[:]))
-	if n > max {
-		return "", fmt.Errorf("length %d exceeds limit %d", n, max)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return id
 }
