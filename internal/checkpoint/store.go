@@ -20,6 +20,8 @@
 package checkpoint
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -147,10 +149,17 @@ const (
 	tmpPrefix  = "tmp-"
 )
 
+// maxDirName is the longest file name common filesystems take
+// (NAME_MAX).
+const maxDirName = 255
+
 // deviceDir maps a device ID onto a filesystem-safe subdirectory name:
 // letters, digits, '.', '_' and '-' pass through, every other byte is
 // %XX-escaped (so distinct IDs cannot collide), and the escape also
-// covers "." / ".." and empty IDs.
+// covers "." / ".." and empty IDs. A name the escape makes longer than
+// maxDirName is "%sha256-" and the ID's SHA-256 in hex instead, which
+// no escaped name can be (an escape's '%' is followed by an upper-case
+// hex digit, a '.' or nothing).
 func deviceDir(id string) string {
 	var b strings.Builder
 	for i := 0; i < len(id); i++ {
@@ -164,8 +173,12 @@ func deviceDir(id string) string {
 		}
 	}
 	out := b.String()
-	if out == "" || out == "." || out == ".." {
+	switch {
+	case out == "" || out == "." || out == "..":
 		return "%" + out
+	case len(out) > maxDirName:
+		sum := sha256.Sum256([]byte(id))
+		return "%sha256-" + hex.EncodeToString(sum[:])
 	}
 	return out
 }

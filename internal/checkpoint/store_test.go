@@ -323,6 +323,39 @@ func TestDeviceDirEscaping(t *testing.T) {
 	if deviceDir("a/b") == deviceDir("a%2Fb") {
 		t.Error("escaping collides for a/b vs its escaped form")
 	}
+	// An ID whose escape would pass the file name limit is hashed, and
+	// one just inside the limit is not.
+	fits, long := strings.Repeat("a", maxDirName), strings.Repeat("/", 86)
+	if got := deviceDir(fits); got != fits {
+		t.Errorf("deviceDir of a %d-byte name = %q, want it unchanged", len(fits), got)
+	}
+	for _, id := range []string{fits + "b", long, long + "a"} {
+		got := deviceDir(id)
+		if len(got) > maxDirName || !strings.HasPrefix(got, "%sha256-") {
+			t.Errorf("deviceDir of a %d-byte id = %q, want a hashed name", len(id), got)
+		}
+	}
+	if deviceDir(long) == deviceDir(long+"a") {
+		t.Error("hashed names collide")
+	}
+}
+
+// TestLongDeviceIDSavesAndRestores saves and restores a device whose
+// escaped ID is longer than a file name may be.
+func TestLongDeviceIDSavesAndRestores(t *testing.T) {
+	s := mustOpen(t, Config{})
+	id := strings.Repeat("/", 256)
+	a := testAnalyzer(t, 50)
+	if _, err := s.Save(id, a); err != nil {
+		t.Fatalf("Save: %v", err)
+	}
+	got, _, err := s.Restore(id)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
+	}
+	if !reflect.DeepEqual(a.Snapshot(0), got.Snapshot(0)) {
+		t.Error("restored snapshot differs from saved")
+	}
 }
 
 func TestLatest(t *testing.T) {

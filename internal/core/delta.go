@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"slices"
 
 	"daccor/internal/binio"
@@ -112,6 +113,47 @@ func appendExport[K comparable, E any](out []E, entries []Entry[K], minSupport u
 	return out
 }
 
+// walkSorted is the one walk over two runs in export order, each
+// holding a key at most once. It yields every entry's index with its
+// side, in the merged order: (i, -1) for an entry of a that b has no
+// twin of, (-1, j) for an entry of b alone, and (i, j) for two that cmp
+// calls equal — the same key at the same counter, whose tiers may still
+// differ. Diff, patch (so Apply and Exporter) and the merge index's
+// update are this walk with different steps.
+func walkSorted[E any](a, b []E, cmp func(x, y E) int) iter.Seq2[int, int] {
+	return func(yield func(i, j int) bool) {
+		i, j := 0, 0
+		for i < len(a) && j < len(b) {
+			var more bool
+			switch c := cmp(a[i], b[j]); {
+			case c < 0:
+				more = yield(i, -1)
+				i++
+			case c > 0:
+				more = yield(-1, j)
+				j++
+			default:
+				more = yield(i, j)
+				i++
+				j++
+			}
+			if !more {
+				return
+			}
+		}
+		for ; i < len(a); i++ {
+			if !yield(i, -1) {
+				return
+			}
+		}
+		for ; j < len(b); j++ {
+			if !yield(-1, j) {
+				return
+			}
+		}
+	}
+}
+
 // diffSorted walks two sorted exports of one table side by side. An
 // entry with an identical twin on the other side is unchanged and
 // passes by; what is left over on the new side is an upsert as it
@@ -120,27 +162,14 @@ func appendExport[K comparable, E any](out []E, entries []Entry[K], minSupport u
 // upserted — the only lookup the diff needs, over the upserts alone.
 func diffSorted[K comparable, E comparable](old, new []E, ops exportOps[K, E]) (upserts []E, deletes []K) {
 	var left []K // keys of old's leftovers, in old's order
-	i, j := 0, 0
-	for i < len(old) && j < len(new) {
-		switch c := ops.cmp(old[i], new[j]); {
-		case c < 0:
+	for i, j := range walkSorted(old, new, ops.cmp) {
+		switch {
+		case j < 0:
 			left = append(left, ops.key(old[i]))
-			i++
-		case c > 0:
+		case i < 0 || old[i] != new[j]:
 			upserts = append(upserts, new[j])
-			j++
-		default: // same counter and key; the tier may still differ
-			if old[i] != new[j] {
-				upserts = append(upserts, new[j])
-			}
-			i++
-			j++
 		}
 	}
-	for ; i < len(old); i++ {
-		left = append(left, ops.key(old[i]))
-	}
-	upserts = append(upserts, new[j:]...)
 	if len(left) == 0 {
 		return upserts, nil
 	}
@@ -165,21 +194,18 @@ func diffSorted[K comparable, E comparable](old, new []E, ops exportOps[K, E]) (
 // drop does not name, merged with patch, and returns the extended
 // slice. prev and patch are in export order and patch holds no key
 // that survives in prev — callers make drop name every key of patch —
-// so the result is sorted with each key once. One sequential pass over
-// prev; drop is asked exactly once per entry of prev, in order.
+// so the result is sorted with each key once. One walk over both; drop
+// is asked exactly once per entry of prev, in order.
 func patchSorted[K comparable, E any](out, prev, patch []E, ops exportOps[K, E], drop func(K) bool) []E {
-	j := 0
-	for _, q := range prev {
-		if drop(ops.key(q)) {
-			continue
+	for i, j := range walkSorted(prev, patch, ops.cmp) {
+		if i >= 0 && !drop(ops.key(prev[i])) {
+			out = append(out, prev[i])
 		}
-		for j < len(patch) && ops.cmp(patch[j], q) < 0 {
+		if j >= 0 {
 			out = append(out, patch[j])
-			j++
 		}
-		out = append(out, q)
 	}
-	return append(out, patch[j:]...)
+	return out
 }
 
 // Apply transforms a base snapshot by the delta, returning the sorted

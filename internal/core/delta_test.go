@@ -263,7 +263,7 @@ func TestDiffApplyDifferential(t *testing.T) {
 
 // TestPatchSortedAsksDropOncePerEntry pins the contract Apply's conflict
 // check leans on: drop hears every entry of prev exactly once, in
-// order, wherever the patch entries fall among them.
+// order, wherever walkSorted places the patch entries among them.
 func TestPatchSortedAsksDropOncePerEntry(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {

@@ -13,7 +13,7 @@ import (
 // which (the entries stamped since the previous capture, and the keys
 // its tables discarded), so the new export is the previous one minus
 // those keys, merged with the moved entries in sorted order: patchSorted,
-// the pass SnapshotDelta.Apply and the merge index's materializer make.
+// the pass SnapshotDelta.Apply makes too.
 // Partitions own disjoint keys (PartitionOf), so the group's captures
 // combine by concatenation and one patch serves every P.
 //

@@ -18,12 +18,12 @@ import (
 // epoch bump, and re-merging everything per read is O(total live
 // entries) with two fresh dedup maps; the CHH literature maintains its
 // combined summaries per update for exactly this reason. An update is
-// one merge walk from the source's previous export to its new one,
-// touching the union only where they differ. A bounded read (State) is
-// one linear pass over the pair arena and builds nothing table-sized;
-// only the unbounded read (Snapshot) materializes the sorted export,
-// paying O(changed since the last one · log changed) to patch it while
-// it has a predecessor to patch.
+// one walk (walkSorted) from the source's previous export to its new
+// one, touching the union only where they differ. A bounded read
+// (State) is one linear pass over the pair arena and builds nothing
+// table-sized; only the unbounded read (Snapshot) materializes the
+// sorted export, by sorting the live arena — no served read asks for
+// it, so the index keeps nothing between reads to make it cheaper.
 //
 // Layout follows the PR 5 probe discipline: per side (items, pairs) an
 // open-addressing oaMap keys into an arena of union entries holding a
@@ -37,14 +37,10 @@ import (
 // source beyond it, so the union costs its own arena over the exports
 // its callers already hold.
 //
-// Entries and slots are free-listed and scratch buffers are reused, so
-// steady-state maintenance does not allocate; each materialized
-// Snapshot is a fresh exact-size allocation (the previous one may
-// still be referenced by readers) built by merging the previous sorted
-// output with a sorted patch of the keys changed since — allocation
-// count per read is constant, independent of union size. The change
-// list exists only beside a materialized export and never outgrows it,
-// so an index that is only asked for bounded reads keeps none.
+// Entries and slots are free-listed and the walk's scratch is reused,
+// so steady-state maintenance does not allocate; each materialized
+// Snapshot is a fresh exact-size slice per side, so the allocation
+// count per read is constant, independent of union size.
 //
 // A MergeIndex is not safe for concurrent use; callers wrap it in the
 // cache lock that already guards their merged view.
@@ -71,7 +67,7 @@ func (m *MergeIndex) Len() (items, pairs int) { return m.items.live, m.pairs.liv
 
 // Update makes snap the source's contribution to the union, registering
 // an unknown source: one merge walk per side from the export the source
-// was last fed to snap (see mergeSide.advance), so entries the two share
+// was last fed to snap (mergeSide.advance), so entries the two share
 // never move and an anti-entropy full sync is exactly as cheap as any
 // other. snap must hold each key at most once per table, at Tier1 or
 // Tier2; the result is right in any order, and the walk is linear when
@@ -87,28 +83,29 @@ func (m *MergeIndex) Update(source string, snap Snapshot) {
 	m.sources[source] = snap
 }
 
-// Remove takes the source's last export out of the union — the walk of
-// Update to an empty export — and forgets the source. Removing an
-// unknown source is a no-op. This is the device-unregister /
-// collector-failed path.
+// Remove takes the source's last export out of the union, one
+// subtraction per entry, and forgets the source. Removing an unknown
+// source is a no-op. This is the device-unregister / collector-failed
+// path.
 func (m *MergeIndex) Remove(source string) {
 	old, ok := m.sources[source]
 	if !ok {
 		return
 	}
-	m.items.advance(old.Items, nil)
-	m.pairs.advance(old.Pairs, nil)
+	for _, e := range old.Items {
+		m.items.sub(e)
+	}
+	for _, e := range old.Pairs {
+		m.pairs.sub(e)
+	}
 	delete(m.sources, source)
 }
 
 // Snapshot materializes the union as a sorted export, identical to
-// MergeSnapshots over the sources' current states. Unchanged reads
-// return the previous value; otherwise the dirty keys are deduped,
-// their current values sorted into a patch, and the patch is merged
-// with the previous sorted output in one linear pass — or, with no
-// previous output to patch (the first call, and the first after more
-// changed than it held), the arena is sorted in full. The result is
-// read-only and remains valid after further index mutations.
+// MergeSnapshots over the sources' current states: the live arena
+// copied into a fresh exact-size slice per side and sorted. Nothing is
+// kept between calls, so each one costs O(live · log live); the result
+// is the caller's and stays valid after further index mutations.
 func (m *MergeIndex) Snapshot() Snapshot {
 	var s Snapshot
 	if p := m.pairs.materialize(); len(p) > 0 {
@@ -145,8 +142,7 @@ type unionEntry[K comparable] struct {
 }
 
 // mergeSide is one half (items or pairs) of the union: the keyed
-// aggregate plus everything needed to re-materialize the sorted export
-// incrementally.
+// aggregate over a free-listed arena.
 type mergeSide[K comparable, E comparable] struct {
 	idx   *oaMap[K]
 	arena []unionEntry[K]
@@ -157,26 +153,12 @@ type mergeSide[K comparable, E comparable] struct {
 	// done; reused across walks.
 	gone []E
 
-	// prev is the last materialized output; immutable once returned.
-	// It is kept for as long as patching it is cheaper than sorting the
-	// arena again — see touch.
-	prev   []E
-	prevOK bool
-
-	// dirty lists the keys touched since prev was materialized
-	// (duplicates allowed — deduped through dirtySet at read time). It
-	// is empty whenever prev is not valid.
-	dirty    []K
-	dirtySet map[K]struct{}
-	patch    []E
-
 	ops exportOps[K, E]
 }
 
 func (u *mergeSide[K, E]) init(ops exportOps[K, E]) {
 	u.idx = newOAMap[K](0)
 	u.free = nilSlot
-	u.dirtySet = make(map[K]struct{})
 	u.ops = ops
 }
 
@@ -188,58 +170,31 @@ func (u *mergeSide[K, E]) lookup(k K) uint32 {
 	return clampCount(u.arena[slot].sum)
 }
 
-// touch records that k's union entry changed, for the next
-// materialize to patch prev with. Nothing is recorded without a prev,
-// and a list grown longer than prev is dropped together with it: a
-// patch at least as long as the table patches nothing, so the next
-// materialize sorts from the arena instead. That bounds the list by the
-// export it belongs to however long the index goes unread.
-func (u *mergeSide[K, E]) touch(k K) {
-	if !u.prevOK {
-		return
-	}
-	u.dirty = append(u.dirty, k)
-	if len(u.dirty) > len(u.prev) {
-		u.dirty, u.prev, u.prevOK = nil, nil, false
-	}
-}
-
 // advance moves one source's contribution from old to new, two exports
-// of it in export order, in one merge walk: identical entries pass by,
-// new's leftovers are added and then old's leftovers are subtracted.
-// Adding first means a key whose counter or tier moved keeps at least
-// one holder throughout, so its union entry is adjusted in place rather
+// of it in export order, in one walk: identical entries pass by, new's
+// leftovers are added and then old's leftovers are subtracted. Adding
+// first means a key whose counter or tier moved keeps at least one
+// holder throughout, so its union entry is adjusted in place rather
 // than freed and made again. The result is right for any two inputs
 // whose keys are unique per side — an entry the walk leaves unpaired is
 // added from one side or subtracted from the other, whatever its
-// position — and the order only makes the walk linear.
+// position — and the order only makes the walk linear. The loop body
+// is kept small enough for the compiler to inline it into the walk;
+// one it does not inline costs a closure call per entry.
 func (u *mergeSide[K, E]) advance(old, new []E) {
 	gone := u.gone[:0]
-	i, j := 0, 0
-	for i < len(old) && j < len(new) {
-		switch c := u.ops.cmp(old[i], new[j]); {
-		case c < 0:
-			gone = append(gone, old[i])
-			i++
-		case c > 0:
+	for i, j := range walkSorted(old, new, u.ops.cmp) {
+		if i >= 0 && j >= 0 && old[i] == new[j] {
+			continue
+		}
+		if j >= 0 {
 			u.add(new[j])
-			j++
-		default: // same counter and key; the tier may still differ
-			if old[i] != new[j] {
-				gone = append(gone, old[i])
-				u.add(new[j])
-			}
-			i++
-			j++
+		}
+		if i >= 0 {
+			gone = append(gone, old[i])
 		}
 	}
-	for _, e := range new[j:] {
-		u.add(e)
-	}
 	for _, e := range gone {
-		u.sub(e)
-	}
-	for _, e := range old[i:] {
 		u.sub(e)
 	}
 	u.gone = gone[:0]
@@ -250,7 +205,6 @@ func (u *mergeSide[K, E]) advance(old, new []E) {
 func (u *mergeSide[K, E]) add(e E) {
 	k := u.ops.key(e)
 	count, tier := u.ops.value(e)
-	u.touch(k)
 	if slot, ok := u.idx.Get(k); ok {
 		ue := &u.arena[slot]
 		ue.sum += uint64(count)
@@ -282,7 +236,6 @@ func (u *mergeSide[K, E]) add(e E) {
 func (u *mergeSide[K, E]) sub(e E) {
 	k := u.ops.key(e)
 	count, tier := u.ops.value(e)
-	u.touch(k)
 	slot, _ := u.idx.Get(k)
 	ue := &u.arena[slot]
 	ue.sum -= uint64(count)
@@ -300,46 +253,17 @@ func (u *mergeSide[K, E]) sub(e E) {
 	}
 }
 
-// materialize returns the union's sorted export, rebuilding only what
-// changed: the previous output minus the dirty keys, linearly merged
-// with a freshly sorted patch of the dirty keys' current values
-// (patchSorted) — or the arena sorted in full when there is no previous
-// output. The output is a new exact-size slice (readers may still hold
-// the previous one); all working storage is reused across calls.
+// materialize returns the union's entries in export order, in a new
+// exact-size slice.
 func (u *mergeSide[K, E]) materialize() []E {
-	if u.prevOK && len(u.dirty) == 0 {
-		return u.prev
-	}
-	if !u.prevOK {
-		out := make([]E, 0, u.live)
-		for i := range u.arena {
-			e := &u.arena[i]
-			if e.refs > 0 {
-				out = append(out, u.ops.mk(e.key, clampCount(e.sum), tierOfUnion(e.t2)))
-			}
-		}
-		slices.SortFunc(out, u.ops.cmp)
-		u.prev, u.prevOK = out, true
-		return out
-	}
-	clear(u.dirtySet)
-	for _, k := range u.dirty {
-		u.dirtySet[k] = struct{}{}
-	}
-	u.patch = u.patch[:0]
-	for k := range u.dirtySet {
-		if slot, ok := u.idx.Get(k); ok {
-			e := &u.arena[slot]
-			u.patch = append(u.patch, u.ops.mk(k, clampCount(e.sum), tierOfUnion(e.t2)))
+	out := make([]E, 0, u.live)
+	for i := range u.arena {
+		e := &u.arena[i]
+		if e.refs > 0 {
+			out = append(out, u.ops.mk(e.key, clampCount(e.sum), tierOfUnion(e.t2)))
 		}
 	}
-	slices.SortFunc(u.patch, u.ops.cmp)
-	out := patchSorted(make([]E, 0, u.live), u.prev, u.patch, u.ops, func(k K) bool {
-		_, dirty := u.dirtySet[k]
-		return dirty
-	})
-	u.dirty = u.dirty[:0]
-	u.prev = out
+	slices.SortFunc(out, u.ops.cmp)
 	return out
 }
 
@@ -354,9 +278,8 @@ func tierOfUnion(t2 int32) Tier {
 // checkInvariants verifies the maintainer's accounting: every union
 // entry's sum, refcount, and Tier2 count must equal the aggregation of
 // the sources' stored exports, the oaMaps must satisfy their probe
-// invariants, live counts must match, and a change list exists only
-// beside the export it patches and is no longer than it. Test-only
-// (differential suite).
+// invariants, and live counts must match. Test-only (differential
+// suite).
 func (m *MergeIndex) checkInvariants() error {
 	if err := checkSideInvariants(&m.items, m.sources, func(s Snapshot) []ItemCount { return s.Items }); err != nil {
 		return fmt.Errorf("items: %w", err)
@@ -370,12 +293,6 @@ func (m *MergeIndex) checkInvariants() error {
 func checkSideInvariants[K comparable, E comparable](u *mergeSide[K, E], sources map[string]Snapshot, side func(Snapshot) []E) error {
 	if err := u.idx.checkInvariants(); err != nil {
 		return err
-	}
-	if !u.prevOK && len(u.dirty) != 0 {
-		return fmt.Errorf("change list holds %d keys with no export to patch", len(u.dirty))
-	}
-	if len(u.dirty) > len(u.prev) {
-		return fmt.Errorf("change list (%d keys) outgrew the export it patches (%d entries)", len(u.dirty), len(u.prev))
 	}
 	type agg struct {
 		sum  uint64

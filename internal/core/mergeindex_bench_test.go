@@ -8,15 +8,17 @@ import (
 	"daccor/internal/blktrace"
 )
 
-// Fan-in read-path benchmarks: the numbers behind the incremental
-// merged-view work. The scenario is the steady state every fleet
-// deployment converges to — N mirrored devices, one of which changed
-// since the last read — measured three ways: update the one source
-// through the MergeIndex and materialize its sorted export, the same
-// feed followed by the bounded read that builds no export, and
-// re-merging every mirror from scratch (core.MergeSnapshots). The
-// incremental side's allocs/op must not scale with the fleet's entry
-// count (TestMergeIndexSteadyStateAllocs pins it on this shape).
+// Fan-in read-path benchmarks. The scenario is the steady state every
+// fleet deployment converges to — N mirrored devices, one of which
+// changed since the last read — measured three ways, each named after
+// what it times: update-snapshot feeds the one source to the
+// MergeIndex and sorts the union into an export (MergeIndex.Snapshot,
+// which no served read asks for); update-state is the same feed
+// followed by the bounded read every /v1 merged route makes, which
+// builds no export; mergesnapshots re-merges every mirror from scratch
+// (core.MergeSnapshots, the oracle). The index reads' allocs/op must
+// not scale with the fleet's entry count
+// (TestMergeIndexSteadyStateAllocs pins it on this shape).
 
 // benchSourceSnapshot builds a deterministic per-device export over a
 // keyspace shared across devices (so the union overlaps, the
@@ -63,7 +65,7 @@ func BenchmarkMergedReadUnderIngest(b *testing.B) {
 		// answer away.
 		dirtyA, dirtyB := snaps[0], benchSourceSnapshot(rng, entriesPerDevice)
 
-		b.Run(fmt.Sprintf("devices-%d/incremental", devices), func(b *testing.B) {
+		b.Run(fmt.Sprintf("devices-%d/update-snapshot", devices), func(b *testing.B) {
 			idx := NewMergeIndex()
 			for i, s := range snaps {
 				idx.Update(names[i], s)
@@ -89,7 +91,7 @@ func BenchmarkMergedReadUnderIngest(b *testing.B) {
 
 		// What /v1/rules?top=64 asks of the same fleet: no sorted
 		// export at all, one pass over the union per dirtying.
-		b.Run(fmt.Sprintf("devices-%d/bounded", devices), func(b *testing.B) {
+		b.Run(fmt.Sprintf("devices-%d/update-state", devices), func(b *testing.B) {
 			idx := NewMergeIndex()
 			for i, s := range snaps {
 				idx.Update(names[i], s)
@@ -108,7 +110,7 @@ func BenchmarkMergedReadUnderIngest(b *testing.B) {
 			}
 		})
 
-		b.Run(fmt.Sprintf("devices-%d/fromscratch", devices), func(b *testing.B) {
+		b.Run(fmt.Sprintf("devices-%d/mergesnapshots", devices), func(b *testing.B) {
 			cur := make([]Snapshot, devices)
 			copy(cur, snaps)
 			b.ReportAllocs()

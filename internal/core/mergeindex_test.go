@@ -97,34 +97,11 @@ func requireUnionEqual(t *testing.T, step int, idx *MergeIndex, states map[strin
 
 // unionReader decides, step by step, how a differential walk reads the
 // index: in stretches of bounded reads (State), of unbounded ones
-// (Snapshot), and of no read at all. The sorted export is lazy and its
-// change list bounded by it, so what a Snapshot has to do depends on
-// what was read and fed before it; the reader counts the three ways it
-// can come about so a walk can insist it met each.
+// (Snapshot), and of no read at all.
 type unionReader struct {
 	rng  *rand.Rand
 	mode int // 0 State, 1 Snapshot, 2 no read
 	left int // steps left in this stretch
-
-	dropped int // an export (with its change list) given up between reads
-	rebuilt int // Snapshots that sorted the arena: no export to patch
-	patched int // Snapshots that patched the previous export
-}
-
-// exportsValid reports whether each side holds a materialized export.
-func exportsValid(idx *MergeIndex) (pairs, items bool) {
-	return idx.pairs.prevOK, idx.items.prevOK
-}
-
-// feed runs one mutation of the index and notes whether it pushed a
-// change list past its bound.
-func (r *unionReader) feed(idx *MergeIndex, mutate func()) {
-	pairsBefore, itemsBefore := exportsValid(idx)
-	mutate()
-	pairsAfter, itemsAfter := exportsValid(idx)
-	if (pairsBefore && !pairsAfter) || (itemsBefore && !itemsAfter) {
-		r.dropped++
-	}
 }
 
 // check reads the index the way the current stretch says and holds
@@ -145,30 +122,11 @@ func (r *unionReader) check(t *testing.T, step int, idx *MergeIndex, states map[
 				step, minSupport, minConf, top, len(got.Pairs), got.TotalPairs, len(got.Rules))
 		}
 	case 1:
-		pairsOK, itemsOK := exportsValid(idx)
-		switch {
-		case !pairsOK || !itemsOK:
-			r.rebuilt++
-		case len(idx.pairs.dirty)+len(idx.items.dirty) > 0:
-			r.patched++
-		}
 		requireUnionEqual(t, step, idx, states)
 		return
 	}
 	if err := idx.checkInvariants(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
-	}
-}
-
-// requireEveryExportPath fails a walk that did not drive the lazy
-// export through its whole cycle: a change list dropped for outgrowing
-// its export, the from-scratch rebuild that follows, and patched
-// exports after that.
-func (r *unionReader) requireEveryExportPath(t *testing.T) {
-	t.Helper()
-	if r.dropped == 0 || r.rebuilt < 2 || r.patched == 0 {
-		t.Fatalf("walk met %d dropped change lists, %d rebuilt exports, %d patched ones: want each (and a rebuild beyond the first)",
-			r.dropped, r.rebuilt, r.patched)
 	}
 }
 
@@ -185,7 +143,7 @@ func TestMergeIndexDifferential(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 3: // full update (covers anti-entropy re-feed)
 				next := genSnapshot(rng, keyspace)
-				reader.feed(idx, func() { idx.Update(src, next) })
+				idx.Update(src, next)
 				states[src] = next
 			case op < 4: // the walk needs unique keys per side, not order
 				next := genSnapshot(rng, keyspace)
@@ -196,7 +154,7 @@ func TestMergeIndexDifferential(t *testing.T) {
 				rng.Shuffle(len(shuffled.Items), func(i, j int) {
 					shuffled.Items[i], shuffled.Items[j] = shuffled.Items[j], shuffled.Items[i]
 				})
-				reader.feed(idx, func() { idx.Update(src, shuffled) })
+				idx.Update(src, shuffled)
 				states[src] = next
 			case op < 8: // incremental delta from the current state
 				next := genSnapshot(rng, keyspace)
@@ -204,10 +162,10 @@ func TestMergeIndexDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d step %d: Apply: %v", seed, step, err)
 				}
-				reader.feed(idx, func() { idx.Update(src, applied) })
+				idx.Update(src, applied)
 				states[src] = next
 			case op < 9: // source removal replays the negative delta
-				reader.feed(idx, func() { idx.Remove(src) })
+				idx.Remove(src)
 				delete(states, src)
 			default: // a conflicting delta is rejected before it reaches the index
 				if _, ok := states[src]; !ok {
@@ -220,7 +178,6 @@ func TestMergeIndexDifferential(t *testing.T) {
 			}
 			reader.check(t, step, idx, states)
 		}
-		reader.requireEveryExportPath(t)
 		// Drain: removal all the way back to empty must converge on the
 		// empty union, not a residue.
 		for _, src := range sources {
@@ -391,23 +348,22 @@ func TestMergeIndexSteadyStateAllocs(t *testing.T) {
 		})
 	}
 
-	// A 32-key keyspace, so sources overlap heavily. It stops at 64
-	// sources: at 256 one update touches more keys than the saturated
-	// union holds, so touch drops the dirty list by design and it grows
-	// back from nil — the documented bound, not a regression.
+	// A 32-key keyspace, so sources overlap heavily.
 	keyspace32 := func(rng *rand.Rand) Snapshot { return genSnapshot(rng, 32) }
-	small, large := measure(4, keyspace32), measure(64, keyspace32)
+	small := measure(4, keyspace32)
 	// Two exact-size output slices per materialize, plus incidental
 	// runtime noise; the bound is deliberately loose — the invariant
 	// under test is size-independence, asserted below.
 	if small > 8 {
 		t.Errorf("steady-state merged read allocates %.0f times, want <= 8", small)
 	}
-	if large > small {
-		t.Errorf("allocs grew with fleet size: %0.f at 4 sources, %.0f at 64", small, large)
+	for _, n := range []int{64, 256} {
+		if large := measure(n, keyspace32); large > small {
+			t.Errorf("allocs grew with fleet size: %0.f at 4 sources, %.0f at %d", small, large, n)
+		}
 	}
 
-	// BenchmarkMergedReadUnderIngest's incremental shape: 128 entries
+	// BenchmarkMergedReadUnderIngest's shape: 128 entries
 	// per source at 8, 64 and 256 sources.
 	benchShape := func(rng *rand.Rand) Snapshot { return benchSourceSnapshot(rng, 128) }
 	var first float64

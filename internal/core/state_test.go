@@ -240,9 +240,7 @@ func TestStateAllocsBoundedByTop(t *testing.T) {
 
 // TestMergedStateAllocsBoundedByTop is TestStateAllocsBoundedByTop for
 // the merged view: a warm MergeIndex.State(top=64) allocates for its
-// K-entry results and nothing that grows with the union, and an index
-// that is fed and only ever read that way keeps no change list — there
-// is no sorted export for one to patch.
+// K-entry results and nothing that grows with the union.
 func TestMergedStateAllocsBoundedByTop(t *testing.T) {
 	allocs := func(entries int) float64 {
 		idx := NewMergeIndex()
@@ -258,15 +256,5 @@ func TestMergedStateAllocsBoundedByTop(t *testing.T) {
 	}
 	if large > 8 {
 		t.Errorf("State(top=64) allocates %.0f times per read, want a handful (result slices and sinks)", large)
-	}
-
-	rng := rand.New(rand.NewSource(3))
-	idx := NewMergeIndex()
-	for round := 0; round < 1000; round++ {
-		idx.Update("s", genSnapshot(rng, 64))
-		idx.State(1, 0.5, 64, WantPairs|WantRules)
-	}
-	if c := cap(idx.pairs.dirty) + cap(idx.items.dirty); c != 0 {
-		t.Errorf("an index only asked for bounded reads holds a change list of capacity %d, want none", c)
 	}
 }

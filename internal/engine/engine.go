@@ -64,11 +64,17 @@ const (
 	Block
 )
 
+// MaxDeviceID bounds a device ID in bytes. A fleet sync frame and the
+// aggregator's state carry each ID in at most this many bytes, so a
+// longer one could never leave its collector.
+const MaxDeviceID = 256
+
 // Errors returned by engine operations.
 var (
 	ErrStopped         = errors.New("engine: stopped")
 	ErrUnknownDevice   = errors.New("engine: unknown device")
 	ErrDuplicateDevice = errors.New("engine: device already registered")
+	ErrInvalidDeviceID = errors.New("engine: invalid device id")
 )
 
 // settings collects what the functional options configure.
@@ -327,10 +333,11 @@ func New(opts ...Option) (*Engine, error) {
 // checkpoint store is attached, the device restores its freshest valid
 // checkpoint generation instead of starting cold. Devices can be
 // registered while the engine is live; registering after Stop returns
-// ErrStopped.
+// ErrStopped. An ID must be 1 to MaxDeviceID bytes long
+// (ErrInvalidDeviceID).
 func (e *Engine) Register(id string) error {
-	if id == "" {
-		return errors.New("engine: device id must be non-empty")
+	if id == "" || len(id) > MaxDeviceID {
+		return fmt.Errorf("%w: %d bytes, want 1 to %d", ErrInvalidDeviceID, len(id), MaxDeviceID)
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -493,9 +500,6 @@ func (e *Engine) orderedShards() ([]*shard, uint64) {
 // event, then enqueues it under the engine's backpressure policy. For
 // per-event hot loops prefer resolving a Device handle once.
 func (e *Engine) Submit(id string, ev blktrace.Event) error {
-	if err := ev.Validate(); err != nil {
-		return err
-	}
 	s, err := e.shard(id)
 	if err != nil {
 		return err
@@ -514,11 +518,6 @@ func (e *Engine) Submit(id string, ev blktrace.Event) error {
 // retained after SubmitBatch returns: the caller may overwrite or pool
 // it at once (the HTTP ingest route decodes into a pooled slice).
 func (e *Engine) SubmitBatch(id string, evs []blktrace.Event) error {
-	for i := range evs {
-		if err := evs[i].Validate(); err != nil {
-			return fmt.Errorf("engine: batch event %d: %w", i, err)
-		}
-	}
 	s, err := e.shard(id)
 	if err != nil {
 		return err
@@ -620,9 +619,9 @@ func (e *Engine) WriteSnapshot(id string, w io.Writer) error {
 // omission is visible on /v1/healthz and in Stats).
 // Only the devices whose epochs moved since the last merged read of any
 // kind feed their exports into the engine's merge index, and the merged
-// export is patched from the previous one where one exists, so a fleet
-// read after one device changed costs linear passes over that device's
-// export and over the union, not a merge of the fleet. minSupport is
+// export is the union's live entries sorted, so a fleet read after one
+// device changed costs a linear pass over that device's export and a
+// sort of the union, not a merge of the fleet. minSupport is
 // applied to the merged view (a suffix cut of the count-sorted export)
 // rather than to each device before merging: a fleet-wide counter that
 // crosses the threshold is reported even when no single device's
@@ -943,9 +942,6 @@ func (d *Device) ID() string { return d.s.id }
 
 // Submit validates and enqueues one issue event, as Engine.Submit.
 func (d *Device) Submit(ev blktrace.Event) error {
-	if err := ev.Validate(); err != nil {
-		return err
-	}
 	return d.s.submit(ev)
 }
 
@@ -953,11 +949,6 @@ func (d *Device) Submit(ev blktrace.Event) error {
 // single lock acquisition, as Engine.SubmitBatch; the slice is not
 // retained after it returns.
 func (d *Device) SubmitBatch(evs []blktrace.Event) error {
-	for i := range evs {
-		if err := evs[i].Validate(); err != nil {
-			return fmt.Errorf("engine: batch event %d: %w", i, err)
-		}
-	}
 	return d.s.submitBatch(evs)
 }
 

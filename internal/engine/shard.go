@@ -747,12 +747,15 @@ func (s *shard) accepting() error {
 	return nil
 }
 
-// submit enqueues one pre-validated event: a CAS into the ring plus an
+// submit validates and enqueues one event: a CAS into the ring plus an
 // eventcount wake on the fast path. When the ring is full the
 // configured backpressure policy decides: DropOldest evicts the oldest
 // queued event (counted) so the producer never stalls, Block waits for
 // the router to free space.
 func (s *shard) submit(ev blktrace.Event) error {
+	if err := ev.Validate(); err != nil {
+		return err
+	}
 	if err := s.accepting(); err != nil {
 		return err
 	}
@@ -809,13 +812,19 @@ func (s *shard) waitPush(ev blktrace.Event) error {
 	}
 }
 
-// submitBatch enqueues a batch of pre-validated events. Backpressure
-// applies per event exactly as in submit; on ErrStopped or
+// submitBatch validates a batch of events, rejecting all of them for
+// the first invalid one, and enqueues them. Backpressure applies per
+// event exactly as in submit; on ErrStopped or
 // ErrDeviceUnavailable mid-batch the events enqueued so far remain
 // queued and are drained by the stopping router.
 func (s *shard) submitBatch(evs []blktrace.Event) error {
 	if len(evs) == 0 {
 		return nil
+	}
+	for i := range evs {
+		if err := evs[i].Validate(); err != nil {
+			return fmt.Errorf("engine: batch event %d: %w", i, err)
+		}
 	}
 	if err := s.accepting(); err != nil {
 		return err
@@ -987,14 +996,12 @@ func (s *shard) capture(fn func(core.RawGroup) error) error {
 }
 
 // encoding returns a capture group in the form of the device's single
-// synopsis file: the plain RawSnapshot encoding at P=1 (byte-for-byte
-// what a lone core.Analyzer writes), the combined (EncodeMerged) encoding
-// under the device-level config at P>1 — one file per device, loadable,
-// and re-splittable across a different P, however it was captured.
+// synopsis file: the combined (EncodeMerged) encoding under the
+// device-level config — one file per device, loadable, and
+// re-splittable across a different P, however it was captured. At P=1
+// nothing is shed and txCount is 0, so the bytes are what a lone
+// core.Analyzer writes.
 func (s *shard) encoding(g core.RawGroup) io.WriterTo {
-	if len(g) == 1 {
-		return g[0]
-	}
 	st := g.Stats()
 	st.Transactions += s.txCount.Load()
 	return mergedEncoding{g: g, cfg: s.deviceConfig(), stats: st}

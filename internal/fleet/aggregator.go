@@ -178,9 +178,8 @@ type Aggregator struct {
 	// it stands and only MergedSnapshot materializes it, without
 	// re-merging unchanged mirrors and without holding mu — ingest and
 	// fan-in reads only contend for the brief index mutation, never for
-	// a full merge. The index caches its own export (an unchanged read
-	// returns the previous value; requested supports are suffix cuts of
-	// it), so there is no second cache here to key. idxExcluded marks
+	// a full merge. Requested supports are suffix cuts of the index's
+	// reads, so there is no cache here to key. idxExcluded marks
 	// collectors whose sources were taken out of the union because
 	// they crossed FailAfter — a change of the merge without a version
 	// bump; their next accepted frame folds them back in. idxMu nests
@@ -530,11 +529,10 @@ func (a *Aggregator) Devices() []string {
 // collectors' exports: an aggregator that has converged answers
 // byte-for-byte what a single process holding all devices would. The
 // merge is incrementally maintained — Apply feeds each section's
-// changes into the union as it lands, so a read after one device's
-// delta re-sorts only that device's changed entries and never holds
-// the ingest mutex across a merge. This is the one read that
-// materializes the sorted export; MergedState scans the union as it
-// stands.
+// changes into the union as it lands, so a read sorts the union as it
+// stands and never holds the ingest mutex across a merge. This is the
+// one read that materializes the sorted export; MergedState scans the
+// union without sorting it.
 func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
 	a.readIndex(func(idx *core.MergeIndex) {
 		snap = idx.Snapshot().FilterSupport(minSupport)

@@ -10,12 +10,16 @@ import (
 	"math/rand"
 	"net/http"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"daccor/internal/blktrace"
+	"daccor/internal/checkpoint"
 	"daccor/internal/core"
+	"daccor/internal/engine"
+	"daccor/internal/monitor"
 	"daccor/internal/obs"
 )
 
@@ -204,6 +208,49 @@ func TestSyncDeltaFlow(t *testing.T) {
 		if build.Count() != want || build.Sum() <= 0 {
 			t.Fatalf("client %d: %s observed %d builds (%.6fs in all), want %d", i, MetricSyncBuild, build.Count(), build.Sum(), want)
 		}
+	}
+}
+
+// TestDeviceIDLengthBound pins the device ID bound at registration: an
+// ID one byte longer than a sync frame carries is refused, and one of
+// exactly that length syncs to the aggregator and registers with a
+// checkpoint store attached.
+func TestDeviceIDLengthBound(t *testing.T) {
+	longest := strings.Repeat("d", engine.MaxDeviceID)
+	e := newTestEngine(t, "ok")
+	defer e.Stop()
+	if err := e.Register(longest + "d"); !errors.Is(err, engine.ErrInvalidDeviceID) {
+		t.Fatalf("Register of a %d-byte id = %v, want ErrInvalidDeviceID", len(longest)+1, err)
+	}
+	if err := e.Register(longest); err != nil {
+		t.Fatalf("Register of a %d-byte id: %v", len(longest), err)
+	}
+	tf := newTestFleet(t, Config{}, e)
+	feed(t, e, "ok", 200, 1)
+	feed(t, e, longest, 200, 2)
+	tf.syncAll(t)
+	if got := tf.agg.Devices(); !slices.Contains(got, longest) || len(got) != 2 {
+		t.Fatalf("aggregator mirrors %d devices, want both of the collector's", len(got))
+	}
+	requireConverged(t, tf.agg, e)
+
+	store, err := checkpoint.Open(checkpoint.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec, err := engine.New(
+		engine.WithMonitor(monitor.Config{Window: monitor.StaticWindow(10 * time.Millisecond)}),
+		engine.WithAnalyzer(core.Config{ItemCapacity: 64, PairCapacity: 64}),
+		engine.WithCheckpoints(store, time.Hour),
+		engine.WithDevices(longest),
+	)
+	if err != nil {
+		t.Fatalf("engine with a checkpoint store and a %d-byte device id: %v", len(longest), err)
+	}
+	feed(t, ec, longest, 50, 3)
+	ec.Stop()
+	if _, ok := store.Latest(longest); !ok {
+		t.Fatal("no checkpoint written for the longest device id")
 	}
 }
 

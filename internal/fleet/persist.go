@@ -7,6 +7,7 @@ import (
 
 	"daccor/internal/binio"
 	"daccor/internal/core"
+	"daccor/internal/engine"
 )
 
 // Aggregator state persistence: aggregatord checkpoints its mirrors so
@@ -49,7 +50,7 @@ func (a *Aggregator) WriteTo(w io.Writer) (int64, error) {
 		bw.U64(m.lastSeq)
 		bw.U32(uint32(len(m.devices)))
 		for dev, dm := range m.devices {
-			bw.String(dev, MaxDeviceID)
+			bw.String(dev, engine.MaxDeviceID)
 			bw.U64(dm.epoch)
 			core.WriteSnapshotRecords(bw, dm.snap)
 		}
@@ -81,7 +82,7 @@ func (a *Aggregator) LoadState(rd io.Reader) error {
 		m.lastSeq = r.U64("last seq")
 		nd := r.Count("device count", MaxFrameSections)
 		for j := 0; j < nd && r.Err() == nil; j++ {
-			dev := readID(r, "device id", MaxDeviceID)
+			dev := readID(r, "device id", engine.MaxDeviceID)
 			if _, dup := m.devices[dev]; dup {
 				r.Fail("duplicate device %q", dev)
 			}

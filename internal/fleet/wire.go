@@ -23,6 +23,7 @@ import (
 
 	"daccor/internal/binio"
 	"daccor/internal/core"
+	"daccor/internal/engine"
 )
 
 // Frame wire constants.
@@ -30,10 +31,10 @@ const (
 	frameMagic   = "DFLT"
 	frameVersion = 1
 
-	// MaxCollectorID and MaxDeviceID bound identifier strings so a
-	// hostile frame cannot make the decoder allocate unboundedly.
+	// MaxCollectorID bounds the collector ID, and engine.MaxDeviceID
+	// each device ID, so a hostile frame cannot make the decoder
+	// allocate unboundedly.
 	MaxCollectorID = 256
-	MaxDeviceID    = 256
 	// MaxFrameSections bounds the device sections in one frame.
 	MaxFrameSections = 4096
 )
@@ -127,7 +128,7 @@ func EncodeFrame(w io.Writer, f Frame) error {
 	bw.U64(f.Seq)
 	bw.U32(uint32(len(f.Sections)))
 	for _, s := range f.Sections {
-		bw.String(s.Device, MaxDeviceID)
+		bw.String(s.Device, engine.MaxDeviceID)
 		bw.U8(uint8(s.Kind))
 		switch s.Kind {
 		case SectionFull:
@@ -167,7 +168,7 @@ func DecodeFrame(rd io.Reader) (Frame, error) {
 	n := r.Count("section count", MaxFrameSections)
 	seen := make(map[string]struct{}, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		s := Section{Device: readID(r, "device id", MaxDeviceID)}
+		s := Section{Device: readID(r, "device id", engine.MaxDeviceID)}
 		if _, dup := seen[s.Device]; dup {
 			// Two sections for one device would make the applied state
 			// depend on section order; reject rather than guess.
