@@ -129,11 +129,14 @@ func (s Stats) Add(o Stats) Stats {
 
 // Validate reports whether the configuration can build an analyzer.
 // It is the core leg of the unified Config/Validate surface shared
-// with monitor.Config and pipeline.Config.
+// with monitor.Config and pipeline.Config. A capacity is at most
+// MaxSnapshotCapacity, the bound LoadAnalyzer holds a snapshot header
+// to, so every analyzer built can be restored from its own checkpoint.
 func (c Config) Validate() error {
-	if c.ItemCapacity <= 0 || c.PairCapacity <= 0 {
-		return fmt.Errorf("core: capacities must be positive (items %d, pairs %d)",
-			c.ItemCapacity, c.PairCapacity)
+	if c.ItemCapacity <= 0 || c.PairCapacity <= 0 ||
+		c.ItemCapacity > MaxSnapshotCapacity || c.PairCapacity > MaxSnapshotCapacity {
+		return fmt.Errorf("core: capacities must be 1 to %d (items %d, pairs %d)",
+			MaxSnapshotCapacity, c.ItemCapacity, c.PairCapacity)
 	}
 	return nil
 }

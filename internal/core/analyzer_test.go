@@ -28,6 +28,20 @@ func TestNewAnalyzerValidation(t *testing.T) {
 	if _, err := NewAnalyzer(Config{ItemCapacity: 1, PairCapacity: 0}); err == nil {
 		t.Error("want error for zero PairCapacity")
 	}
+	// A capacity LoadAnalyzer would refuse must be refused up front, or
+	// the analyzer writes checkpoints it cannot restore.
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{ItemCapacity: MaxSnapshotCapacity, PairCapacity: MaxSnapshotCapacity}, true},
+		{Config{ItemCapacity: MaxSnapshotCapacity + 1, PairCapacity: 1}, false},
+		{Config{ItemCapacity: 1, PairCapacity: MaxSnapshotCapacity + 1}, false},
+	} {
+		if err := tc.cfg.Validate(); (err == nil) != tc.ok {
+			t.Errorf("Validate(%+v) = %v, want ok %v", tc.cfg, err, tc.ok)
+		}
+	}
 }
 
 func TestProcessCountsItemsAndPairs(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 
 	"daccor/internal/blktrace"
@@ -47,13 +48,22 @@ import (
 type MergeIndex struct {
 	items mergeSide[blktrace.Extent, ItemCount]
 	pairs mergeSide[blktrace.Pair, PairCount]
-	// sources holds each source's last export, by reference.
-	sources map[string]Snapshot
+	// sources holds each source's last export, by reference, and the
+	// Sync pass that last named it; mark numbers the passes.
+	sources map[string]mergeSource
+	mark    uint64
+	yield   func(string, Snapshot) bool // syncOne, bound once
+}
+
+type mergeSource struct {
+	snap Snapshot
+	mark uint64
 }
 
 // NewMergeIndex returns an empty maintainer.
 func NewMergeIndex() *MergeIndex {
-	m := &MergeIndex{sources: make(map[string]Snapshot)}
+	m := &MergeIndex{sources: make(map[string]mergeSource)}
+	m.yield = m.syncOne
 	m.items.init(itemOps)
 	m.pairs.init(pairOps)
 	return m
@@ -74,28 +84,56 @@ func (m *MergeIndex) Len() (items, pairs int) { return m.items.live, m.pairs.liv
 // snap is in export order, as every export is (Exporter.Export,
 // Snapshot, SnapshotDelta.Apply and the wire decoders, which reject
 // unsorted or duplicate records). The index keeps snap by reference
-// until the source's next Update or Remove, so the caller must not
-// mutate it afterwards.
+// until the source's next Update, so the caller must not mutate it
+// afterwards — which is why the export the source already holds (the
+// same arrays at the same lengths) returns at once.
 func (m *MergeIndex) Update(source string, snap Snapshot) {
-	old := m.sources[source]
-	m.items.advance(old.Items, snap.Items)
-	m.pairs.advance(old.Pairs, snap.Pairs)
-	m.sources[source] = snap
+	src := m.sources[source]
+	if !sameSlice(src.snap.Items, snap.Items) || !sameSlice(src.snap.Pairs, snap.Pairs) {
+		m.items.advance(src.snap.Items, snap.Items)
+		m.pairs.advance(src.snap.Pairs, snap.Pairs)
+	}
+	m.sources[source] = mergeSource{snap: snap, mark: m.mark}
 }
 
-// Remove takes the source's last export out of the union, one
+// Sync makes the union equal to the live sources' exports: each one is
+// Updated, and every source not named is taken out, one subtraction per
+// entry. A merged view need not track who joined or left; a Sync where
+// nothing changed walks and allocates nothing.
+func (m *MergeIndex) Sync(sources iter.Seq2[string, Snapshot]) {
+	m.mark++
+	sources(m.yield)
+	for id, src := range m.sources {
+		if src.mark != m.mark {
+			m.remove(id)
+		}
+	}
+}
+
+// syncOne is Sync's yield, held as a method value made once: a range
+// loop over the unknown iterator would allocate on every Sync.
+func (m *MergeIndex) syncOne(id string, snap Snapshot) bool {
+	m.Update(id, snap)
+	return true
+}
+
+// sameSlice reports whether a and b are one slice of one array.
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// remove takes the source's last export out of the union, one
 // subtraction per entry, and forgets the source. Removing an unknown
-// source is a no-op. This is the device-unregister / collector-failed
-// path.
-func (m *MergeIndex) Remove(source string) {
-	old, ok := m.sources[source]
+// source is a no-op.
+func (m *MergeIndex) remove(source string) {
+	src, ok := m.sources[source]
 	if !ok {
 		return
 	}
-	for _, e := range old.Items {
+	for _, e := range src.snap.Items {
 		m.items.sub(e)
 	}
-	for _, e := range old.Pairs {
+	for _, e := range src.snap.Pairs {
 		m.pairs.sub(e)
 	}
 	delete(m.sources, source)
@@ -290,7 +328,7 @@ func (m *MergeIndex) checkInvariants() error {
 	return nil
 }
 
-func checkSideInvariants[K comparable, E comparable](u *mergeSide[K, E], sources map[string]Snapshot, side func(Snapshot) []E) error {
+func checkSideInvariants[K comparable, E comparable](u *mergeSide[K, E], sources map[string]mergeSource, side func(Snapshot) []E) error {
 	if err := u.idx.checkInvariants(); err != nil {
 		return err
 	}
@@ -300,8 +338,8 @@ func checkSideInvariants[K comparable, E comparable](u *mergeSide[K, E], sources
 		t2   int32
 	}
 	want := make(map[K]agg)
-	for _, snap := range sources {
-		for _, e := range side(snap) {
+	for _, src := range sources {
+		for _, e := range side(src.snap) {
 			k := u.ops.key(e)
 			count, tier := u.ops.value(e)
 			a := want[k]

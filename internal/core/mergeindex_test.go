@@ -165,7 +165,7 @@ func TestMergeIndexDifferential(t *testing.T) {
 				idx.Update(src, applied)
 				states[src] = next
 			case op < 9: // source removal replays the negative delta
-				idx.Remove(src)
+				idx.remove(src)
 				delete(states, src)
 			default: // a conflicting delta is rejected before it reaches the index
 				if _, ok := states[src]; !ok {
@@ -181,7 +181,7 @@ func TestMergeIndexDifferential(t *testing.T) {
 		// Drain: removal all the way back to empty must converge on the
 		// empty union, not a residue.
 		for _, src := range sources {
-			idx.Remove(src)
+			idx.remove(src)
 			delete(states, src)
 			requireUnionEqual(t, -1, idx, states)
 		}
@@ -192,8 +192,11 @@ func TestMergeIndexDifferential(t *testing.T) {
 }
 
 // FuzzMergeIndexApply drives the maintainer with a fuzz-chosen
-// operation stream and checks the differential identity plus the
-// internal invariants after every operation.
+// operation stream — updates, deltas, removals, exports fed again
+// unchanged, and Syncs to a random live subset that re-feeds some
+// sources' held exports and moves others on — and checks the
+// differential identity plus the internal invariants after every
+// operation.
 func FuzzMergeIndexApply(f *testing.F) {
 	f.Add(int64(1), uint8(40))
 	f.Add(int64(2), uint8(10))
@@ -201,11 +204,13 @@ func FuzzMergeIndexApply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, steps uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		idx := NewMergeIndex()
+		// states holds what each live source was fed last: the export
+		// itself, so that feeding it again is the same slices.
 		states := make(map[string]Snapshot)
-		sources := []string{"a", "b", "c"}
+		sources := []string{"a", "b", "c", "d"}
 		for step := 0; step < int(steps%80)+1; step++ {
 			src := sources[rng.Intn(len(sources))]
-			switch rng.Intn(4) {
+			switch rng.Intn(6) {
 			case 0:
 				next := genSnapshot(rng, 12)
 				idx.Update(src, next)
@@ -217,9 +222,32 @@ func FuzzMergeIndexApply(f *testing.F) {
 					t.Fatalf("step %d: Apply: %v", step, err)
 				}
 				idx.Update(src, applied)
-				states[src] = next
+				states[src] = applied
+			case 3:
+				if held, ok := states[src]; ok {
+					idx.Update(src, held)
+				}
+			case 4:
+				live := make(map[string]Snapshot)
+				for _, id := range sources {
+					switch rng.Intn(3) {
+					case 0: // not live: Sync must take it out
+					case 1: // live and unchanged, or new as empty
+						live[id] = states[id]
+					default:
+						live[id] = genSnapshot(rng, 12)
+					}
+				}
+				idx.Sync(func(yield func(string, Snapshot) bool) {
+					for id, snap := range live {
+						if !yield(id, snap) {
+							return
+						}
+					}
+				})
+				states = live
 			default:
-				idx.Remove(src)
+				idx.remove(src)
 				delete(states, src)
 			}
 			got, want := idx.Snapshot(), groundTruth(states)
@@ -378,6 +406,47 @@ func TestMergeIndexSteadyStateAllocs(t *testing.T) {
 			t.Errorf("benchmark shape: %.1f allocs at %d sources, %.1f at 8", got, n, first)
 		}
 	}
+}
+
+// TestMergeIndexSyncSteadyStateAllocs pins Sync's steady state: with
+// one of many live sources moving between two exports and the rest fed
+// the exports they already hold, a Sync allocates nothing.
+func TestMergeIndexSyncSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 64
+	names := make([]string, n)
+	snaps := make([]Snapshot, n)
+	for i := range names {
+		names[i], snaps[i] = srcName(i), benchSourceSnapshot(rng, 128)
+	}
+	a, b := snaps[0], benchSourceSnapshot(rng, 128)
+	idx := NewMergeIndex()
+	live := func(yield func(string, Snapshot) bool) {
+		for i, name := range names {
+			if !yield(name, snaps[i]) {
+				return
+			}
+		}
+	}
+	flip := func() {
+		if &snaps[0].Pairs[0] == &a.Pairs[0] {
+			snaps[0] = b
+		} else {
+			snaps[0] = a
+		}
+		idx.Sync(live)
+	}
+	for i := 0; i < 4; i++ { // warm the arenas and the walk's scratch
+		flip()
+	}
+	if allocs := testing.AllocsPerRun(50, flip); allocs != 0 {
+		t.Errorf("Sync over %d sources, one of them moving, allocates %.1f times, want 0", n, allocs)
+	}
+	states := make(map[string]Snapshot, n)
+	for i, name := range names {
+		states[name] = snaps[i]
+	}
+	requireUnionEqual(t, -1, idx, states)
 }
 
 func srcName(i int) string {

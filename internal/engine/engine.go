@@ -20,10 +20,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"daccor/internal/blktrace"
@@ -212,45 +211,28 @@ type Engine struct {
 	order   []string // sorted by device ID, for deterministic listings
 	stopped bool
 
-	// fleet wakes merged-epoch waiters on any device advance (and on
-	// register/unregister, which change the device count); see watch.go.
-	fleet *epochNotifier
+	// The merged cursor (MergedEpoch): fleetEpoch counts the changes of
+	// the merged view (see fleetWake), devices is the device count; both
+	// atomic, so that reading the cursor never takes mu. fleet wakes its
+	// waiters.
+	fleet      *EpochNotifier
+	fleetEpoch atomic.Uint64
+	devices    atomic.Int64
 
-	// regGen counts registrations and unregistrations; with it the
-	// merged view tells a device re-registered under the same ID from
-	// the one it replaced, whose epoch sum and count it may repeat.
-	regGen uint64
-
-	// The fleet-wide view: a merge index kept current by feeding it the
-	// sorted exports of the devices whose epoch moved since their last
-	// feed, one source per device at every P. The export is the device's
-	// cached support-0 export (shard.export), the same immutable slice
-	// its snapshot reads and the fleet sync serve, which the index holds
-	// by reference and walks from the previous one
-	// (core.MergeIndex.Update); a bounded read is then one pass over the
-	// union, and only MergedSnapshot materializes the sorted export.
-	// (mergeEpoch, mergeGen) is the sum of all device epochs and the
-	// registration generation the index was last brought up to (with
-	// mergeDevices, the device count then): epochs only advance, so an
-	// unchanged sum at an unchanged generation means no device changed
-	// and the refresh is skipped — and the zero key is the empty fleet
-	// the index starts as. The key is read before the exports, so it can
-	// only under-claim freshness. mergeMu is taken before any shard's
-	// snapMu, and before mu.
+	// The fleet-wide view: a merge index synced to the live devices'
+	// cached support-0 exports (shard.export), one source per device at
+	// every P, which it holds by reference (core.MergeIndex.Sync). A
+	// bounded read is one pass over the union; only MergedSnapshot
+	// materializes the sorted export. mergeEpoch is the merged cursor
+	// the index was last synced at (mergeDevices, the count then): while
+	// the cursor stays there the sync is skipped, and the zero cursor is
+	// the empty fleet the index starts as. The cursor is read before the
+	// exports, so it can only under-claim freshness. mergeMu is taken
+	// before any shard's snapMu, and before mu.
 	mergeMu      sync.Mutex
 	mergeIdx     *core.MergeIndex
-	mergeSrc     map[string]mergeFeed // device -> what it last fed into mergeIdx
 	mergeEpoch   uint64
-	mergeGen     uint64
 	mergeDevices int
-}
-
-// mergeFeed is one device's standing in the merge index: the shard that
-// fed it — a device re-registered under the same ID is another one —
-// and the epoch of the export it fed.
-type mergeFeed struct {
-	shard *shard
-	epoch uint64
 }
 
 // New builds an engine from functional options:
@@ -312,9 +294,8 @@ func New(opts ...Option) (*Engine, error) {
 		ckptInterval: s.ckptInterval,
 		procHook:     s.procHook,
 		shards:       make(map[string]*shard),
-		fleet:        newEpochNotifier(),
+		fleet:        NewEpochNotifier(),
 		mergeIdx:     core.NewMergeIndex(),
-		mergeSrc:     make(map[string]mergeFeed),
 	}
 	// Monitor and analyzer counters are worker-owned; mirror them into
 	// the registry only when something actually scrapes.
@@ -366,8 +347,11 @@ func (e *Engine) Register(id string) error {
 	}
 	sh.onEpoch = e.fleetWake
 	sh.metrics = newShardMetrics(e.metrics, sh, sh.ring.capacity())
+	// The device's epoch starts at the merged cursor its registration
+	// advances: above every epoch an earlier device under this ID served
+	// (see DESIGN §3).
+	sh.epoch.Store(e.fleetEpoch.Add(1))
 	e.shards[id] = sh
-	e.regGen++
 	// Keep the listing order sorted by ID rather than by registration:
 	// devices registered concurrently would otherwise make /v1/devices
 	// and the metrics exposition depend on goroutine scheduling.
@@ -375,14 +359,13 @@ func (e *Engine) Register(id string) error {
 	e.order = append(e.order, "")
 	copy(e.order[at+1:], e.order[at:])
 	e.order[at] = id
+	e.devices.Store(int64(len(e.order)))
 	go sh.supervise()
 	if e.ckptStore != nil {
 		sh.ckptLoop.Add(1)
 		go sh.checkpointLoop(e.ckptInterval)
 	}
-	// A new device changes the merged epoch's device count; wake fleet
-	// watchers so they pick it up.
-	e.fleetWake()
+	e.fleet.Wake(nil)
 	return nil
 }
 
@@ -484,16 +467,15 @@ func (e *Engine) shard(id string) (*shard, error) {
 	return s, nil
 }
 
-// orderedShards returns the shards sorted by device ID, and the
-// registration generation they belong to.
-func (e *Engine) orderedShards() ([]*shard, uint64) {
+// orderedShards returns the shards sorted by device ID.
+func (e *Engine) orderedShards() []*shard {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]*shard, len(e.order))
 	for i, id := range e.order {
 		out[i] = e.shards[id]
 	}
-	return out, e.regGen
+	return out
 }
 
 // Submit offers one issue event to the named device. It validates the
@@ -562,16 +544,12 @@ func (e *Engine) Epoch(id string) (uint64, error) {
 	return s.epoch.Load(), nil
 }
 
-// MergedEpoch returns the sum of every device's epoch and the device
-// count. Epochs are monotone, so an unchanged (sum, devices) pair
-// means no device's synopsis changed — the fleet-level analogue of
-// Epoch for cache validation.
-func (e *Engine) MergedEpoch() (sum uint64, devices int) {
-	shards, _ := e.orderedShards()
-	for _, s := range shards {
-		sum += s.epoch.Load()
-	}
-	return sum, len(shards)
+// MergedEpoch returns the merged cursor: a counter that advances on
+// every change of the fleet-wide view (see fleetWake), and the device
+// count. The counter never repeats, so an unchanged pair means an
+// unchanged view — the fleet-level analogue of Epoch.
+func (e *Engine) MergedEpoch() (counter uint64, devices int) {
+	return e.fleetEpoch.Load(), int(e.devices.Load())
 }
 
 // State is the bounded read behind a snapshot page, a rules page and a
@@ -617,8 +595,8 @@ func (e *Engine) WriteSnapshot(id string, w io.Writer) error {
 // skipped rather than poisoning the fleet view: their workers are gone,
 // but the healthy devices' correlations are still worth serving (the
 // omission is visible on /v1/healthz and in Stats).
-// Only the devices whose epochs moved since the last merged read of any
-// kind feed their exports into the engine's merge index, and the merged
+// Only the devices whose exports changed since the last merged read of
+// any kind move the engine's merge index, and the merged
 // export is the union's live entries sorted, so a fleet read after one
 // device changed costs a linear pass over that device's export and a
 // sort of the union, not a merge of the fleet. minSupport is
@@ -636,63 +614,40 @@ func (e *Engine) MergedSnapshot(minSupport uint32) (core.Snapshot, error) {
 	return e.mergeIdx.Snapshot().FilterSupport(minSupport), nil
 }
 
-// refreshMergedLocked brings mergeIdx up to date with the fleet,
-// feeding it the exports of only the devices whose epoch advanced (or
-// that were registered) since their last contribution. Caller holds
-// mergeMu.
+// refreshMergedLocked syncs mergeIdx to the live devices' exports if
+// the merged cursor moved since the last sync; a failed device drops
+// out (see MergedSnapshot). Caller holds mergeMu.
 func (e *Engine) refreshMergedLocked() error {
-	shards, gen := e.orderedShards()
-	var sum uint64 // before the exports: under-claims, never over-claims
-	for _, s := range shards {
-		sum += s.epoch.Load()
-	}
-	if e.mergeEpoch == sum && e.mergeGen == gen {
+	cur, n := e.MergedEpoch() // before the exports: under-claims, never over-claims
+	if cur == e.mergeEpoch {
 		return nil
 	}
-	for _, s := range shards {
-		if feed, fed := e.mergeSrc[s.id]; fed && feed.shard == s && feed.epoch == s.epoch.Load() {
-			continue
-		}
-		snap, epoch, err := s.export()
-		if err != nil {
-			if errors.Is(err, ErrDeviceUnavailable) {
-				// Failed devices are dropped from the fleet view rather
-				// than poisoning it: their workers are gone, but the
-				// healthy devices' correlations are still worth serving
-				// (the omission is visible on /v1/healthz and in Stats).
-				e.dropMergeFeedLocked(s.id)
-				continue
+	shards := e.orderedShards()
+	var err error
+	e.mergeIdx.Sync(func(yield func(string, core.Snapshot) bool) {
+		for _, s := range shards {
+			snap, _, xerr := s.export()
+			if s.failed.Load() {
+				continue // read after the export, which fails only after this is set
 			}
-			return err
-		}
-		e.mergeIdx.Update(s.id, snap)
-		e.mergeSrc[s.id] = mergeFeed{shard: s, epoch: epoch}
-	}
-	// Unregistered devices: take their last export out of the union.
-	// Only a registration change can leave one behind.
-	if gen != e.mergeGen {
-		for id := range e.mergeSrc {
-			_, ok := slices.BinarySearchFunc(shards, id, func(s *shard, id string) int {
-				return strings.Compare(s.id, id)
-			})
-			if !ok {
-				e.dropMergeFeedLocked(id)
+			if xerr != nil {
+				err = xerr
+				return
+			}
+			if !yield(s.id, snap) {
+				return
 			}
 		}
+	})
+	if err != nil {
+		return err // the cursor stays behind: the next read syncs every device again
 	}
-	e.mergeEpoch, e.mergeGen, e.mergeDevices = sum, gen, len(shards)
+	e.mergeEpoch, e.mergeDevices = cur, n
 	return nil
 }
 
-// dropMergeFeedLocked removes a device's source from the merge index.
-// Caller holds mergeMu.
-func (e *Engine) dropMergeFeedLocked(id string) {
-	e.mergeIdx.Remove(id)
-	delete(e.mergeSrc, id)
-}
-
 // MergedState is State for the fleet-wide view, returned with the
-// merged epoch (sum, devices) read before it: one pass over the merge
+// merged cursor (counter, devices) read before it: one pass over the merge
 // index's pair union, counting, keeping the top best in a bounded heap
 // and resolving rule antecedents through its item hash, so a top-K read
 // allocates O(K) however large the fleet's tables are, beside the
@@ -701,7 +656,7 @@ func (e *Engine) dropMergeFeedLocked(id string) {
 // rules are read under one hold of the merge lock, so they describe the
 // same merge. Rules carry the devices' counters summed per key, so
 // their confidences are estimates over the sums.
-func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, sum uint64, devices int, err error) {
+func (e *Engine) MergedState(minSupport uint32, minConfidence float64, top int, want core.Want) (st core.State, counter uint64, devices int, err error) {
 	e.mergeMu.Lock()
 	defer e.mergeMu.Unlock()
 	if err := e.refreshMergedLocked(); err != nil {
@@ -788,7 +743,7 @@ func (e *Engine) DeviceStatsFor(id string) (DeviceStats, error) {
 
 // Stats returns every device's counters sorted by device ID.
 func (e *Engine) Stats() (Stats, error) {
-	shards, _ := e.orderedShards()
+	shards := e.orderedShards()
 	st := Stats{Devices: make([]DeviceStats, 0, len(shards))}
 	for _, s := range shards {
 		ds, err := e.statsOf(s)
@@ -833,7 +788,7 @@ type DeviceHealthStatus struct {
 // fast and responsive while devices are restarting, failed, or
 // backlogged — the property a health endpoint needs.
 func (e *Engine) Health() []DeviceHealthStatus {
-	shards, _ := e.orderedShards()
+	shards := e.orderedShards()
 	out := make([]DeviceHealthStatus, 0, len(shards))
 	for _, s := range shards {
 		st := DeviceHealthStatus{Device: s.id, DeviceHealth: s.health()}
@@ -918,7 +873,7 @@ func (e *Engine) stopWithin(d time.Duration) (forced bool) {
 	}
 	// Every shard has flushed and ended its own waiters; end the
 	// fleet-level ones too so merged watchers see a terminal event.
-	e.fleet.wake(ErrStopped)
+	e.fleet.Wake(ErrStopped)
 	return forced
 }
 

@@ -85,6 +85,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(testOptions(WithDevices(""))...); err == nil {
 		t.Error("want error for empty device id")
 	}
+	if _, err := New(WithAnalyzer(core.Config{ItemCapacity: core.MaxSnapshotCapacity + 1, PairCapacity: 16})); err == nil {
+		t.Error("want error for an item capacity no checkpoint of it could be restored at")
+	}
 }
 
 func TestRegisterAndDevices(t *testing.T) {

@@ -254,9 +254,13 @@ func TestMergedIncrementalEqualsScratch(t *testing.T) {
 
 // feedEpochs submits evs one at a time, each once the device's epoch
 // has taken in the one before, so that every event is its own batch
-// and the device ends at epoch len(evs).
+// and the device ends len(evs) epochs above the one it started at.
 func feedEpochs(t *testing.T, e *Engine, id string, evs []blktrace.Event) {
 	t.Helper()
+	start, err := e.Epoch(id)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, ev := range evs {
 		if err := e.Submit(id, ev); err != nil {
 			t.Fatal(err)
@@ -267,17 +271,17 @@ func feedEpochs(t *testing.T, e *Engine, id string, evs []blktrace.Event) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ep >= uint64(i+1) {
+			if ep >= start+uint64(i+1) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("%s: epoch %d after %d events", id, ep, i+1)
+				t.Fatalf("%s: epoch %d after %d events from %d", id, ep, i+1, start)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if ep, err := e.Epoch(id); err != nil || ep != uint64(len(evs)) {
-		t.Fatalf("%s: epoch %d (%v) after %d single-event batches, want %d", id, ep, err, len(evs), len(evs))
+	if ep, err := e.Epoch(id); err != nil || ep != start+uint64(len(evs)) {
+		t.Fatalf("%s: epoch %d (%v) after %d single-event batches from %d, want %d", id, ep, err, len(evs), start, start+uint64(len(evs)))
 	}
 }
 
@@ -297,10 +301,9 @@ func correlatedEvents(base uint64) []blktrace.Event {
 }
 
 // TestMergedViewAfterReregister pins that a device unregistered and
-// registered again under the same ID is a new source to the merged
-// view, even when the fleet's epoch sum and device count come back to
-// what they were: the old device's correlations are gone and the new
-// one's are there.
+// registered again under the same ID, then fed to the epoch count the
+// old one had, is a new source to the merged view: the old device's
+// correlations are gone and the new one's are there.
 func TestMergedViewAfterReregister(t *testing.T) {
 	e := watchEngine(t, "vol0")
 	defer e.Stop()

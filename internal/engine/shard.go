@@ -254,7 +254,7 @@ type shard struct {
 
 	// notify wakes epoch waiters (see watch.go); onEpoch forwards each
 	// advance to the engine's fleet-level notifier.
-	notify  *epochNotifier
+	notify  *EpochNotifier
 	onEpoch func()
 
 	// epoch counts synopsis state changes. The router bumps it at every
@@ -291,7 +291,7 @@ func newShard(id string, queueSize, parts int, policy Backpressure) *shard {
 		ring:   newEvRing(queueSize),
 		stopCh: make(chan struct{}),
 		done:   make(chan struct{}),
-		notify: newEpochNotifier(),
+		notify: NewEpochNotifier(),
 	}
 	s.wake.init()
 	s.notFull.init()

@@ -16,15 +16,18 @@ import (
 // channel instead of polling If-None-Match in a loop. The mechanism is
 // the classic closed-channel broadcast: each notifier holds a channel
 // that is closed (waking every waiter at once) and replaced on every
-// advance. Waiters re-read the epoch after grabbing the channel, so a
-// bump between the read and the grab can never be missed; coalescing
-// is inherent — a waiter woken after N bumps sees only the latest
-// epoch, which is exactly the semantics a snapshot consumer wants.
+// advance. Waiters take the channel before they check their cursor, so
+// an advance between the check and the block can never be missed;
+// coalescing is inherent — a waiter woken after N advances sees only
+// the latest cursor, which is exactly the semantics a snapshot
+// consumer wants.
 
-// epochNotifier wakes waiters when an epoch advances, and carries a
+// EpochNotifier wakes waiters when a cursor advances, and carries a
 // terminal error once the state it covers can never advance again
-// (worker stopped, device failed, engine stopped).
-type epochNotifier struct {
+// (worker stopped, device failed, engine stopped, aggregator closed).
+// Its Wait is the one wait loop behind every view: a device's, the
+// engine's merged view, and the fleet aggregator's.
+type EpochNotifier struct {
 	mu   sync.Mutex
 	ch   chan struct{}
 	over error // non-nil once terminal; ch is closed and never replaced
@@ -33,13 +36,16 @@ type epochNotifier struct {
 	advanceNs int64
 }
 
-func newEpochNotifier() *epochNotifier {
-	return &epochNotifier{ch: make(chan struct{})}
+// NewEpochNotifier returns a notifier with no advance yet.
+func NewEpochNotifier() *EpochNotifier {
+	return &EpochNotifier{ch: make(chan struct{})}
 }
 
-// wake broadcasts one advance to every current waiter. Terminal wakes
-// are sticky: the first wins, later wakes (terminal or not) are no-ops.
-func (n *epochNotifier) wake(terminal error) {
+// Wake broadcasts one advance to every current waiter; a non-nil
+// terminal error also ends every current and future wait with it.
+// Terminal wakes are sticky: the first wins, later wakes (terminal or
+// not) are no-ops.
+func (n *EpochNotifier) Wake(terminal error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.over != nil {
@@ -54,16 +60,32 @@ func (n *epochNotifier) wake(terminal error) {
 	n.ch = make(chan struct{})
 }
 
-// grab returns the current wait channel and the terminal error, if any.
-func (n *epochNotifier) grab() (<-chan struct{}, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ch, n.over
+// Wait blocks until changed reports true, the notifier turns terminal
+// (its error is returned), or ctx is done (ctx.Err()). changed is
+// checked first on every round, so a cursor that has moved is reported
+// even after the end.
+func (n *EpochNotifier) Wait(ctx context.Context, changed func() bool) error {
+	for {
+		n.mu.Lock()
+		ch, over := n.ch, n.over
+		n.mu.Unlock()
+		if changed() {
+			return nil
+		}
+		if over != nil {
+			return over
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
-// lastAdvance returns when the notifier last woke waiters (zero time if
+// LastAdvance returns when the notifier last woke waiters (zero time if
 // never).
-func (n *epochNotifier) lastAdvance() time.Time {
+func (n *EpochNotifier) LastAdvance() time.Time {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.advanceNs == 0 {
@@ -74,13 +96,13 @@ func (n *epochNotifier) lastAdvance() time.Time {
 
 // bumpEpoch advances the shard's epoch and wakes epoch waiters — ours
 // and, through onEpoch, the engine's fleet-level ones. It replaces the
-// bare epoch.Add at every synopsis-change site.
+// bare epoch.Add at every synopsis-change site. The epoch moves before
+// the merged cursor does, so a merged read that sees the new cursor
+// also sees the new epoch, and a capture taken for it.
 func (s *shard) bumpEpoch() {
 	s.epoch.Add(1)
-	s.notify.wake(nil)
-	if s.onEpoch != nil {
-		s.onEpoch()
-	}
+	s.notify.Wake(nil)
+	s.onEpoch()
 }
 
 // endEpochWaiters marks the shard's epoch terminal: current and future
@@ -88,36 +110,8 @@ func (s *shard) bumpEpoch() {
 // fleet is woken too — a device leaving the fleet changes the merged
 // view.
 func (s *shard) endEpochWaiters(err error) {
-	s.notify.wake(err)
-	if s.onEpoch != nil {
-		s.onEpoch()
-	}
-}
-
-// waitEpoch blocks until the shard's epoch differs from since, the
-// shard becomes terminal (returns the notifier's terminal error), or
-// ctx is done (returns ctx.Err()). The current epoch is returned in
-// every case.
-func (s *shard) waitEpoch(ctx context.Context, since uint64) (uint64, error) {
-	for {
-		if cur := s.epoch.Load(); cur != since {
-			return cur, nil
-		}
-		ch, over := s.notify.grab()
-		// Re-check after grabbing the channel: a bump between the load
-		// and the grab already closed a channel we never held.
-		if cur := s.epoch.Load(); cur != since {
-			return cur, nil
-		}
-		if over != nil {
-			return s.epoch.Load(), over
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return s.epoch.Load(), ctx.Err()
-		}
-	}
+	s.notify.Wake(err)
+	s.onEpoch()
 }
 
 // WaitEpoch blocks until the named device's epoch differs from since,
@@ -132,7 +126,8 @@ func (e *Engine) WaitEpoch(ctx context.Context, id string, since uint64) (uint64
 	if err != nil {
 		return 0, err
 	}
-	return s.waitEpoch(ctx, since)
+	err = s.notify.Wait(ctx, func() bool { return s.epoch.Load() != since })
+	return s.epoch.Load(), err
 }
 
 // EpochAdvanceTime returns when the named device's epoch last advanced
@@ -143,45 +138,33 @@ func (e *Engine) EpochAdvanceTime(id string) (time.Time, error) {
 	if err != nil {
 		return time.Time{}, err
 	}
-	return s.notify.lastAdvance(), nil
+	return s.notify.LastAdvance(), nil
 }
 
-// fleetWake forwards one device advance to fleet-level waiters. It is
-// the engine's onEpoch hook, called from shard routers and supervisors.
+// fleetWake advances the merged cursor and wakes its waiters: the
+// shards' onEpoch hook (each epoch advance, a failure, a stop), and
+// Unregister. Register advances the cursor to seed the device's epoch.
 func (e *Engine) fleetWake() {
-	e.fleet.wake(nil)
+	e.fleetEpoch.Add(1)
+	e.fleet.Wake(nil)
 }
 
-// WaitMergedEpoch blocks until the merged epoch differs from the
-// (sum, devices) pair — any device processing a batch, restarting,
-// registering, unregistering, or flushing on stop changes it — and
-// returns the new pair. After Stop, waiters are woken with ErrStopped.
-func (e *Engine) WaitMergedEpoch(ctx context.Context, sum uint64, devices int) (uint64, int, error) {
-	for {
-		if s, n := e.MergedEpoch(); s != sum || n != devices {
-			return s, n, nil
-		}
-		ch, over := e.fleet.grab()
-		if s, n := e.MergedEpoch(); s != sum || n != devices {
-			return s, n, nil
-		}
-		if over != nil {
-			s, n := e.MergedEpoch()
-			return s, n, over
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			s, n := e.MergedEpoch()
-			return s, n, ctx.Err()
-		}
-	}
+// WaitMergedEpoch blocks until the merged cursor differs from the
+// (counter, devices) pair and returns the new pair. After Stop, waiters
+// are woken with ErrStopped.
+func (e *Engine) WaitMergedEpoch(ctx context.Context, counter uint64, devices int) (uint64, int, error) {
+	err := e.fleet.Wait(ctx, func() bool {
+		c, n := e.MergedEpoch()
+		return c != counter || n != devices
+	})
+	c, n := e.MergedEpoch()
+	return c, n, err
 }
 
-// MergedEpochAdvanceTime returns when any device's epoch last advanced
-// (zero time if none has).
+// MergedEpochAdvanceTime returns when the merged view last advanced
+// (zero time if it never has).
 func (e *Engine) MergedEpochAdvanceTime() time.Time {
-	return e.fleet.lastAdvance()
+	return e.fleet.LastAdvance()
 }
 
 // Unregister removes a device from the engine: its worker drains the
@@ -207,11 +190,16 @@ func (e *Engine) Unregister(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, id)
 	}
 	delete(e.shards, id)
-	e.regGen++
 	at := sort.SearchStrings(e.order, id)
 	e.order = append(e.order[:at], e.order[at+1:]...)
+	e.devices.Store(int64(len(e.order)))
+	// Stop the device's reads and advance the merged cursor before the
+	// ID is free: the next device under it starts above every epoch
+	// this one served (see DESIGN §3).
+	s.requestStop()
+	e.fleetWake()
 	e.mu.Unlock()
-	// Drop the device's series before the drain, not after: the id is
+	// Drop the device's series before waiting out the drain: the id is
 	// already invisible to lookups (and to the scrape-time collect
 	// hook, which iterates registered devices only), so nothing
 	// recreates them — while a concurrent re-registration of the same
@@ -219,8 +207,6 @@ func (e *Engine) Unregister(id string) error {
 	// not clobber. The draining worker keeps updating its detached
 	// instruments harmlessly.
 	e.metrics.DropSeries(obs.L("device", id))
-	s.requestStop()
 	s.wait()
-	e.fleetWake()
 	return nil
 }

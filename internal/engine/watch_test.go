@@ -227,8 +227,7 @@ func TestWaitMergedEpoch(t *testing.T) {
 		t.Fatal("merged waiter never woke on device ingest")
 	}
 
-	// Membership change (unregister) also wakes a merged waiter even
-	// if the epoch sum happens not to move.
+	// Membership change (unregister) also wakes a merged waiter.
 	sum, n = e.MergedEpoch()
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"daccor/internal/core"
+	"daccor/internal/engine"
 	"daccor/internal/obs"
 )
 
@@ -119,6 +119,8 @@ type CollectorStatus struct {
 type deviceMirror struct {
 	snap  core.Snapshot
 	epoch uint64
+	// key names the mirror as a source of the merge index (mirrorKey).
+	key string
 }
 
 // collectorMirror is everything the aggregator holds for one
@@ -163,30 +165,21 @@ type Aggregator struct {
 	collectors map[string]*collectorMirror
 	closed     bool
 	// version counts mirror mutations — the epoch half of every view's
-	// cursor; advanced is when it last moved, for the watch fan-out
-	// latency histogram.
-	version  uint64
-	advanced time.Time
-	// notify is closed (and replaced) on every version bump and on
-	// Close, waking wait blockers.
-	notify chan struct{}
+	// cursor. notify wakes wait blockers on every version bump and ends
+	// them on Close.
+	version uint64
+	notify  *engine.EpochNotifier
 
-	// idx incrementally maintains the union of every live mirror, one
-	// source per (collector, device). Apply feeds it each mirror as a
-	// section replaces it — the mirror itself, held by reference, so
-	// the index keeps no second copy; bounded merged reads scan it as
-	// it stands and only MergedSnapshot materializes it, without
-	// re-merging unchanged mirrors and without holding mu — ingest and
-	// fan-in reads only contend for the brief index mutation, never for
-	// a full merge. Requested supports are suffix cuts of the index's
-	// reads, so there is no cache here to key. idxExcluded marks
-	// collectors whose sources were taken out of the union because
-	// they crossed FailAfter — a change of the merge without a version
-	// bump; their next accepted frame folds them back in. idxMu nests
-	// inside mu (mu → idxMu) and is never held across a blocking call.
-	idxMu       sync.Mutex
-	idx         *core.MergeIndex
-	idxExcluded map[string]bool
+	// idx is the union of every live mirror, one source per (collector,
+	// device), held by reference and synced to the non-Failed
+	// collectors' mirrors (syncIndexLocked) after every mutation and
+	// before every merged read — the read's sync takes out a collector
+	// that crossed FailAfter without a version bump. Merged reads scan
+	// it without holding mu, and only MergedSnapshot materializes it.
+	// idxMu nests inside mu (mu → idxMu) and is never held across a
+	// blocking call.
+	idxMu sync.Mutex
+	idx   *core.MergeIndex
 
 	syncsTotal    *obs.Counter
 	bytesTotal    *obs.Counter
@@ -212,14 +205,13 @@ func NewAggregator(cfg Config) *Aggregator {
 		reg = obs.NewRegistry()
 	}
 	a := &Aggregator{
-		lease:       cfg.Lease,
-		failAfter:   cfg.FailAfter,
-		metrics:     reg,
-		now:         time.Now,
-		collectors:  make(map[string]*collectorMirror),
-		notify:      make(chan struct{}),
-		idx:         core.NewMergeIndex(),
-		idxExcluded: make(map[string]bool),
+		lease:      cfg.Lease,
+		failAfter:  cfg.FailAfter,
+		metrics:    reg,
+		now:        time.Now,
+		collectors: make(map[string]*collectorMirror),
+		notify:     engine.NewEpochNotifier(),
+		idx:        core.NewMergeIndex(),
 
 		syncsTotal:    reg.Counter(MetricFleetSyncs, "Sync frames accepted, including heartbeats and retransmits."),
 		bytesTotal:    reg.Counter(MetricFleetSyncBytes, "Sync frame payload bytes accepted."),
@@ -277,18 +269,6 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 		m.instance = f.Instance
 		m.lastSeq = 0
 	}
-	// This frame makes the collector live again (lastSync advances
-	// below); if its sources were taken out of the union when it
-	// crossed FailAfter, fold the current mirrors back in before the
-	// sections patch on top.
-	if a.idxExcluded[f.Collector] {
-		delete(a.idxExcluded, f.Collector)
-		a.idxMu.Lock()
-		for dev, dm := range m.devices {
-			a.idx.Update(mirrorKey(f.Collector, dev), dm.snap)
-		}
-		a.idxMu.Unlock()
-	}
 	// A frame from a failed (or never-seen) collector grows the live
 	// set, which changes the merge even when the frame is a bare
 	// heartbeat. Bumping the version for it is what lets a cursor count
@@ -311,9 +291,6 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 			}
 			if dev != nil {
 				delete(m.devices, s.Device)
-				a.idxMu.Lock()
-				a.idx.Remove(mirrorKey(f.Collector, s.Device))
-				a.idxMu.Unlock()
 				mutated = true
 			}
 			a.sectionsRm.Inc()
@@ -323,13 +300,7 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 				res.Acks = append(res.Acks, a.retransmitAck(dev, s))
 				continue
 			}
-			m.devices[s.Device] = &deviceMirror{snap: s.Snap, epoch: s.Epoch}
-			// Anti-entropy repair (and first contact): the union walks
-			// from the source's previous mirror to the full snapshot,
-			// so only the entries that differ move.
-			a.idxMu.Lock()
-			a.idx.Update(mirrorKey(f.Collector, s.Device), s.Snap)
-			a.idxMu.Unlock()
+			m.devices[s.Device] = &deviceMirror{snap: s.Snap, epoch: s.Epoch, key: mirrorKey(f.Collector, s.Device)}
 			mutated = true
 			a.sectionsFull.Inc()
 			res.Acks = append(res.Acks, Ack{Device: s.Device, Action: AckApplied, Epoch: s.Epoch})
@@ -360,12 +331,6 @@ func (a *Aggregator) Apply(f Frame, bytes int) (SyncResult, error) {
 				continue
 			}
 			dev.snap, dev.epoch = next, s.Epoch
-			// The patched mirror is the source's new export: the union
-			// walks to it from the one it replaces, and holds it by
-			// reference, so the mirror is the only copy.
-			a.idxMu.Lock()
-			a.idx.Update(mirrorKey(f.Collector, s.Device), next)
-			a.idxMu.Unlock()
 			mutated = true
 			a.sectionsDelta.Inc()
 			res.Acks = append(res.Acks, Ack{Device: s.Device, Action: AckApplied, Epoch: s.Epoch})
@@ -399,12 +364,32 @@ func (a *Aggregator) retransmitAck(dev *deviceMirror, s Section) Ack {
 	return ack
 }
 
-// bumpLocked advances the version and wakes watchers. Caller holds mu.
+// bumpLocked advances the version, syncs the merge index to the mirrors
+// (letting go of replaced ones) and wakes watchers. Caller holds mu.
 func (a *Aggregator) bumpLocked() {
 	a.version++
-	a.advanced = time.Now()
-	close(a.notify)
-	a.notify = make(chan struct{})
+	a.idxMu.Lock()
+	a.syncIndexLocked()
+	a.idxMu.Unlock()
+	a.notify.Wake(nil)
+}
+
+// syncIndexLocked syncs the merge index to the mirrors of the
+// collectors that are not Failed. Caller holds mu and idxMu.
+func (a *Aggregator) syncIndexLocked() {
+	now := a.now()
+	a.idx.Sync(func(yield func(string, core.Snapshot) bool) {
+		for _, m := range a.collectors {
+			if m.state(now, a.lease, a.failAfter) == Failed {
+				continue
+			}
+			for _, dm := range m.devices {
+				if !yield(dm.key, dm.snap) {
+					return
+				}
+			}
+		}
+	})
 }
 
 // cursor returns a view's cursor: the version, and the number of live
@@ -427,32 +412,6 @@ func (a *Aggregator) cursor(device string) (version uint64, live int) {
 	return a.version, live
 }
 
-// wait blocks until the view's cursor differs from (version, live), the
-// context ends, or the aggregator closes (ErrClosed — the watch
-// streams' terminal signal), and reports when the version last moved.
-// A device view that loses its last live mirror has moved too: its
-// watcher learns the device is gone from the read that follows.
-func (a *Aggregator) wait(ctx context.Context, device string, version uint64, live int) (time.Time, error) {
-	for {
-		// The channel is taken before the cursor is read, so a bump
-		// between the two closes a channel this waiter holds.
-		a.mu.Lock()
-		ch, closed, advanced := a.notify, a.closed, a.advanced
-		a.mu.Unlock()
-		if v, n := a.cursor(device); v != version || n != live {
-			return advanced, nil
-		}
-		if closed {
-			return time.Time{}, ErrClosed
-		}
-		select {
-		case <-ctx.Done():
-			return time.Time{}, ctx.Err()
-		case <-ch:
-		}
-	}
-}
-
 // Close stops the aggregator: syncs are refused and watch streams end.
 // Mirrors remain readable (WriteTo still works) so a final state save
 // can follow.
@@ -463,8 +422,7 @@ func (a *Aggregator) Close() {
 		return
 	}
 	a.closed = true
-	close(a.notify)
-	a.notify = make(chan struct{})
+	a.notify.Wake(ErrClosed)
 }
 
 // Collectors lists every known collector's status, sorted by ID.
@@ -528,11 +486,8 @@ func (a *Aggregator) Devices() []string {
 // at minSupport. The result is exactly core.MergeSnapshots over the
 // collectors' exports: an aggregator that has converged answers
 // byte-for-byte what a single process holding all devices would. The
-// merge is incrementally maintained — Apply feeds each section's
-// changes into the union as it lands, so a read sorts the union as it
-// stands and never holds the ingest mutex across a merge. This is the
-// one read that materializes the sorted export; MergedState scans the
-// union without sorting it.
+// read sorts the incrementally kept union (readIndex); it is the one
+// read that does, MergedState scans the union without sorting it.
 func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
 	a.readIndex(func(idx *core.MergeIndex) {
 		snap = idx.Snapshot().FilterSupport(minSupport)
@@ -540,35 +495,16 @@ func (a *Aggregator) MergedSnapshot(minSupport uint32) (snap core.Snapshot) {
 	return snap
 }
 
-// readIndex is the one way a merged read reaches the union: Failed
-// collectors are reconciled out, then fn runs under idxMu against the
-// index, which Apply has already brought up to date as each mirror
-// changed — nothing is materialized on the way to a read.
+// readIndex is the one way a merged read reaches the union: the index
+// is synced to the live mirrors, then fn runs against it under idxMu
+// alone.
 func (a *Aggregator) readIndex(fn func(idx *core.MergeIndex)) {
-	a.reconcileIndex()
+	a.mu.Lock()
 	a.idxMu.Lock()
+	a.syncIndexLocked()
+	a.mu.Unlock()
 	defer a.idxMu.Unlock()
 	fn(a.idx)
-}
-
-// reconcileIndex takes the sources of collectors that crossed
-// FailAfter out of the union. Their re-inclusion happens in Apply, the
-// only way a collector's sync age can shrink.
-func (a *Aggregator) reconcileIndex() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	now := a.now()
-	for id, m := range a.collectors {
-		if m.state(now, a.lease, a.failAfter) != Failed || a.idxExcluded[id] {
-			continue
-		}
-		a.idxExcluded[id] = true
-		a.idxMu.Lock()
-		for dev := range m.devices {
-			a.idx.Remove(mirrorKey(id, dev))
-		}
-		a.idxMu.Unlock()
-	}
 }
 
 // mirrorKey names one (collector, device) source in the merge index.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"daccor/internal/binio"
 	"daccor/internal/core"
 	"daccor/internal/engine"
 	"daccor/internal/obs"
@@ -34,6 +35,7 @@ const (
 	MetricSyncTxBytes  = "daccor_fleet_sync_tx_bytes_total"
 	MetricSyncLastUnix = "daccor_fleet_sync_last_success_unixtime"
 	MetricSyncBuild    = "daccor_fleet_sync_build_seconds"
+	MetricSyncSkipped  = "daccor_fleet_sync_skipped_sections_total"
 )
 
 // ClientConfig configures a collector's sync client.
@@ -75,7 +77,8 @@ type ClientStats struct {
 	LastSync   time.Time
 }
 
-// RoundReport describes one completed sync round, for tests and logs.
+// RoundReport describes one sync round, for tests and logs. Seq is the
+// last frame's; Skipped counts sections too large for any frame.
 type RoundReport struct {
 	Seq          uint64
 	Sections     int
@@ -85,6 +88,7 @@ type RoundReport struct {
 	Bytes        int
 	Applied      int
 	FullRequired int
+	Skipped      int
 }
 
 // deviceSyncState is the client's book-keeping for one device: the
@@ -122,6 +126,7 @@ type SyncClient struct {
 	failures   *obs.Counter
 	deltaBytes *obs.Counter
 	fullBytes  *obs.Counter
+	skipped    *obs.Counter
 	lastUnix   *obs.Gauge
 	build      *obs.Histogram
 }
@@ -171,9 +176,10 @@ func NewSyncClient(cfg ClientConfig) (*SyncClient, error) {
 		failures:   reg.Counter(MetricSyncFailures, "Fleet sync rounds abandoned after all attempts failed."),
 		deltaBytes: reg.Counter(MetricSyncTxBytes, "Fleet sync bytes sent, by frame kind.", obs.L("kind", "delta")),
 		fullBytes:  reg.Counter(MetricSyncTxBytes, "Fleet sync bytes sent, by frame kind.", obs.L("kind", "full")),
+		skipped:    reg.Counter(MetricSyncSkipped, "Device sections left out of sync rounds because alone they exceed the sync body limit."),
 		lastUnix:   reg.Gauge(MetricSyncLastUnix, "Unix time of the last acked sync round."),
 		build: reg.Histogram(MetricSyncBuild,
-			"Time a sync round spends assembling its frame: exporting every device whose epoch moved and diffing it against the acked state, in seconds.",
+			"Time a sync round spends assembling its sections: exporting every device whose epoch moved and diffing it against the acked state, in seconds.",
 			obs.LatencyBuckets()),
 	}, nil
 }
@@ -229,36 +235,97 @@ type pendingSection struct {
 }
 
 // SyncNow runs one sync round: diff every device against its acked
-// shadow, send the frame (retrying with jittered backoff), and commit
-// the acks. A round that exhausts its attempts leaves all shadows
-// untouched — the next round simply diffs against the same base and
-// carries the accumulated changes.
+// shadow, pack the sections into frames within the aggregator's limits,
+// and send each under its own seq (retrying with jittered backoff),
+// committing its acks. A frame that exhausts its attempts ends the
+// round, leaving its shadows and later frames' untouched — the next
+// round diffs against the same base. A section too large for any frame
+// is left out, counted and reported in the error.
 func (c *SyncClient) SyncNow(ctx context.Context) (RoundReport, error) {
 	c.mu.Lock()
-	pending, frame, err := c.buildFrameLocked()
-	if err != nil {
-		c.mu.Unlock()
-		return RoundReport{}, err
-	}
+	pending := c.sectionsLocked()
 	c.mu.Unlock()
 
-	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, frame); err != nil {
-		return RoundReport{}, err
+	frames, skipped := c.pack(pending)
+	rep := RoundReport{Skipped: len(skipped)}
+	c.skipped.Add(uint64(len(skipped)))
+	for _, fr := range frames {
+		if err := c.send(ctx, fr, &rep); err != nil {
+			return rep, err
+		}
 	}
-	rep := RoundReport{Seq: frame.Seq, Sections: len(frame.Sections), Bytes: buf.Len()}
+	c.mu.Lock()
+	c.stats.Rounds++
+	c.stats.LastSync = time.Now()
+	last := c.stats.LastSync
+	c.mu.Unlock()
+	c.rounds.Inc()
+	c.lastUnix.Set(float64(last.Unix()))
+	if len(skipped) > 0 {
+		return rep, fmt.Errorf("fleet: devices %q not synced: each section alone exceeds the %d-byte sync body limit", skipped, syncBodyLimit)
+	}
+	return rep, nil
+}
+
+// pack packs the pending sections, in order, into frames of at most
+// syncBodyLimit bytes and MaxFrameSections sections — at least one, a
+// heartbeat when nothing changed — encoding them only to count bytes.
+// Sections that fit no frame are returned as skipped devices.
+func (c *SyncClient) pack(pending []pendingSection) (frames [][]pendingSection, skipped []string) {
+	// An encoding error leaves later sizes at 0; it recurs, and is
+	// returned, when send encodes the frame.
+	bw := binio.NewWriter(io.Discard)
+	encodeHeader(bw, Frame{Collector: c.cfg.Collector})
+	header, _ := bw.Flush()
+	var cur []pendingSection
+	size, end := header, header
 	for _, p := range pending {
+		start := end
+		_ = encodeSection(bw, p.sec)
+		end, _ = bw.Flush()
+		n := end - start
+		if header+n > int64(syncBodyLimit) {
+			skipped = append(skipped, p.sec.Device)
+			continue
+		}
+		if len(cur) == MaxFrameSections || size+n > int64(syncBodyLimit) {
+			frames, cur, size = append(frames, cur), nil, header
+		}
+		cur = append(cur, p)
+		size += n
+	}
+	return append(frames, cur), skipped
+}
+
+// send posts one frame of a round under the next seq and commits its
+// acks, adding what it carried to rep.
+func (c *SyncClient) send(ctx context.Context, secs []pendingSection, rep *RoundReport) error {
+	c.mu.Lock()
+	c.seq++
+	f := Frame{Collector: c.cfg.Collector, Instance: c.instance, Seq: c.seq}
+	c.mu.Unlock()
+	full := false
+	for _, p := range secs {
+		f.Sections = append(f.Sections, p.sec)
 		switch p.sec.Kind {
 		case SectionFull:
 			rep.Fulls++
+			full = true
 		case SectionDelta:
 			rep.Deltas++
 		case SectionRemove:
 			rep.Removes++
 		}
 	}
+	var body bytes.Buffer
+	if err := EncodeFrame(&body, f); err != nil {
+		return err
+	}
+	rep.Seq = f.Seq
+	rep.Sections += len(secs)
+	rep.Bytes += body.Len()
 
-	res, err := c.post(ctx, buf.Bytes())
+	res, err := c.post(ctx, body.Bytes())
 	if err != nil {
 		c.failures.Inc()
 		c.mu.Lock()
@@ -268,14 +335,14 @@ func (c *SyncClient) SyncNow(ctx context.Context) (RoundReport, error) {
 			// even agree on the protocol). Retrying the same deltas
 			// would loop; fall back to anti-entropy and resend
 			// everything as full snapshots.
-			for _, p := range pending {
+			for _, p := range secs {
 				if st := c.states[p.sec.Device]; st != nil {
 					st.needFull = true
 				}
 			}
 		}
 		c.mu.Unlock()
-		return rep, err
+		return err
 	}
 
 	c.mu.Lock()
@@ -284,7 +351,7 @@ func (c *SyncClient) SyncNow(ctx context.Context) (RoundReport, error) {
 	for _, a := range res.Acks {
 		byDevice[a.Device] = a
 	}
-	for _, p := range pending {
+	for _, p := range secs {
 		ack, ok := byDevice[p.sec.Device]
 		if !ok {
 			// No ack for a section we sent: treat as unacked; the next
@@ -308,24 +375,20 @@ func (c *SyncClient) SyncNow(ctx context.Context) (RoundReport, error) {
 			rep.FullRequired++
 		}
 	}
-	c.stats.Rounds++
-	c.stats.LastSync = time.Now()
-	if rep.Fulls > 0 {
-		c.stats.FullBytes += uint64(rep.Bytes)
-		c.fullBytes.Add(uint64(rep.Bytes))
+	if full {
+		c.stats.FullBytes += uint64(body.Len())
+		c.fullBytes.Add(uint64(body.Len()))
 	} else {
-		c.stats.DeltaBytes += uint64(rep.Bytes)
-		c.deltaBytes.Add(uint64(rep.Bytes))
+		c.stats.DeltaBytes += uint64(body.Len())
+		c.deltaBytes.Add(uint64(body.Len()))
 	}
-	c.rounds.Inc()
-	c.lastUnix.Set(float64(c.stats.LastSync.Unix()))
-	return rep, nil
+	return nil
 }
 
-// buildFrameLocked assembles the round's sections from the engine's
+// sectionsLocked assembles the round's sections from the engine's
 // current state. Devices whose export fails (restarting, failed) are
 // skipped — their mirror just stays stale. Caller holds c.mu.
-func (c *SyncClient) buildFrameLocked() ([]pendingSection, Frame, error) {
+func (c *SyncClient) sectionsLocked() []pendingSection {
 	start := time.Now()
 	defer func() { c.build.Observe(time.Since(start).Seconds()) }()
 	eng := c.cfg.Engine
@@ -364,12 +427,7 @@ func (c *SyncClient) buildFrameLocked() ([]pendingSection, Frame, error) {
 			pending = append(pending, pendingSection{sec: Section{Device: id, Kind: SectionRemove}})
 		}
 	}
-	c.seq++
-	f := Frame{Collector: c.cfg.Collector, Instance: c.instance, Seq: c.seq, Sections: make([]Section, 0, len(pending))}
-	for _, p := range pending {
-		f.Sections = append(f.Sections, p.sec)
-	}
-	return pending, f, nil
+	return pending
 }
 
 // export reads one device's epoch and then its full export, in that

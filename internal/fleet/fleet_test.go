@@ -326,6 +326,130 @@ func TestSyncFullLabelsEpochBeforeCapture(t *testing.T) {
 	}
 }
 
+// TestSyncAfterReregister pins that one fleet round after a device is
+// unregistered and registered again under the same ID converges the
+// aggregator's mirror to the new device — whether the new device is fed
+// to fewer, as many or more epochs than the old one had when its state
+// was acked, which with epochs that restarted at zero is a delta
+// section that would fail to decode, no section at all, or a delta.
+func TestSyncAfterReregister(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		old, new int
+	}{
+		{"below", 6, 3},
+		{"on", 6, 6},
+		{"above", 6, 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, "vol0")
+			defer e.Stop()
+			tf := newTestFleet(t, Config{}, e)
+			feedEpochs(t, e, "vol0", tc.old, 1)
+			tf.syncAll(t)
+			requireConverged(t, tf.agg, e)
+
+			if err := e.Unregister("vol0"); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Register("vol0"); err != nil {
+				t.Fatal(err)
+			}
+			feedEpochs(t, e, "vol0", tc.new, 2)
+			rep := tf.syncAll(t)[0]
+			if rep.Sections != 1 || rep.Applied != 1 {
+				t.Fatalf("round after re-registration: %+v, want one section applied", rep)
+			}
+			requireConverged(t, tf.agg, e)
+		})
+	}
+}
+
+// TestSyncRoundFitsBodyLimit pins that a sync round fits the
+// aggregator's body limit: with the limit lowered below what one round
+// of many devices carries, the round goes out as several frames, each
+// within the limit and no more of them than ⌈bytes / limit⌉ + 1, and
+// every device converges. A device whose section alone exceeds the
+// limit is left out, counted and reported, round after round, while the
+// other devices keep syncing.
+func TestSyncRoundFitsBodyLimit(t *testing.T) {
+	const limit = 8 << 10
+	syncBodyLimit = limit
+	t.Cleanup(func() { syncBodyLimit = MaxSyncBody })
+
+	devices := make([]string, 24)
+	for i := range devices {
+		devices[i] = fmt.Sprintf("vol%02d", i)
+	}
+	e := newTestEngine(t, devices...)
+	defer e.Stop()
+	tf := newTestFleet(t, Config{}, e)
+	c := tf.clients[0]
+	var posts []int64
+	c.http = &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		posts = append(posts, req.ContentLength)
+		return http.DefaultTransport.RoundTrip(req)
+	})}
+	round := func() (RoundReport, error) {
+		t.Helper()
+		posts = posts[:0]
+		rep, err := c.SyncNow(context.Background())
+		for i, n := range posts {
+			if n > limit {
+				t.Fatalf("POST %d of the round carries %d bytes, over the %d-byte limit", i, n, limit)
+			}
+		}
+		if max := (rep.Bytes+limit-1)/limit + 1; len(posts) > max {
+			t.Fatalf("%d bytes went out in %d POSTs, want at most %d", rep.Bytes, len(posts), max)
+		}
+		return rep, err
+	}
+
+	for i, id := range devices {
+		feedKeys(t, e, id, 400, uint64(i+1), 16)
+	}
+	rep, err := round()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Fulls != len(devices) || rep.Applied != len(devices) || rep.Skipped != 0 || len(posts) < 4 {
+		t.Fatalf("first round: %+v in %d POSTs, want every device's full applied across several frames", rep, len(posts))
+	}
+	t.Logf("first round: %d bytes in %d POSTs", rep.Bytes, len(posts))
+	requireConverged(t, tf.agg, e)
+
+	// A device whose full section cannot fit one frame.
+	if err := e.Register("wide"); err != nil {
+		t.Fatal(err)
+	}
+	feedKeys(t, e, "wide", 4000, 99, 512)
+	for r := 0; r < 2; r++ {
+		feedKeys(t, e, devices[r], 40, uint64(r+1), 4)
+		rep, err = round()
+		if err == nil || !strings.Contains(err.Error(), `"wide"`) {
+			t.Fatalf("round %d with an oversized section: error %v, want it to name the device", r, err)
+		}
+		if rep.Skipped != 1 || rep.Applied != rep.Sections || rep.Deltas != 1 {
+			t.Fatalf("round %d: %+v, want the one delta applied and the oversized section skipped", r, rep)
+		}
+	}
+	if got := e.Metrics().Counter(MetricSyncSkipped, "").Value(); got != 2 {
+		t.Fatalf("%s = %d after two rounds that skipped one section, want 2", MetricSyncSkipped, got)
+	}
+	if got := tf.agg.Devices(); !reflect.DeepEqual(got, devices) {
+		t.Fatalf("aggregator mirrors %v, want the devices that fit (%v)", got, devices)
+	}
+	for _, id := range devices {
+		want, err := e.Snapshot(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := tf.agg.DeviceSnapshot(id, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mirror of %s diverged from its device", id)
+		}
+	}
+}
+
 // TestStalenessServing: a partitioned collector degrades, then fails;
 // reads keep answering 200 with the staleness block telling the truth
 // the whole way down.

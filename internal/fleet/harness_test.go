@@ -63,6 +63,42 @@ func feedKeys(t *testing.T, e *engine.Engine, dev string, n int, seed uint64, ke
 	waitDrained(t, e, dev, before+uint64(n))
 }
 
+// feedEpochs submits n read events one at a time, each once the
+// device's epoch has taken in the one before, so that the device ends n
+// epochs above the one it started at. Events come in pairs 10µs apart,
+// 20ms from the next pair, so each pair is a transaction that the next
+// one closes.
+func feedEpochs(t *testing.T, e *engine.Engine, dev string, n int, seed uint64) {
+	t.Helper()
+	start, err := e.Epoch(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		ev := blktrace.Event{
+			Time:   int64(i/2)*int64(20*time.Millisecond) + int64(i%2)*10_000,
+			Op:     blktrace.OpRead,
+			Extent: blktrace.Extent{Block: seed*65536 + uint64(1+i)*8, Len: 1},
+		}
+		before, err := e.Epoch(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Submit(dev, ev); err != nil {
+			t.Fatalf("submit %s event %d: %v", dev, i, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err = e.WaitEpoch(ctx, dev, before)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: epoch after event %d: %v", dev, i, err)
+		}
+	}
+	if ep, err := e.Epoch(dev); err != nil || ep != start+uint64(n) {
+		t.Fatalf("%s: epoch %d (%v) after %d single-event batches from %d", dev, ep, err, n, start)
+	}
+}
+
 func waitDrained(t *testing.T, e *engine.Engine, dev string, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

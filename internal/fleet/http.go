@@ -12,10 +12,13 @@ import (
 	"daccor/internal/core"
 )
 
-// MaxSyncBody bounds one POST /v1/sync body. A full snapshot of a
-// saturated synopsis is a few MB; 64 MB covers a many-device
-// collector with headroom while still refusing unbounded uploads.
+// MaxSyncBody bounds one POST /v1/sync body; a collector packs a round
+// into as many frames within it as it needs.
 const MaxSyncBody = 64 << 20
+
+// syncBodyLimit is the bound the handler enforces and SyncNow packs
+// under; tests lower it.
+var syncBodyLimit = MaxSyncBody
 
 // The aggregator's own machine-readable error codes, beside the shared
 // api.ErrCodeBadRequest / ErrCodeUnknownDevice / ErrCodeInternal.
@@ -44,13 +47,13 @@ func NewHandler(a *Aggregator) http.Handler {
 	mux := api.NewMux(aggregatorSource{a}, a.Metrics(), stamp)
 
 	mux.HandleFunc("POST /v1/sync", api.Handle(func(w http.ResponseWriter, r *http.Request) *api.Error {
-		body, err := io.ReadAll(io.LimitReader(r.Body, MaxSyncBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, int64(syncBodyLimit)+1))
 		if err != nil {
 			return api.Errorf(http.StatusBadRequest, api.ErrCodeBadRequest, "read body: %v", err)
 		}
-		if len(body) > MaxSyncBody {
+		if len(body) > syncBodyLimit {
 			return api.Errorf(http.StatusRequestEntityTooLarge, api.ErrCodeBadRequest,
-				"sync body exceeds %d bytes", MaxSyncBody)
+				"sync body exceeds %d bytes", syncBodyLimit)
 		}
 		f, err := DecodeFrame(bytes.NewReader(body))
 		if err != nil {
@@ -149,9 +152,18 @@ func (s aggregatorSource) State(device string, support uint32, conf float64, top
 	return api.State{Cursor: cur, State: snap.State(support, conf, top, want)}, nil
 }
 
+// Wait ends with ErrClosed once the aggregator closes. A device view
+// that loses its last live mirror has moved too: its watcher learns the
+// device is gone from the read that follows.
 func (s aggregatorSource) Wait(ctx context.Context, device string, since api.Cursor) (time.Time, error) {
-	advanced, err := s.a.wait(ctx, device, since.Epoch, since.N)
-	return advanced, typed(err)
+	err := s.a.notify.Wait(ctx, func() bool {
+		version, live := s.a.cursor(device)
+		return version != since.Epoch || live != since.N
+	})
+	if err != nil {
+		return time.Time{}, typed(err)
+	}
+	return s.a.notify.LastAdvance(), nil
 }
 
 // EndReason is the error's code: closed, or unknown_device when the

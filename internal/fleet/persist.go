@@ -86,7 +86,7 @@ func (a *Aggregator) LoadState(rd io.Reader) error {
 			if _, dup := m.devices[dev]; dup {
 				r.Fail("duplicate device %q", dev)
 			}
-			dm := &deviceMirror{epoch: r.U64("epoch")}
+			dm := &deviceMirror{epoch: r.U64("epoch"), key: mirrorKey(id, dev)}
 			dm.snap = core.ReadSnapshotRecords(r)
 			m.devices[dev] = dm
 		}
@@ -102,19 +102,6 @@ func (a *Aggregator) LoadState(rd io.Reader) error {
 		return ErrClosed
 	}
 	a.collectors = loaded
-	// The merge index describes the replaced mirrors; rebuild it from
-	// the loaded ones. Failed-collector exclusions are recomputed on
-	// the next merged read from the restored lastSync stamps.
-	idx := core.NewMergeIndex()
-	for id, m := range loaded {
-		for dev, dm := range m.devices {
-			idx.Update(mirrorKey(id, dev), dm.snap)
-		}
-	}
-	a.idxMu.Lock()
-	a.idx = idx
-	a.idxExcluded = make(map[string]bool)
-	a.idxMu.Unlock()
 	a.bumpLocked()
 	return nil
 }

@@ -121,31 +121,45 @@ func EncodeFrame(w io.Writer, f Frame) error {
 		return fmt.Errorf("%w: %d sections exceeds limit %d", ErrBadFrame, len(f.Sections), MaxFrameSections)
 	}
 	bw := binio.NewWriter(w)
+	encodeHeader(bw, f)
+	for _, s := range f.Sections {
+		if err := encodeSection(bw, s); err != nil {
+			return err
+		}
+	}
+	_, err := bw.Flush()
+	return err
+}
+
+// encodeHeader writes a frame's fields up to its section count; the
+// sections follow back to back.
+func encodeHeader(bw *binio.Writer, f Frame) {
 	bw.Magic(frameMagic)
 	bw.U16(frameVersion)
 	bw.String(f.Collector, MaxCollectorID)
 	bw.U64(f.Instance)
 	bw.U64(f.Seq)
 	bw.U32(uint32(len(f.Sections)))
-	for _, s := range f.Sections {
-		bw.String(s.Device, engine.MaxDeviceID)
-		bw.U8(uint8(s.Kind))
-		switch s.Kind {
-		case SectionFull:
-			bw.U64(s.Epoch)
-			core.WriteSnapshotRecords(bw, s.Snap)
-		case SectionDelta:
-			bw.U64(s.BaseEpoch)
-			bw.U64(s.Epoch)
-			core.WriteDelta(bw, s.Delta)
-		case SectionRemove:
-			// No payload.
-		default:
-			return fmt.Errorf("%w: unknown section kind %d", ErrBadFrame, s.Kind)
-		}
+}
+
+// encodeSection writes one section.
+func encodeSection(bw *binio.Writer, s Section) error {
+	bw.String(s.Device, engine.MaxDeviceID)
+	bw.U8(uint8(s.Kind))
+	switch s.Kind {
+	case SectionFull:
+		bw.U64(s.Epoch)
+		core.WriteSnapshotRecords(bw, s.Snap)
+	case SectionDelta:
+		bw.U64(s.BaseEpoch)
+		bw.U64(s.Epoch)
+		core.WriteDelta(bw, s.Delta)
+	case SectionRemove:
+		// No payload.
+	default:
+		return fmt.Errorf("%w: unknown section kind %d", ErrBadFrame, s.Kind)
 	}
-	_, err := bw.Flush()
-	return err
+	return nil
 }
 
 // DecodeFrame parses and validates one sync frame. Hostile input —

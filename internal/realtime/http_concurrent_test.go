@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -216,5 +217,96 @@ func testHTTPETagRevalidation(t *testing.T, b *backend) {
 			t.Fatalf("stale tag %s still revalidates after ingest", oldTag)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestHTTPETagAfterReregister pins that a device unregistered and
+// registered again under the same ID reuses no cursor, even once it is
+// fed back to the epoch count the old device had: neither the device's
+// epoch nor the merged cursor repeats, and a tag taken from the old
+// device answers 200 with the new device's pairs on both the device
+// and the merged route.
+func TestHTTPETagAfterReregister(t *testing.T) {
+	e := startOne(t)
+	defer e.Stop()
+	srv := httptest.NewServer(NewEngineHandler(e))
+	defer srv.Close()
+
+	// feed submits two correlated pairs and a closing event one at a
+	// time, each once the epoch has taken in the one before.
+	feed := func(base uint64) {
+		t.Helper()
+		for i, off := range []uint64{0, 16, 1000, 1016, 2000} {
+			at := int64(i/2) * int64(time.Second)
+			if i%2 == 1 {
+				at += 10_000
+			}
+			before, err := e.Epoch(deviceID)
+			must(t, err)
+			must(t, e.Submit(deviceID, blktrace.Event{Time: at, Op: blktrace.OpRead, Extent: blktrace.Extent{Block: base + off, Len: 8}}))
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			_, err = e.WaitEpoch(ctx, deviceID, before)
+			cancel()
+			must(t, err)
+		}
+	}
+	get := func(url, inm string) (int, string, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		must(t, err)
+		if inm != "" {
+			req.Header.Set("If-None-Match", inm)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		must(t, err)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		must(t, err)
+		return resp.StatusCode, resp.Header.Get("ETag"), string(body)
+	}
+	urls := []string{
+		srv.URL + "/v1/devices/" + deviceID + "/rules?support=1&confidence=0.1",
+		srv.URL + "/v1/rules?support=1&confidence=0.1",
+	}
+
+	start, err := e.Epoch(deviceID)
+	must(t, err)
+	feed(8)
+	oldEpoch, err := e.Epoch(deviceID)
+	must(t, err)
+	oldMerged, oldDevices := e.MergedEpoch()
+	oldTags, oldBodies := make([]string, len(urls)), make([]string, len(urls))
+	for i, url := range urls {
+		var code int
+		code, oldTags[i], oldBodies[i] = get(url, "")
+		if code != http.StatusOK || oldTags[i] == "" {
+			t.Fatalf("GET %s: status %d, ETag %q", url, code, oldTags[i])
+		}
+	}
+
+	must(t, e.Unregister(deviceID))
+	must(t, e.Register(deviceID))
+	restart, err := e.Epoch(deviceID)
+	must(t, err)
+	feed(4000)
+	newEpoch, err := e.Epoch(deviceID)
+	must(t, err)
+	if newEpoch-restart != oldEpoch-start {
+		t.Fatalf("the new device took %d epochs for the feed, the old one %d", newEpoch-restart, oldEpoch-start)
+	}
+	if restart <= oldEpoch {
+		t.Errorf("re-registered device starts at epoch %d, not above the old device's last %d", restart, oldEpoch)
+	}
+	if merged, devices := e.MergedEpoch(); merged == oldMerged && devices == oldDevices {
+		t.Errorf("merged cursor %d.%d repeats across the re-registration", merged, devices)
+	}
+	for i, url := range urls {
+		code, tag, body := get(url, oldTags[i])
+		if code != http.StatusOK {
+			t.Fatalf("GET %s with the old device's tag %s: status %d, want 200", url, oldTags[i], code)
+		}
+		if tag == oldTags[i] || body == oldBodies[i] {
+			t.Fatalf("GET %s: the new device answers the old tag %s and body", url, tag)
+		}
 	}
 }

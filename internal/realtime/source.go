@@ -12,9 +12,9 @@ import (
 
 // engineSource adapts an engine to api.Source. A device view's cursor
 // is the device's synopsis epoch ("17" on the wire); the merged view's
-// is the epoch-sum and device count ("103.2") — any device processing
-// a batch, restarting, registering, unregistering, or flushing on stop
-// changes it.
+// is the engine's merged counter and device count ("103.2") — any
+// device processing a batch, restarting, registering, unregistering,
+// failing or flushing on stop changes it.
 type engineSource struct {
 	e *engine.Engine
 }
