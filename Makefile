@@ -31,11 +31,15 @@ vet:
 # formats' bytes are laid out in one place: no non-test file but the
 # codec (internal/binio), the record layouts (core/records.go) and the
 # trace stream codec (blktrace/codec.go, a format of its own with its
-# own EOF rules) may import encoding/binary.
+# own EOF rules) may import encoding/binary. The synopsis indexes hash
+# their keys with core's own seeded word mix (oaindex.go): no non-test
+# file under internal/ may hash a key through maphash.Comparable, the
+# runtime's generic memory hash, again.
 deps:
 	! $(GO) list -deps ./internal/engine | grep -q daccor/internal/pipeline
 	! grep -rl --include='*.go' --exclude='*_test.go' 'MergeSnapshots(' internal cmd pkg examples | grep -vx internal/core/merge.go
 	! grep -rl --include='*.go' --exclude='*_test.go' '"encoding/binary"' internal cmd pkg examples | grep -vxE 'internal/binio/binio.go|internal/core/records.go|internal/blktrace/codec.go'
+	! grep -rl --include='*.go' --exclude='*_test.go' 'maphash\.Comparable' internal
 
 test:
 	$(GO) test ./...
@@ -82,9 +86,11 @@ bench-repo:
 # allocation regression). Besides the synopsis, they hold the pooled
 # HTTP ingest decode to zero allocations per request, and the merged
 # read's allocations flat across fleet sizes (SteadyStateAllocs in
-# core, AllocsFlatAcrossFleet in engine).
+# core, AllocsFlatAcrossFleet in engine), the monitor's transaction
+# grouping to zero allocations, and a drained engine ingest run's
+# allocations flat in its event count (SteadyStateAllocs in engine).
 alloc-guard:
-	$(GO) test -run 'ZeroAllocSteadyState|SteadyStateAllocs|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/realtime
+	$(GO) test -run 'ZeroAllocSteadyState|SteadyStateAllocs|AllocsBoundedByTop|AllocsBoundedByDelta|AllocsFlatAcrossFleet' ./internal/core ./internal/engine ./internal/monitor ./internal/realtime
 
 # Thirty seconds of the ingest scanner against its encoding/json oracle
 # (same accept/reject set, events, and error text), thirty of the

@@ -126,6 +126,7 @@ func FuzzReadSnapshot(f *testing.F) {
 // discards the capture reports since the one before are exactly the
 // keys evicted or removed in between, in order, unless it says the ring
 // lapped — which it may only say when more went than the ring holds.
+// Each input runs with uint64, Extent and Pair keys.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 1, 0, 2, 1, 3, 0, 5})
 	f.Add([]byte{1, 1, 2})
@@ -135,56 +136,62 @@ func FuzzTableOps(f *testing.F) {
 		if len(data) < 3 {
 			return
 		}
-		cfg := TableConfig{
-			Capacity1:        1 + int(data[0]%8),
-			Capacity2:        1 + int(data[1]%8),
-			PromoteThreshold: 2 + uint32(data[2]%3),
-		}
-		var gone []uint64 // discarded since the last capture, in order
-		tbl, err := NewTable[uint64](cfg, func(k uint64, _ uint32) { gone = append(gone, k) })
-		if err != nil {
-			t.Fatal(err)
-		}
-		stamps := map[uint64]uint32{}
-		seq := uint32(1)
-		var c captureLog[uint64]
-		var buf []Entry[uint64]
-		for i := 3; i+1 < len(data); i += 2 {
-			k := uint64(data[i+1] % 32)
-			switch data[i] % 5 {
-			case 0, 1:
-				tbl.Touch(k)
-				stamps[k] = seq
-			case 2:
-				tbl.Demote(k)
-			case 3:
-				if tbl.Remove(k) {
-					gone = append(gone, k)
-				}
-			case 4:
-				before := c.discards
-				buf = tbl.capture(buf[:0], &c)
-				for j, e := range buf {
-					if c.stamps[j] != stamps[e.Key] {
-						t.Fatalf("after op %d: capture %d stamps %d with %d, last touched in period %d",
-							i, seq, e.Key, c.stamps[j], stamps[e.Key])
-					}
-				}
-				if since, ok := c.goneSince(before); ok {
-					if !slices.Equal(since, gone) {
-						t.Fatalf("after op %d: capture %d reports discards %v, the table made %v", i, seq, since, gone)
-					}
-				} else if len(gone) <= goneLogLen(tbl.Capacity()) {
-					t.Fatalf("after op %d: capture %d lost %d discards its ring has room for", i, seq, len(gone))
-				}
-				gone = gone[:0]
-				seq++
-			}
-			if err := tbl.checkInvariants(); err != nil {
-				t.Fatalf("after op %d: %v", i, err)
-			}
-		}
+		fuzzTableOps(t, data, uint64Key)
+		fuzzTableOps(t, data, extentKey)
+		fuzzTableOps(t, data, pairKey)
 	})
+}
+
+func fuzzTableOps[K Key](t *testing.T, data []byte, key func(uint64) K) {
+	cfg := TableConfig{
+		Capacity1:        1 + int(data[0]%8),
+		Capacity2:        1 + int(data[1]%8),
+		PromoteThreshold: 2 + uint32(data[2]%3),
+	}
+	var gone []K // discarded since the last capture, in order
+	tbl, err := NewTable[K](cfg, func(k K, _ uint32) { gone = append(gone, k) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamps := map[K]uint32{}
+	seq := uint32(1)
+	var c captureLog[K]
+	var buf []Entry[K]
+	for i := 3; i+1 < len(data); i += 2 {
+		k := key(uint64(data[i+1] % 32))
+		switch data[i] % 5 {
+		case 0, 1:
+			tbl.Touch(k)
+			stamps[k] = seq
+		case 2:
+			tbl.Demote(k)
+		case 3:
+			if tbl.Remove(k) {
+				gone = append(gone, k)
+			}
+		case 4:
+			before := c.discards
+			buf = tbl.capture(buf[:0], &c)
+			for j, e := range buf {
+				if c.stamps[j] != stamps[e.Key] {
+					t.Fatalf("after op %d: capture %d stamps %v with %d, last touched in period %d",
+						i, seq, e.Key, c.stamps[j], stamps[e.Key])
+				}
+			}
+			if since, ok := c.goneSince(before); ok {
+				if !slices.Equal(since, gone) {
+					t.Fatalf("after op %d: capture %d reports discards %v, the table made %v", i, seq, since, gone)
+				}
+			} else if len(gone) <= goneLogLen(tbl.Capacity()) {
+				t.Fatalf("after op %d: capture %d lost %d discards its ring has room for", i, seq, len(gone))
+			}
+			gone = gone[:0]
+			seq++
+		}
+		if err := tbl.checkInvariants(); err != nil {
+			t.Fatalf("after op %d: %v", i, err)
+		}
+	}
 }
 
 // FuzzOpenAddrIndex pins the backward-shift deletion discipline of
@@ -194,51 +201,58 @@ func FuzzTableOps(f *testing.F) {
 // path from its home slot may cross an empty slot (a gap would make
 // lookups lose reachable keys), and every live key must stay findable
 // at its recorded value. checkInvariants asserts exactly that after
-// every single operation.
+// every single operation. Each input runs with uint64, Extent and Pair
+// keys.
 func FuzzOpenAddrIndex(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 2, 1, 0, 3, 2, 2, 1, 3})
 	f.Add(bytes.Repeat([]byte{0, 5, 2, 5}, 32)) // set/delete churn on one key
 	f.Add(bytes.Repeat([]byte{1, 7, 2, 8}, 48)) // interleaved insert/delete
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := newOAMap[uint64](0)
-		shadow := map[uint64]int32{}
-		for i := 0; i+1 < len(data); i += 2 {
-			// A 48-key space over a table that starts at minimum size
-			// keeps the load factor high and the collision runs long, so
-			// deletes constantly exercise the backward shift (and inserts
-			// the grow/rehash).
-			k := uint64(data[i+1]) % 48
-			switch data[i] % 4 {
-			case 0, 1: // set / overwrite
-				v := int32(data[i+1]%127) + 1
-				m.Set(k, v)
-				shadow[k] = v
-			case 2: // delete
-				_, want := shadow[k]
-				if got := m.Delete(k); got != want {
-					t.Fatalf("op %d: Delete(%d) = %v, shadow %v", i, k, got, want)
-				}
-				delete(shadow, k)
-			case 3: // lookup
-				got, ok := m.Get(k)
-				want, wok := shadow[k]
-				if ok != wok || (ok && got != want) {
-					t.Fatalf("op %d: Get(%d) = (%d,%v), shadow (%d,%v)", i, k, got, ok, want, wok)
-				}
-			}
-			if m.Len() != len(shadow) {
-				t.Fatalf("op %d: Len %d, shadow %d", i, m.Len(), len(shadow))
-			}
-			if err := m.checkInvariants(); err != nil {
-				t.Fatalf("op %d: %v", i, err)
-			}
-		}
-		for k, v := range shadow {
-			if got, ok := m.Get(k); !ok || got != v {
-				t.Fatalf("final: Get(%d) = (%d,%v), shadow %d", k, got, ok, v)
-			}
-		}
+		fuzzOpenAddrIndex(t, data, uint64Key)
+		fuzzOpenAddrIndex(t, data, extentKey)
+		fuzzOpenAddrIndex(t, data, pairKey)
 	})
+}
+
+func fuzzOpenAddrIndex[K Key](t *testing.T, data []byte, key func(uint64) K) {
+	m := newOAMap[K](0)
+	shadow := map[K]int32{}
+	for i := 0; i+1 < len(data); i += 2 {
+		// A 48-key space over a table that starts at minimum size
+		// keeps the load factor high and the collision runs long, so
+		// deletes constantly exercise the backward shift (and inserts
+		// the grow/rehash).
+		k := key(uint64(data[i+1]) % 48)
+		switch data[i] % 4 {
+		case 0, 1: // set / overwrite
+			v := int32(data[i+1]%127) + 1
+			m.Set(k, v)
+			shadow[k] = v
+		case 2: // delete
+			_, want := shadow[k]
+			if got := m.Delete(k); got != want {
+				t.Fatalf("op %d: Delete(%v) = %v, shadow %v", i, k, got, want)
+			}
+			delete(shadow, k)
+		case 3: // lookup
+			got, ok := m.Get(k)
+			want, wok := shadow[k]
+			if ok != wok || (ok && got != want) {
+				t.Fatalf("op %d: Get(%v) = (%d,%v), shadow (%d,%v)", i, k, got, ok, want, wok)
+			}
+		}
+		if m.Len() != len(shadow) {
+			t.Fatalf("op %d: Len %d, shadow %d", i, m.Len(), len(shadow))
+		}
+		if err := m.checkInvariants(); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	for k, v := range shadow {
+		if got, ok := m.Get(k); !ok || got != v {
+			t.Fatalf("final: Get(%v) = (%d,%v), shadow %d", k, got, ok, v)
+		}
+	}
 }
 
 // FuzzAnalyzerMembership drives transaction streams through a small

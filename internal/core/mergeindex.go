@@ -181,7 +181,7 @@ type unionEntry[K comparable] struct {
 
 // mergeSide is one half (items or pairs) of the union: the keyed
 // aggregate over a free-listed arena.
-type mergeSide[K comparable, E comparable] struct {
+type mergeSide[K Key, E comparable] struct {
 	idx   *oaMap[K]
 	arena []unionEntry[K]
 	free  int32
@@ -328,7 +328,7 @@ func (m *MergeIndex) checkInvariants() error {
 	return nil
 }
 
-func checkSideInvariants[K comparable, E comparable](u *mergeSide[K, E], sources map[string]mergeSource, side func(Snapshot) []E) error {
+func checkSideInvariants[K Key, E comparable](u *mergeSide[K, E], sources map[string]mergeSource, side func(Snapshot) []E) error {
 	if err := u.idx.checkInvariants(); err != nil {
 		return err
 	}

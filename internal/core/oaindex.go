@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"hash/maphash"
+	"math/bits"
+	"math/rand/v2"
 
 	"daccor/internal/blktrace"
 )
@@ -21,8 +22,8 @@ import (
 //
 //   - linear probing, load factor <= 3/4, so a probe sequence is one or
 //     two cache lines of 8-byte slots;
-//   - a per-table maphash seed, so hostile key patterns cannot line up
-//     probe chains across restarts;
+//   - a per-table random seed mixed into the key hash (see hashOf), so
+//     hostile key patterns cannot line up probe chains across restarts;
 //   - each slot caches the reduced 32-bit key hash, so a probe rejects
 //     a non-matching slot without dereferencing the entry arena;
 //   - tombstone-free deletion by backward shift: removing an entry
@@ -70,7 +71,7 @@ type IndexStats struct {
 // probe compares the cached 32-bit hash first and touches the arena
 // only on a hash match.
 type tableIndex struct {
-	seed   maphash.Seed
+	seed   hashSeed
 	slots  []idxSlot
 	mask   uint32
 	used   int
@@ -96,7 +97,7 @@ func nextPow2(n int) int {
 // never rehashes after construction.
 func (ix *tableIndex) indexInit(hint int) {
 	n := nextPow2(hint + hint/3 + 1)
-	ix.seed = maphash.MakeSeed()
+	ix.seed = newHashSeed()
 	ix.slots = make([]idxSlot, n)
 	for i := range ix.slots {
 		ix.slots[i].slot = nilSlot
@@ -105,12 +106,58 @@ func (ix *tableIndex) indexInit(hint int) {
 	ix.growAt = n / 4 * 3
 }
 
-// hashOf reduces a key to the 32 bits the index stores and probes by.
-// maphash.Comparable is the runtime's own memhash under a per-table
-// seed: allocation-free for pointer-free keys (Extent, Pair) and
-// uniform enough that linear probing at load 3/4 stays short.
-func hashOf[K comparable](seed maphash.Seed, k K) uint32 {
-	return uint32(maphash.Comparable(seed, k))
+// Key is the closed set of key types the synopsis indexes hash: the
+// extents and pairs of the two tables, and the integers their tests
+// index by. Keeping the set closed lets hashOf hash each key's 64-bit
+// words directly instead of going through the runtime's generic
+// memory hash, which for a Pair is two calls (Extent's padding keeps
+// the runtime from hashing a pair as one block).
+type Key interface {
+	blktrace.Extent | blktrace.Pair | uint64 | int
+}
+
+// hashSeed is one index's random hash key. Each index draws its own at
+// construction from math/rand/v2's generator, which the runtime seeds
+// from operating-system entropy, so a key set that collides under one
+// process's seeds does not collide under the next one's.
+type hashSeed [3]uint64
+
+func newHashSeed() hashSeed {
+	return hashSeed{rand.Uint64(), rand.Uint64(), rand.Uint64()}
+}
+
+// mix is the multiply-fold at the heart of the runtime's own memhash
+// where AES is unavailable (wyhash): the 128-bit product of a and b,
+// high half XOR low half. Every output bit depends on every input bit
+// of both operands.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// hashOf reduces a key to the 32 bits the index stores and probes by:
+// the key's 64-bit words, each XORed with a seed word, folded through
+// two multiplies. An Extent is the words (Block, Len); a Pair is
+// (A.Block, B.Block, A.Len<<32 | B.Len), so no padding byte is hashed
+// and a pair costs the same two multiplies as an extent. The second mix
+// folds in the third word (zero for an Extent) and spreads every word
+// over the low bits the index masks by: the probe test holds it to an
+// ideal hash's probe lengths on the key families block traces are
+// made of (aligned strides, one block at many lengths, blocks that
+// differ only in their high word, pairs that share an extent).
+func hashOf[K Key](seed *hashSeed, k K) uint32 {
+	var a, b, c uint64
+	switch k := any(k).(type) {
+	case blktrace.Extent:
+		a, b = k.Block, uint64(k.Len)
+	case blktrace.Pair:
+		a, b, c = k.A.Block, k.B.Block, uint64(k.A.Len)<<32|uint64(k.B.Len)
+	case uint64:
+		a = k
+	case int:
+		a = uint64(k)
+	}
+	return uint32(mix(mix(a^seed[0], b^seed[1])^c, seed[2]))
 }
 
 // indexLookup returns the arena slot holding k, or nilSlot. The caller
@@ -272,7 +319,7 @@ func (t *Table[K]) checkIndexInvariants() error {
 		if e.tier == TierNone {
 			return fmt.Errorf("index slot %d points at free arena slot %d", j, s.slot)
 		}
-		if want := hashOf(ix.seed, e.key); want != s.hash {
+		if want := hashOf(&ix.seed, e.key); want != s.hash {
 			return fmt.Errorf("index slot %d caches hash %#x for key %v, want %#x", j, s.hash, e.key, want)
 		}
 		// Walk home → j: every intermediate slot must be occupied, or
@@ -301,23 +348,23 @@ func (t *Table[K]) checkIndexInvariants() error {
 // keys are not arena-resident — the analyzer's pair-membership heads.
 // Values are arena slot indexes and never nilSlot, so nilSlot doubles
 // as the empty-slot marker. Not safe for concurrent use.
-type oaMap[K comparable] struct {
-	seed   maphash.Seed
+type oaMap[K Key] struct {
+	seed   hashSeed
 	slots  []oaMapSlot[K]
 	mask   uint32
 	used   int
 	growAt int
 }
 
-type oaMapSlot[K comparable] struct {
+type oaMapSlot[K Key] struct {
 	hash uint32
 	val  int32 // nilSlot when the slot is empty
 	key  K
 }
 
 // newOAMap returns a map pre-sized for hint entries.
-func newOAMap[K comparable](hint int) *oaMap[K] {
-	m := &oaMap[K]{seed: maphash.MakeSeed()}
+func newOAMap[K Key](hint int) *oaMap[K] {
+	m := &oaMap[K]{seed: newHashSeed()}
 	m.grow(nextPow2(hint + hint/3 + 1))
 	return m
 }
@@ -347,7 +394,7 @@ func (m *oaMap[K]) Len() int { return m.used }
 
 // Get returns the value for k and whether it is present.
 func (m *oaMap[K]) Get(k K) (int32, bool) {
-	h := hashOf(m.seed, k)
+	h := hashOf(&m.seed, k)
 	i := h & m.mask
 	for {
 		s := &m.slots[i]
@@ -363,7 +410,7 @@ func (m *oaMap[K]) Get(k K) (int32, bool) {
 
 // Set inserts or updates k → v. v must not be nilSlot.
 func (m *oaMap[K]) Set(k K, v int32) {
-	h := hashOf(m.seed, k)
+	h := hashOf(&m.seed, k)
 	i := h & m.mask
 	for {
 		s := &m.slots[i]
@@ -390,7 +437,7 @@ func (m *oaMap[K]) Set(k K, v int32) {
 // Delete removes k, reporting whether it was present. Deletion
 // backward-shifts displaced successors exactly like the table index.
 func (m *oaMap[K]) Delete(k K) bool {
-	h := hashOf(m.seed, k)
+	h := hashOf(&m.seed, k)
 	i := h & m.mask
 	for {
 		s := &m.slots[i]
@@ -448,7 +495,7 @@ func (m *oaMap[K]) checkInvariants() error {
 			continue
 		}
 		occupied++
-		if want := hashOf(m.seed, s.key); want != s.hash {
+		if want := hashOf(&m.seed, s.key); want != s.hash {
 			return fmt.Errorf("oaMap slot %d caches hash %#x for key %v, want %#x", j, s.hash, s.key, want)
 		}
 		for i := s.hash & m.mask; i != uint32(j); i = (i + 1) & m.mask {
@@ -475,7 +522,7 @@ func (m *oaMap[K]) checkInvariants() error {
 // the slot buffer is reused from one build to the next. Keys stay in
 // the indexed slice: keyAt(i) names the i-th.
 type extentIndex struct {
-	seed  maphash.Seed
+	seed  hashSeed
 	slots []idxSlot
 	mask  uint32
 }
@@ -484,7 +531,7 @@ type extentIndex struct {
 func (ix *extentIndex) build(n int, keyAt func(int) blktrace.Extent) {
 	size := nextPow2(n + n/3 + 1)
 	if cap(ix.slots) < size {
-		ix.seed = maphash.MakeSeed()
+		ix.seed = newHashSeed()
 		ix.slots = make([]idxSlot, size)
 	}
 	ix.slots = ix.slots[:size]
@@ -493,7 +540,7 @@ func (ix *extentIndex) build(n int, keyAt func(int) blktrace.Extent) {
 	}
 	ix.mask = uint32(size - 1)
 	for pos := 0; pos < n; pos++ {
-		h := hashOf(ix.seed, keyAt(pos))
+		h := hashOf(&ix.seed, keyAt(pos))
 		i := h & ix.mask
 		for ix.slots[i].slot != nilSlot {
 			i = (i + 1) & ix.mask
@@ -504,7 +551,7 @@ func (ix *extentIndex) build(n int, keyAt func(int) blktrace.Extent) {
 
 // lookup returns ext's position among the keys last built, or -1.
 func (ix *extentIndex) lookup(ext blktrace.Extent, keyAt func(int) blktrace.Extent) int {
-	h := hashOf(ix.seed, ext)
+	h := hashOf(&ix.seed, ext)
 	for i := h & ix.mask; ; i = (i + 1) & ix.mask {
 		s := ix.slots[i]
 		if s.slot == nilSlot {

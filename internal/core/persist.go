@@ -187,7 +187,7 @@ func readCapacity(r *binio.Reader, what string) int {
 // tell: duplicates, T2 entries below the promote threshold, and
 // capacity overflows.
 func (t *Table[K]) restore(k K, count uint32, tier Tier) error {
-	h := hashOf(t.idx.seed, k)
+	h := hashOf(&t.idx.seed, k)
 	if t.indexLookup(h, k) != nilSlot {
 		return fmt.Errorf("core: snapshot entry %v duplicated", k)
 	}

@@ -200,7 +200,7 @@ const arenaMaxPrealloc = 1 << 20
 // Entries live in a pre-allocated arena and evicted slots are recycled
 // through a free list, so after warm-up the steady-state Touch path
 // performs no heap allocation.
-type Table[K comparable] struct {
+type Table[K Key] struct {
 	cfg   TableConfig
 	arena []entry[K] // entry slab; grows to at most Capacity1+Capacity2
 	free  int32      // head of the free-slot list, chained via entry.next
@@ -241,7 +241,7 @@ type Table[K comparable] struct {
 // NewTable returns an empty table. onEvict, if non-nil, is called with
 // the key and final counter of every entry the table discards (from
 // either tier); it must not call back into the table.
-func NewTable[K comparable](cfg TableConfig, onEvict func(K, uint32)) (*Table[K], error) {
+func NewTable[K Key](cfg TableConfig, onEvict func(K, uint32)) (*Table[K], error) {
 	if cfg.PromoteThreshold == 0 {
 		cfg.PromoteThreshold = DefaultPromoteThreshold
 	}
@@ -314,7 +314,7 @@ func (t *Table[K]) keyAt(s int32) K { return t.arena[s].key }
 func (t *Table[K]) evict(l *lruList, s int32) {
 	k, c := t.arena[s].key, t.arena[s].count
 	t.listRemove(l, s)
-	t.indexDelete(hashOf(t.idx.seed, k), k)
+	t.indexDelete(hashOf(&t.idx.seed, k), k)
 	t.evictions++
 	if t.onEvictSlot != nil {
 		t.onEvictSlot(s, k, c)
@@ -338,7 +338,7 @@ func (t *Table[K]) Touch(k K) TouchResult {
 // touch is Touch plus the arena slot now holding k, which the analyzer
 // uses to maintain its intrusive pair-membership lists.
 func (t *Table[K]) touch(k K) (TouchResult, int32) {
-	h := hashOf(t.idx.seed, k)
+	h := hashOf(&t.idx.seed, k)
 	if s := t.indexLookup(h, k); s != nilSlot {
 		e := &t.arena[s]
 		e.count++
@@ -395,7 +395,7 @@ func (t *Table[K]) Demote(k K) bool {
 // Remove deletes the entry for k without invoking the eviction
 // callback, reporting whether it was present.
 func (t *Table[K]) Remove(k K) bool {
-	h := hashOf(t.idx.seed, k)
+	h := hashOf(&t.idx.seed, k)
 	s := t.indexLookup(h, k)
 	if s == nilSlot {
 		return false
@@ -422,7 +422,7 @@ func (t *Table[K]) Count(k K) (uint32, bool) {
 
 // lookup returns the arena slot holding k, or nilSlot if absent.
 func (t *Table[K]) lookup(k K) int32 {
-	return t.indexLookup(hashOf(t.idx.seed, k), k)
+	return t.indexLookup(hashOf(&t.idx.seed, k), k)
 }
 
 // TierOf returns which tier holds k (TierNone if absent).

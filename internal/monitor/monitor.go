@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"daccor/internal/blktrace"
@@ -20,11 +21,24 @@ const DefaultMaxRequests = 8
 // correlated writes (§V.1 garbage collection) or correlated reads
 // (§V.2 parallel placement). Requests counts raw events assigned to
 // the transaction, including duplicates removed by deduplication.
+//
+// A sink borrows the transaction it is handed: the monitor reuses
+// Extents' and Ops' backing arrays for the next transaction, so they
+// are valid only for the length of the sink call. A sink that keeps a
+// transaction keeps its Clone.
 type Transaction struct {
 	Start, End int64 // issue timestamps of first and last event, ns
 	Extents    []blktrace.Extent
 	Ops        []blktrace.Op
 	Requests   int
+}
+
+// Clone returns a copy of tx that shares no memory with it: what a
+// sink keeps of a transaction it was lent.
+func (tx Transaction) Clone() Transaction {
+	tx.Extents = slices.Clone(tx.Extents)
+	tx.Ops = slices.Clone(tx.Ops)
+	return tx
 }
 
 // ExtentsFor returns the transaction's extents issued with the given
@@ -72,13 +86,16 @@ type Stats struct {
 // sink. It is a push-based state machine: feed events with
 // HandleEvent, feed completion latencies with ObserveLatency (driving
 // a dynamic window), and call Flush at end of stream.
+//
+// At steady state it allocates nothing: the open transaction's slices
+// are reused from one transaction to the next, and deduplication scans
+// them instead of keeping a set beside them.
 type Monitor struct {
 	cfg    Config
 	sink   func(Transaction)
-	filter map[uint32]struct{}
+	filter []uint32 // FilterPIDs, sorted; nil when unfiltered
 
 	open     Transaction
-	seen     map[blktrace.Extent]struct{}
 	lastTime int64
 
 	stats Stats
@@ -93,12 +110,14 @@ func (c Config) Validate() error {
 		return errors.New("monitor: Config.Window is required")
 	}
 	if c.MaxRequests < 0 {
-		return fmt.Errorf("monitor: MaxRequests must be >= 1 (got %d)", c.MaxRequests)
+		return fmt.Errorf("monitor: MaxRequests must be >= 1, or 0 for DefaultMaxRequests (got %d)", c.MaxRequests)
 	}
 	return nil
 }
 
 // New returns a Monitor forwarding completed transactions to sink.
+// The sink borrows each transaction: its Extents and Ops are valid
+// only during the call, and a sink that keeps one keeps tx.Clone().
 func New(cfg Config, sink func(Transaction)) (*Monitor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -109,16 +128,10 @@ func New(cfg Config, sink func(Transaction)) (*Monitor, error) {
 	if sink == nil {
 		return nil, errors.New("monitor: sink is required")
 	}
-	m := &Monitor{
-		cfg:  cfg,
-		sink: sink,
-		seen: make(map[blktrace.Extent]struct{}, cfg.MaxRequests),
-	}
+	m := &Monitor{cfg: cfg, sink: sink}
 	if len(cfg.FilterPIDs) > 0 {
-		m.filter = make(map[uint32]struct{}, len(cfg.FilterPIDs))
-		for _, pid := range cfg.FilterPIDs {
-			m.filter[pid] = struct{}{}
-		}
+		m.filter = slices.Clone(cfg.FilterPIDs)
+		slices.Sort(m.filter)
 	}
 	return m, nil
 }
@@ -131,7 +144,7 @@ func (m *Monitor) HandleEvent(ev blktrace.Event) error {
 		return err
 	}
 	if m.filter != nil {
-		if _, ok := m.filter[ev.PID]; !ok {
+		if _, ok := slices.BinarySearch(m.filter, ev.PID); !ok {
 			m.stats.Filtered++
 			return nil
 		}
@@ -160,12 +173,13 @@ func (m *Monitor) HandleEvent(ev blktrace.Event) error {
 	m.open.Requests++
 	m.stats.Events++
 
-	if !m.cfg.KeepDuplicates {
-		if _, dup := m.seen[ev.Extent]; dup {
-			m.stats.Duplicates++
-			return nil
-		}
-		m.seen[ev.Extent] = struct{}{}
+	// The open transaction's extents are exactly the ones seen since it
+	// opened, so a scan of them is the dedup set. It is at most
+	// MaxRequests long, which makes a transaction O(N²) to build: the
+	// same order as the analyzer's pair touches.
+	if !m.cfg.KeepDuplicates && slices.Contains(m.open.Extents, ev.Extent) {
+		m.stats.Duplicates++
+		return nil
 	}
 	m.open.Extents = append(m.open.Extents, ev.Extent)
 	m.open.Ops = append(m.open.Ops, ev.Op)
@@ -178,18 +192,15 @@ func (m *Monitor) ObserveLatency(ns int64) {
 	m.cfg.Window.ObserveLatency(time.Duration(ns))
 }
 
-// emit closes the open transaction and forwards it.
+// emit closes the open transaction and lends it to the sink, then
+// keeps its slices' backing arrays for the next one.
 func (m *Monitor) emit() {
 	if m.open.Requests == 0 {
 		return
 	}
-	tx := m.open
-	m.sink(tx)
+	m.sink(m.open)
 	m.stats.Transactions++
-	m.open = Transaction{}
-	if len(m.seen) > 0 {
-		clear(m.seen)
-	}
+	m.open = Transaction{Extents: m.open.Extents[:0], Ops: m.open.Ops[:0]}
 }
 
 // Flush closes and emits the open transaction, if any. Call it at end
@@ -228,7 +239,7 @@ func (m *Monitor) Run(src blktrace.Source) error {
 // analysis sees.
 func Collect(t *blktrace.Trace, cfg Config) ([]Transaction, error) {
 	var out []Transaction
-	m, err := New(cfg, func(tx Transaction) { out = append(out, tx) })
+	m, err := New(cfg, func(tx Transaction) { out = append(out, tx.Clone()) })
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ func ev(t int64, block uint64) blktrace.Event {
 func collect(t *testing.T, cfg Config, events []blktrace.Event) ([]Transaction, Stats) {
 	t.Helper()
 	var out []Transaction
-	m, err := New(cfg, func(tx Transaction) { out = append(out, tx) })
+	m, err := New(cfg, func(tx Transaction) { out = append(out, tx.Clone()) })
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestMonitorInvariantsQuick(t *testing.T) {
 		}
 		var txs []Transaction
 		m, err := New(Config{Window: StaticWindow(window), MaxRequests: cap8},
-			func(tx Transaction) { txs = append(txs, tx) })
+			func(tx Transaction) { txs = append(txs, tx.Clone()) })
 		if err != nil {
 			return false
 		}

@@ -82,7 +82,7 @@ func New(cfg Config) (*Pipeline, error) {
 	p := &Pipeline{analyzer: analyzer, keepTx: cfg.KeepTransactions}
 	mon, err := monitor.New(cfg.Monitor, func(tx monitor.Transaction) {
 		if p.keepTx {
-			p.transactions = append(p.transactions, tx)
+			p.transactions = append(p.transactions, tx.Clone())
 		}
 		p.analyzer.Process(tx.Extents)
 	})
