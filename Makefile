@@ -60,10 +60,11 @@ race:
 # Lifecycle orderings that once depended on the scheduler (a periodic
 # checkpoint save outliving Stop, the StopTimeout drain, a restore
 # beside a save in flight, the hand-off of the partition analyzers
-# between their workers and the router): fifty runs under the race
-# detector, zero-failure budget.
+# between their workers and the router, one stats read agreeing with
+# itself right after a submit): fifty runs under the race detector,
+# zero-failure budget.
 flake:
-	$(GO) test -race -count=50 -run 'TestFaultPanicRecoveryFromCheckpoint|TestFaultPartitionedPanicRecovery|TestStop|TestRestoreBesideInFlightSave|TestPartitionedStress|TestFaultQueryDuringPanicIsAnswered' ./internal/engine ./internal/checkpoint
+	$(GO) test -race -count=50 -run 'TestFaultPanicRecoveryFromCheckpoint|TestFaultPartitionedPanicRecovery|TestStop|TestRestoreBesideInFlightSave|TestPartitionedStress|TestFaultQueryDuringPanicIsAnswered|TestStatsAfterSubmitIsDrained' ./internal/engine ./internal/checkpoint
 
 # bench/ is its own module, so ./... never reaches it: vet it and run
 # its unit tests here, or a root-module refactor that renames something

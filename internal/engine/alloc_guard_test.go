@@ -19,12 +19,21 @@ import (
 // 4 Ki and 64 Ki events must allocate about the same; a per-event or
 // per-transaction allocation anywhere on the path from SubmitBatch to
 // the analyzer adds thousands.
-func TestEngineSubmitBatchSteadyStateAllocs(t *testing.T) {
+func TestEngineSubmitBatchSteadyStateAllocs(t *testing.T) { checkDrainedRunAllocs(t, 1) }
+
+// TestEngineSubmitBatchSteadyStateAllocsP2 is the same contract at
+// P = 2, where the router also hands each transaction to the partition
+// workers' rings and sleeps on a full one: neither the hand-off nor the
+// router's wake-up may allocate per transaction.
+func TestEngineSubmitBatchSteadyStateAllocsP2(t *testing.T) { checkDrainedRunAllocs(t, 2) }
+
+func checkDrainedRunAllocs(t *testing.T, parts int) {
 	e, err := New(
 		WithMonitor(monitor.Config{Window: monitor.StaticWindow(100 * time.Microsecond)}),
 		WithAnalyzer(core.Config{ItemCapacity: 2048, PairCapacity: 2048}),
 		WithQueueSize(8192),
 		WithBackpressure(Block),
+		WithPartitions(parts),
 		WithDevices("dev0"),
 	)
 	if err != nil {
@@ -66,8 +75,8 @@ func TestEngineSubmitBatchSteadyStateAllocs(t *testing.T) {
 	}
 	run(64 << 10) // warm up: arenas, indexes, ring and buffers at size
 	small, large := run(4<<10), run(64<<10)
-	t.Logf("allocations per drained run: %d for 4 Ki events, %d for 64 Ki", small, large)
+	t.Logf("P = %d: allocations per drained run: %d for 4 Ki events, %d for 64 Ki", parts, small, large)
 	if large > small+64 {
-		t.Errorf("a drained run of 64 Ki events allocates %d times, one of 4 Ki %d: ingest allocates per event", large, small)
+		t.Errorf("P = %d: a drained run of 64 Ki events allocates %d times, one of 4 Ki %d: ingest allocates per event", parts, large, small)
 	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -131,5 +133,35 @@ func TestStopTimeoutDiscardsBehindParkedRouter(t *testing.T) {
 	}
 	if _, ok := store.Latest("dev0"); !ok {
 		t.Fatal("no final checkpoint after forced stop")
+	}
+}
+
+// TestStatsAfterSubmitIsDrained: one DeviceStats read taken after the
+// producer's submits returned reports every one of them analysed and
+// no lag, with no polling. The router answers a stats query only after
+// it has drained the ring and flushed the reorder buffer, and the
+// producer-side lag is read after that reply, so the two halves of one
+// DeviceStats agree.
+func TestStatsAfterSubmitIsDrained(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", parts), func(t *testing.T) {
+			e := mustEngine(t, WithDevices("dev0"), WithPartitions(parts))
+			defer e.Stop()
+			rng := rand.New(rand.NewSource(int64(parts)))
+			submitted := 0
+			for i := 0; i < 200; i++ {
+				n := 1 + rng.Intn(128)
+				feedN(t, e, "dev0", n, submitted)
+				submitted += n
+				ds, err := e.DeviceStatsFor("dev0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ds.Monitor.Events != uint64(submitted) || ds.Lag != 0 {
+					t.Fatalf("iteration %d: %d of %d events analysed, lag %d; want all, lag 0",
+						i, ds.Monitor.Events, submitted, ds.Lag)
+				}
+			}
+		})
 	}
 }

@@ -757,8 +757,12 @@ func (e *Engine) Stats() (Stats, error) {
 
 func (e *Engine) statsOf(s *shard) (DeviceStats, error) {
 	ds := DeviceStats{Device: s.id, Health: s.health(), Partitions: s.parts}
-	ds.Dropped, ds.Lag = s.counters()
 	r, err := s.ask(query{kind: queryStats})
+	// Read the producer-side counters after the reply: the router
+	// answers only after draining the ring and flushing the reorder
+	// buffer, so a lag read before the round trip could count events
+	// the reply reports analysed.
+	ds.Dropped, ds.Lag = s.counters()
 	if err != nil {
 		if errors.Is(err, ErrDeviceUnavailable) {
 			// A failed device still reports its health and producer-side

@@ -31,8 +31,10 @@ type ringSlot struct {
 
 // evRing is a bounded MPSC ring. Producers race on enq (tryPush) and,
 // under the DropOldest policy, on deq (dropOldest); the single router
-// goroutine consumes via pop. Capacity is rounded up to a power of
-// two so position→index is a mask.
+// goroutine consumes via popBatch, which claims every published event
+// at deq — up to its buffer — with one CAS on deq rather than one per
+// event. Capacity is rounded up to a power of two so position→index is
+// a mask.
 type evRing struct {
 	slots []ringSlot
 	mask  uint64
@@ -115,29 +117,49 @@ func (r *evRing) tryPush(ev blktrace.Event) bool {
 	}
 }
 
-// pop consumes the oldest event. It returns false when the ring is
-// empty — including the transient case where the oldest slot has been
-// claimed by a producer that has not finished publishing; the
-// producer's post-publish wake covers that window.
-func (r *evRing) pop(ev *blktrace.Event, ts *int64) bool {
+// ringItem is one event popped from the ring: the event and its
+// sampled submit timestamp.
+type ringItem struct {
+	ev blktrace.Event
+	ts int64
+}
+
+// popBatch consumes up to len(dst) of the oldest events into dst and
+// returns how many. It claims the whole run of published slots at deq
+// with one CAS — the same CAS a dropOldest races it on, so each ticket
+// goes to exactly one of them — then copies the events out and frees
+// the slots, oldest first, so the first slot a producer waits on in a
+// full ring is the first one freed. The run ends at the first slot not
+// yet published, including one claimed by a producer that has not
+// finished publishing; the producer's post-publish wake covers that
+// window. It returns 0 when the ring is empty.
+func (r *evRing) popBatch(dst []ringItem) int {
 	pos := r.deq.Load()
 	for {
-		slot := &r.slots[pos&r.mask]
-		seq := slot.seq.Load()
-		switch d := int64(seq - (pos + 1)); {
-		case d == 0:
-			if r.deq.CompareAndSwap(pos, pos+1) {
-				*ev = slot.ev
-				*ts = slot.ts
-				slot.seq.Store(pos + uint64(len(r.slots)))
-				return true
-			}
-			pos = r.deq.Load()
-		case d < 0:
-			return false // empty (or oldest slot mid-publish)
-		default:
-			pos = r.deq.Load() // a dropOldest got there first; reload
+		n := 0
+		for n < len(dst) && r.slots[(pos+uint64(n))&r.mask].seq.Load() == pos+uint64(n)+1 {
+			n++
 		}
+		if n == 0 {
+			if next := r.deq.Load(); next != pos {
+				pos = next // a dropOldest freed the slot at pos; reload
+				continue
+			}
+			return 0
+		}
+		// A successful CAS means deq stayed at pos since the load (it
+		// only grows), so no dropOldest freed any of the n slots and no
+		// producer can refill them before they are freed below.
+		if r.deq.CompareAndSwap(pos, pos+uint64(n)) {
+			for i := range dst[:n] {
+				p := pos + uint64(i)
+				slot := &r.slots[p&r.mask]
+				dst[i] = ringItem{ev: slot.ev, ts: slot.ts}
+				slot.seq.Store(p + uint64(len(r.slots)))
+			}
+			return n
+		}
+		pos = r.deq.Load() // a dropOldest got there first; reload
 	}
 }
 

@@ -101,7 +101,7 @@ type txRing struct {
 	enq     atomic.Uint64
 	deq     atomic.Uint64
 	wake    wakeFlag // worker sleeps here
-	notFull gate     // router parks here until the worker dequeues
+	notFull wakeFlag // router, the one waiter, sleeps here until the worker dequeues
 }
 
 // txRingSize bounds how far the router can run ahead of one partition
@@ -357,8 +357,7 @@ func (s *shard) runOnce() (panicked any) {
 // there are no workers. It returns on clean stop or when the run breaks
 // (worker death); its own panics propagate to runOnce's recover.
 func (s *shard) routerLoop(st *deviceState, run *partRun) {
-	var ev blktrace.Event
-	var ts int64
+	var batch [popBatchSize]ringItem
 	var lats []int64
 	// released counts the events the current iteration let into analysis.
 	// Keep it on the router's stack (emit does not escape), not in
@@ -390,12 +389,7 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 			st.mon.ObserveLatency(ns)
 		}
 		released = 0
-		drained := 0
-		for s.ring.pop(&ev, &ts) {
-			drained++
-			st.rb.push(ev, ts, emit)
-		}
-		if drained > 0 && s.policy == Block {
+		if s.drain(st, batch[:], emit) > 0 && s.policy == Block {
 			s.notFull.open()
 		}
 		// Flush the reorder buffer whenever the router has caught up
@@ -419,7 +413,7 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 			}
 		}
 		if stopping {
-			_ = s.finishStop(st, run, emit)
+			_ = s.finishStop(st, run, batch[:], emit)
 			return
 		}
 		if s.ring.empty() && !s.havePending() {
@@ -433,6 +427,29 @@ func (s *shard) routerLoop(st *deviceState, run *partRun) {
 			} else {
 				s.wake.sleep(s.stopCh, nil)
 			}
+		}
+	}
+}
+
+// popBatchSize is how many events the router claims from the ring at
+// once: one CAS per batch instead of one per event.
+const popBatchSize = 64
+
+// drain moves every event published in the ring into the reorder
+// buffer, claiming them a batch at a time into buf, and returns how
+// many it moved. A batch shorter than buf ended at a slot not yet
+// published, so drain stops there rather than probe that slot again
+// while its producer writes it.
+func (s *shard) drain(st *deviceState, buf []ringItem, emit func(blktrace.Event, int64)) int {
+	drained := 0
+	for {
+		n := s.ring.popBatch(buf)
+		drained += n
+		for _, it := range buf[:n] {
+			st.rb.push(it.ev, it.ts, emit)
+		}
+		if n < len(buf) {
+			return drained
 		}
 	}
 }
@@ -477,9 +494,9 @@ func (s *shard) routeTx(tx monitor.Transaction) {
 	}
 }
 
-// txPush publishes one token into a partition's SPSC ring, parking on
-// the ring's gate when it is full. Returns false when the run broke
-// while waiting — the caller abandons the fan-out.
+// txPush publishes one token into a partition's SPSC ring, sleeping on
+// the ring's notFull eventcount when it is full. Returns false when the
+// run broke while waiting — the caller abandons the fan-out.
 func (s *shard) txPush(r *txRing, run *partRun, stop bool, extents []blktrace.Extent) bool {
 	for {
 		pos := r.enq.Load()
@@ -491,20 +508,16 @@ func (s *shard) txPush(r *txRing, run *partRun, stop bool, extents []blktrace.Ex
 			r.wake.wake()
 			return true
 		}
-		ch := r.notFull.arm()
+		r.notFull.prepare()
 		if pos-r.deq.Load() < uint64(len(r.slots)) {
-			r.notFull.disarm()
+			r.notFull.cancel()
 			continue
 		}
 		if run.isBroken() {
-			r.notFull.disarm()
+			r.notFull.cancel()
 			return false
 		}
-		select {
-		case <-ch:
-		case <-run.broken:
-		}
-		r.notFull.disarm()
+		r.notFull.sleep(run.broken, nil)
 		if run.isBroken() {
 			return false
 		}
@@ -536,7 +549,7 @@ func partWorker(k int, st *deviceState, run *partRun) {
 			}
 			a.ProcessPartition(slot.extents, k, parts)
 			r.deq.Store(pos + 1)
-			r.notFull.open()
+			r.notFull.wake()
 			continue
 		}
 		r.wake.prepare()
@@ -581,13 +594,9 @@ func (s *shard) mirrorReorder(st *deviceState) {
 // the open transaction, stops the partition workers, writes the final
 // checkpoint, and answers the remaining queries against the flushed
 // state.
-func (s *shard) finishStop(st *deviceState, run *partRun, emit func(blktrace.Event, int64)) error {
-	var ev blktrace.Event
-	var ts int64
+func (s *shard) finishStop(st *deviceState, run *partRun, buf []ringItem, emit func(blktrace.Event, int64)) error {
 	for !s.ring.empty() {
-		if s.ring.pop(&ev, &ts) {
-			st.rb.push(ev, ts, emit)
-		} else {
+		if s.drain(st, buf, emit) == 0 {
 			runtime.Gosched() // a producer claimed the slot; it will publish
 		}
 	}
@@ -683,22 +692,20 @@ func (s *shard) answer(st *deviceState, run *partRun, q query) error {
 }
 
 // quiesce waits until every partition worker has applied everything
-// routed to it (deq == enq on every ring), parking on each ring's
-// notFull gate, which the worker opens after every dequeue. The
+// routed to it (deq == enq on every ring), sleeping on each ring's
+// notFull eventcount, which the worker wakes after every dequeue. The
 // worker's deq store after applying and the router's next enq store are
 // the hand-offs of the analyzers between them. A broken run returns
 // errRunBroken: a worker died, and the query goes back to the queue.
 func (s *shard) quiesce(st *deviceState, run *partRun) error {
 	for _, r := range st.txRings {
 		for r.deq.Load() != r.enq.Load() {
-			ch := r.notFull.arm()
+			r.notFull.prepare()
 			if r.deq.Load() != r.enq.Load() {
-				select {
-				case <-ch:
-				case <-run.broken:
-				}
+				r.notFull.sleep(run.broken, nil)
+			} else {
+				r.notFull.cancel()
 			}
-			r.notFull.disarm()
 			if run.isBroken() {
 				return errRunBroken
 			}
