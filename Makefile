@@ -95,14 +95,18 @@ alloc-guard:
 
 # Thirty seconds of the ingest scanner against its encoding/json oracle
 # (same accept/reject set, events, and error text), thirty of the
-# merge index's walk against MergeSnapshots, then thirty each of the
-# checkpoint decoder (every failure a typed sentinel) and the sync
-# frame decoder (what it accepts re-encodes to the same bytes). A short
+# merge index's walk against MergeSnapshots, thirty of the analyzer's
+# pair-membership lists against a brute-force scan of the live pairs
+# (at P = 1 and 2, with items evicted and re-admitted), then thirty
+# each of the checkpoint decoder (every failure a typed sentinel) and
+# the sync frame decoder (what it accepts re-encodes to the same
+# bytes). A short
 # minimization budget keeps the fuzzer mutating: minimizing one of the
 # 10 000-event seeds would otherwise eat the whole run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIngestDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/realtime
 	$(GO) test -run '^$$' -fuzz '^FuzzMergeIndexApply$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzAnalyzerMembership$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzDeltaDecode$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/fleet
 

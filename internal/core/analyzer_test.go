@@ -134,11 +134,11 @@ func TestPairEvictionCleansIndex(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Process([]blktrace.Extent{ext(uint64(2*i), 1), ext(uint64(2*i+1), 1)})
 	}
-	if a.pairHeads.Len() > 2*a.Pairs().Capacity() {
-		t.Errorf("pairHeads leaked: %d entries for capacity %d",
-			a.pairHeads.Len(), a.Pairs().Capacity())
+	if a.orphans.Len() > 2*a.Pairs().Len() {
+		t.Errorf("orphan lists leaked: %d entries for %d live pairs",
+			a.orphans.Len(), a.Pairs().Len())
 	}
-	if err := a.checkMembershipInvariants(); err != nil {
+	if err := a.CheckMembershipInvariants(); err != nil {
 		t.Error(err)
 	}
 }
@@ -167,28 +167,18 @@ func TestPairsByExtentConsistentQuick(t *testing.T) {
 			}
 			a.Process(tx)
 		}
-		// The membership lists must exactly mirror live pair entries.
-		live := map[blktrace.Pair]struct{}{}
-		for _, e := range a.Pairs().Entries(0) {
-			live[e.Key] = struct{}{}
-		}
-		indexed := map[blktrace.Pair]struct{}{}
-		a.pairHeads.Range(func(e blktrace.Extent, h int32) bool {
-			for s := h; s != nilSlot; s = a.memberNext(s, e) {
-				indexed[a.pairs.keyAt(s)] = struct{}{}
+		// Each extent's membership list must reach exactly the live
+		// pairs containing it.
+		var universe []blktrace.Extent
+		for b := 0; b < 10; b++ {
+			for l := 1; l <= 3; l++ {
+				universe = append(universe, ext(uint64(b), uint32(l)))
 			}
-			return true
-		})
-		if len(live) != len(indexed) {
+		}
+		if checkMembershipOracle(a, universe, 0, 1) != nil {
 			return false
 		}
-		for p := range live {
-			if _, ok := indexed[p]; !ok {
-				return false
-			}
-		}
-		return a.checkMembershipInvariants() == nil &&
-			a.Items().CheckInvariants() == nil && a.Pairs().CheckInvariants() == nil
+		return a.Items().CheckInvariants() == nil && a.Pairs().CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -4,5 +4,5 @@ package core
 func (t *Table[K]) CheckInvariants() error { return t.checkInvariants() }
 
 // CheckMembershipInvariants exposes the intrusive pair-membership
-// checker to tests and fuzz targets.
-func (a *Analyzer) CheckMembershipInvariants() error { return a.checkMembershipInvariants() }
+// checker to tests and fuzz targets, for an analyzer fed unpartitioned.
+func (a *Analyzer) CheckMembershipInvariants() error { return a.checkMembershipInvariants(0, 1) }

@@ -256,36 +256,62 @@ func fuzzOpenAddrIndex[K Key](t *testing.T, data []byte, key func(uint64) K) {
 }
 
 // FuzzAnalyzerMembership drives transaction streams through a small
-// analyzer and checks that the intrusive pair-membership lists stay an
-// exact mirror of the live correlation table.
+// analyzer, unpartitioned and split two ways, and checks after every
+// transaction that the intrusive pair-membership lists stay an exact
+// mirror of the live correlation table: each owned extent's list, by
+// item slot or among the orphans, reaches exactly the live pairs that
+// contain it. Items of a 3-entry tier are evicted while their pairs
+// live on and admitted again, which moves lists to the orphans and
+// back.
 func FuzzAnalyzerMembership(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 0, 5, 6})
 	f.Add(bytes.Repeat([]byte{9, 8, 7, 0}, 16))
+	// Pair (1,2); singles evict 1 and 2 while it lives; 1 and 2 return.
+	f.Add([]byte{1, 2, 0, 3, 0, 4, 0, 5, 0, 1, 0, 2, 0, 1, 2, 0})
+	// Both members evicted, one re-admitted beside a new partner, then
+	// the old pair evicted out of the orphan list.
+	f.Add([]byte{1, 2, 3, 0, 4, 5, 6, 0, 1, 7, 0, 8, 9, 10, 11, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := NewAnalyzer(Config{ItemCapacity: 3, PairCapacity: 3})
+		cfg := Config{ItemCapacity: 3, PairCapacity: 3}
+		a, err := NewAnalyzer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tx []blktrace.Extent
-		seen := map[blktrace.Extent]bool{}
-		flush := func() {
-			a.Process(tx)
-			tx = tx[:0]
-			for e := range seen {
-				delete(seen, e)
-			}
-			if err := a.CheckMembershipInvariants(); err != nil {
+		parts := make([]*Analyzer, 2)
+		pcfg, err := cfg.Split(len(parts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range parts {
+			if parts[k], err = NewAnalyzer(pcfg); err != nil {
 				t.Fatal(err)
 			}
+		}
+		var universe []blktrace.Extent
+		for b := range 48 {
+			universe = append(universe, fuzzExtent(byte(b)))
+		}
+		var tx []blktrace.Extent
+		flush := func() {
+			a.Process(tx)
+			if err := checkMembershipOracle(a, universe, 0, 1); err != nil {
+				t.Fatalf("P=1 after %v: %v", tx, err)
+			}
+			for k, p := range parts {
+				p.ProcessPartition(tx, k, len(parts))
+				if err := checkMembershipOracle(p, universe, k, len(parts)); err != nil {
+					t.Fatalf("P=2 after %v: %v", tx, err)
+				}
+			}
+			tx = tx[:0]
 		}
 		for _, b := range data {
 			if b == 0 || len(tx) >= 6 {
 				flush()
 				continue
 			}
-			e := blktrace.Extent{Block: uint64(b % 16), Len: 1 + uint32(b%3)}
-			if !seen[e] { // the monitor guarantees deduplicated extents
-				seen[e] = true
+			// The monitor guarantees deduplicated extents.
+			if e := fuzzExtent(b); !slices.Contains(tx, e) {
 				tx = append(tx, e)
 			}
 		}
@@ -297,4 +323,10 @@ func FuzzAnalyzerMembership(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// fuzzExtent maps a fuzz byte onto one of 48 extents; bytes 0 to 47
+// name each once.
+func fuzzExtent(b byte) blktrace.Extent {
+	return blktrace.Extent{Block: uint64(b % 16), Len: 1 + uint32(b%3)}
 }

@@ -11,9 +11,10 @@ import (
 // Open-addressing key indexes for the synopsis hot path.
 //
 // The two-tier tables and the analyzer's pair-membership anchors used
-// to be Go maps (Table.index map[K]int32, Analyzer.pairHeads
-// map[Extent]int32). A general-purpose map is the wrong shape for a
-// bounded synopsis: the key set never exceeds the arena capacity, every
+// to be Go maps (Table.index map[K]int32, and an extent → list-head
+// map[Extent]int32 the analyzer has since dropped for heads kept by
+// item slot). A general-purpose map is the wrong shape for a bounded
+// synopsis: the key set never exceeds the arena capacity, every
 // value is a small arena slot index, and the per-touch cost is
 // dominated by hash-bucket indirection the table does not need. Like
 // the hash-indexed bounded synopses of the Space-Saving and CMiner
@@ -345,7 +346,7 @@ func (t *Table[K]) checkIndexInvariants() error {
 // oaMap is a small open-addressing key→int32 map with the same probe
 // discipline as the table index (linear probing, cached reduced hash,
 // backward-shift deletion), for bounded hot-path side indexes whose
-// keys are not arena-resident — the analyzer's pair-membership heads.
+// keys are not arena-resident — the analyzer's orphan membership lists.
 // Values are arena slot indexes and never nilSlot, so nilSlot doubles
 // as the empty-slot marker. Not safe for concurrent use.
 type oaMap[K Key] struct {
@@ -434,21 +435,29 @@ func (m *oaMap[K]) Set(k K, v int32) {
 	m.used++
 }
 
-// Delete removes k, reporting whether it was present. Deletion
-// backward-shifts displaced successors exactly like the table index.
+// Delete removes k, reporting whether it was present.
 func (m *oaMap[K]) Delete(k K) bool {
+	_, ok := m.Take(k)
+	return ok
+}
+
+// Take removes k and returns the value it had, in one probe sequence.
+// Deletion backward-shifts displaced successors exactly like the table
+// index.
+func (m *oaMap[K]) Take(k K) (int32, bool) {
 	h := hashOf(&m.seed, k)
 	i := h & m.mask
 	for {
 		s := &m.slots[i]
 		if s.val == nilSlot {
-			return false
+			return nilSlot, false
 		}
 		if s.hash == h && s.key == k {
 			break
 		}
 		i = (i + 1) & m.mask
 	}
+	v := m.slots[i].val
 	var zero K
 	mask := m.mask
 	for {
@@ -460,7 +469,7 @@ func (m *oaMap[K]) Delete(k K) bool {
 			s := &m.slots[j]
 			if s.val == nilSlot {
 				m.used--
-				return true
+				return v, true
 			}
 			if ((j - s.hash) & mask) >= ((j - i) & mask) {
 				m.slots[i] = *s

@@ -17,8 +17,10 @@ import (
 //
 //   - an extent belongs to PartitionOf(extent, P);
 //   - a canonical pair {A ≤ B} belongs to A's partition (the min-extent
-//     partition), so the correlation table's intrusive membership lists
-//     never span partitions;
+//     partition), and a partition threads a pair into the membership
+//     list of each member it owns — A's always, B's when B is its own —
+//     so the correlation table's intrusive membership lists never span
+//     partitions;
 //   - each partition runs an ordinary Analyzer at 1/P of the device
 //     capacity (Config.Split), so the device's memory bound is
 //     preserved;
@@ -219,20 +221,28 @@ func SplitAnalyzer(a *Analyzer, parts int) ([]*Analyzer, int, error) {
 			shedItems++
 			continue
 		}
-		if err := t.items.restore(e.Key, e.Count, e.Tier); err != nil {
+		s, err := t.items.restore(e.Key, e.Count, e.Tier)
+		if err != nil {
 			return nil, 0, fmt.Errorf("core: split item %v: %w", e.Key, err)
 		}
+		t.admitItem(s, e.Key)
 	}
 	for _, e := range raw.pairs {
-		t := out[PartitionOf(e.Key.A, parts)]
+		k := PartitionOf(e.Key.A, parts)
+		t := out[k]
 		if t.pairs.tierFull(e.Tier) {
 			shedPairs++
 			continue
 		}
-		if err := t.pairs.restore(e.Key, e.Count, e.Tier); err != nil {
+		s, err := t.pairs.restore(e.Key, e.Count, e.Tier)
+		if err != nil {
 			return nil, 0, fmt.Errorf("core: split pair %v: %w", e.Key, err)
 		}
-		t.registerPair(t.pairs.lookup(e.Key), e.Key)
+		sb := nilSlot
+		if PartitionOf(e.Key.B, parts) != k {
+			sb = unowned
+		}
+		t.registerPair(s, e.Key, nilSlot, sb)
 	}
 	st := a.stats
 	st.ItemEvictions += uint64(shedItems)

@@ -200,7 +200,7 @@ func TestPartitionedDifferential(t *testing.T) {
 			if got, want := a.Pairs().Entries(0), ownedEntries(refPairs, pairOwner, k); !slices.Equal(got, want) {
 				t.Fatalf("P=%d partition %d: pair recency differs from P=1's owned entries", p, k)
 			}
-			if err := a.CheckMembershipInvariants(); err != nil {
+			if err := a.checkMembershipInvariants(k, p); err != nil {
 				t.Fatalf("P=%d partition %d membership invariants: %v", p, k, err)
 			}
 			if err := a.Items().CheckInvariants(); err != nil {
@@ -286,7 +286,7 @@ func TestSplitAnalyzerRoundTrip(t *testing.T) {
 		t.Fatal("split group diverged from unsplit analyzer on subsequent stream")
 	}
 	for k, a := range parts {
-		if err := a.CheckMembershipInvariants(); err != nil {
+		if err := a.checkMembershipInvariants(k, len(parts)); err != nil {
 			t.Fatalf("partition %d membership invariants after split+stream: %v", k, err)
 		}
 	}

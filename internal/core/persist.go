@@ -144,10 +144,12 @@ func LoadAnalyzer(rd io.Reader) (*Analyzer, error) {
 		if r.Err() != nil {
 			break
 		}
-		if err := a.items.restore(ic.Extent, ic.Count, ic.Tier); err != nil {
+		s, err := a.items.restore(ic.Extent, ic.Count, ic.Tier)
+		if err != nil {
 			r.Fail("item %d: %v", i, err)
 			break
 		}
+		a.admitItem(s, ic.Extent)
 	}
 	r.SetSentinel(ErrBadSnapshotHeader)
 	nPairs := r.Count("pair records", 2*pairCap)
@@ -157,11 +159,12 @@ func LoadAnalyzer(rd io.Reader) (*Analyzer, error) {
 		if r.Err() != nil {
 			break
 		}
-		if err := a.pairs.restore(pc.Pair, pc.Count, pc.Tier); err != nil {
+		s, err := a.pairs.restore(pc.Pair, pc.Count, pc.Tier)
+		if err != nil {
 			r.Fail("pair %d: %v", i, err)
 			break
 		}
-		a.registerPair(a.pairs.lookup(pc.Pair), pc.Pair)
+		a.registerPair(s, pc.Pair, nilSlot, nilSlot)
 	}
 	if err := r.Err(); err != nil {
 		return nil, err
@@ -182,24 +185,24 @@ func readCapacity(r *binio.Reader, what string) int {
 
 // restore appends an entry at the LRU end of the given tier, so
 // feeding entries in Entries(0) order (MRU→LRU per tier) reproduces
-// the exact recency order. The entry is a valid record (records.go
-// checks tier and count); restore rejects what only the table can
-// tell: duplicates, T2 entries below the promote threshold, and
-// capacity overflows.
-func (t *Table[K]) restore(k K, count uint32, tier Tier) error {
+// the exact recency order, and returns the entry's arena slot. The
+// entry is a valid record (records.go checks tier and count); restore
+// rejects what only the table can tell: duplicates, T2 entries below
+// the promote threshold, and capacity overflows.
+func (t *Table[K]) restore(k K, count uint32, tier Tier) (int32, error) {
 	h := hashOf(&t.idx.seed, k)
 	if t.indexLookup(h, k) != nilSlot {
-		return fmt.Errorf("core: snapshot entry %v duplicated", k)
+		return nilSlot, fmt.Errorf("core: snapshot entry %v duplicated", k)
 	}
 	if tier == Tier2 {
 		if t.t2.size >= t.cfg.Capacity2 {
-			return fmt.Errorf("core: snapshot overflows T2 capacity %d", t.cfg.Capacity2)
+			return nilSlot, fmt.Errorf("core: snapshot overflows T2 capacity %d", t.cfg.Capacity2)
 		}
 		if count < t.cfg.PromoteThreshold {
-			return fmt.Errorf("core: snapshot T2 entry %v below promote threshold", k)
+			return nilSlot, fmt.Errorf("core: snapshot T2 entry %v below promote threshold", k)
 		}
 	} else if t.t1.size >= t.cfg.Capacity1 {
-		return fmt.Errorf("core: snapshot overflows T1 capacity %d", t.cfg.Capacity1)
+		return nilSlot, fmt.Errorf("core: snapshot overflows T1 capacity %d", t.cfg.Capacity1)
 	}
 	s := t.alloc(k, count, tier)
 	if tier == Tier1 {
@@ -208,5 +211,5 @@ func (t *Table[K]) restore(k K, count uint32, tier Tier) error {
 		t.listPushBack(&t.t2, s)
 	}
 	t.indexInsert(h, s)
-	return nil
+	return s, nil
 }

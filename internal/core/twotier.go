@@ -218,11 +218,11 @@ type Table[K Key] struct {
 	idx     tableIndex
 	onEvict func(K, uint32) // key and its count at eviction time
 	// onEvictSlot, when set, additionally reports the evicted entry's
-	// arena slot — the analyzer threads its intrusive pair-membership
-	// links through slots and needs the index to unlink in O(1). It is
-	// called before the slot is recycled, so keyAt(slot) is still valid
-	// inside the callback. Like onEvict it must not call back into the
-	// table.
+	// arena slot — the analyzer anchors and threads its intrusive
+	// pair-membership lists by item and pair slot and needs the index to
+	// move or unlink them in O(1). It is called before the slot is
+	// recycled, so keyAt(slot) is still valid inside the callback. Like
+	// onEvict it must not call back into the table.
 	onEvictSlot func(int32, K, uint32)
 
 	evictions  uint64
@@ -311,6 +311,12 @@ func (t *Table[K]) freeSlot(s int32) {
 // slot (from touch, or inside an eviction callback).
 func (t *Table[K]) keyAt(s int32) K { return t.arena[s].key }
 
+// holds reports whether arena slot s is live and holds k — whether a
+// slot kept from an earlier touch still names k's entry.
+func (t *Table[K]) holds(s int32, k K) bool {
+	return s >= 0 && int(s) < len(t.arena) && t.arena[s].tier != TierNone && t.arena[s].key == k
+}
+
 func (t *Table[K]) evict(l *lruList, s int32) {
 	k, c := t.arena[s].key, t.arena[s].count
 	t.listRemove(l, s)
@@ -383,13 +389,18 @@ func (t *Table[K]) Demote(k K) bool {
 	if s == nilSlot {
 		return false
 	}
+	t.demoteSlot(s)
+	return true
+}
+
+// demoteSlot is Demote for the live entry in arena slot s.
+func (t *Table[K]) demoteSlot(s int32) {
 	switch t.arena[s].tier {
 	case Tier1:
 		t.listMoveToBack(&t.t1, s)
 	default:
 		t.listMoveToBack(&t.t2, s)
 	}
-	return true
 }
 
 // Remove deletes the entry for k without invoking the eviction

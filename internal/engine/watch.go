@@ -15,9 +15,11 @@ import (
 // cheaply; here the epoch also *notifies*, so a watcher blocks on a
 // channel instead of polling If-None-Match in a loop. The mechanism is
 // the classic closed-channel broadcast: each notifier holds a channel
-// that is closed (waking every waiter at once) and replaced on every
-// advance. Waiters take the channel before they check their cursor, so
-// an advance between the check and the block can never be missed;
+// that an advance closes (waking every waiter at once) and replaces —
+// but only once a waiter has taken it, so an advance nobody waits for
+// allocates nothing. Waiters take the channel before they check their
+// cursor, so an advance between the check and the block can never be
+// missed;
 // coalescing is inherent — a waiter woken after N advances sees only
 // the latest cursor, which is exactly the semantics a snapshot
 // consumer wants.
@@ -28,9 +30,13 @@ import (
 // Its Wait is the one wait loop behind every view: a device's, the
 // engine's merged view, and the fleet aggregator's.
 type EpochNotifier struct {
-	mu   sync.Mutex
-	ch   chan struct{}
-	over error // non-nil once terminal; ch is closed and never replaced
+	mu sync.Mutex
+	ch chan struct{}
+	// taken records that a Wait has taken ch since it was made: only
+	// then can a waiter be blocked on it, and only then does an advance
+	// close it and make another.
+	taken bool
+	over  error // non-nil once terminal; ch is closed and never replaced
 	// advanceNs is the UnixNano of the latest advance, read by the HTTP
 	// layer to measure notification fan-out latency.
 	advanceNs int64
@@ -44,7 +50,9 @@ func NewEpochNotifier() *EpochNotifier {
 // Wake broadcasts one advance to every current waiter; a non-nil
 // terminal error also ends every current and future wait with it.
 // Terminal wakes are sticky: the first wins, later wakes (terminal or
-// not) are no-ops.
+// not) are no-ops. A non-terminal wake with no waiter holding the
+// channel only stamps the advance: whoever takes the channel next
+// checks its cursor after taking it, and the cursor has already moved.
 func (n *EpochNotifier) Wake(terminal error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -52,12 +60,16 @@ func (n *EpochNotifier) Wake(terminal error) {
 		return
 	}
 	n.advanceNs = time.Now().UnixNano()
-	close(n.ch)
 	if terminal != nil {
+		close(n.ch)
 		n.over = terminal
 		return
 	}
-	n.ch = make(chan struct{})
+	if n.taken {
+		close(n.ch)
+		n.ch = make(chan struct{})
+		n.taken = false
+	}
 }
 
 // Wait blocks until changed reports true, the notifier turns terminal
@@ -68,6 +80,7 @@ func (n *EpochNotifier) Wait(ctx context.Context, changed func() bool) error {
 	for {
 		n.mu.Lock()
 		ch, over := n.ch, n.over
+		n.taken = true
 		n.mu.Unlock()
 		if changed() {
 			return nil

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -246,5 +247,40 @@ func TestWaitMergedEpoch(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("merged waiter never woke on unregister")
+	}
+}
+
+// An epoch advance nobody waits for allocates nothing: the notifier
+// remakes its channel only after a waiter has taken the current one.
+// Once a waiter has, the next wake still reaches it.
+func TestEpochNotifierWakeZeroAllocSteadyState(t *testing.T) {
+	n := NewEpochNotifier()
+	if avg := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			n.Wake(nil)
+		}
+	}); avg > 0 {
+		t.Errorf("1000 wakes with no waiter allocate %.0f times, want 0", avg)
+	}
+	var cursor atomic.Int64
+	done := make(chan error, 1)
+	go func() {
+		done <- n.Wait(context.Background(), func() bool { return cursor.Load() != 0 })
+	}()
+	for taken := false; !taken; {
+		time.Sleep(time.Millisecond)
+		n.mu.Lock()
+		taken = n.taken
+		n.mu.Unlock()
+	}
+	cursor.Add(1)
+	n.Wake(nil)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a wake after the waiter took the channel did not reach it")
 	}
 }
